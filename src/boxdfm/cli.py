@@ -15,6 +15,7 @@ from pathlib import Path
 from .benchmarks import builtin_scenarios
 from .driver import load_solution, run_convergence, run_scenario
 from .errors import MissingDataError, SolverError, ValidationError
+from .linalg import PRECONDITIONERS
 from .scenario import Scenario, load_scenario_file
 from .solution import sample_slice, write_profile_csv
 
@@ -46,7 +47,7 @@ def _add_solver_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None, metavar="T",
                    help="solver tolerance override")
     p.add_argument("--precond", default=None,
-                   choices=["none", "jacobi", "ic0"],
+                   choices=PRECONDITIONERS,
                    help="preconditioner override")
     p.add_argument("--max-iter", type=int, default=None, metavar="M",
                    help="iteration cap override")
@@ -115,7 +116,9 @@ def _cmd_run(args) -> int:
     print(f"dofs         {r['n_dofs']}")
     s = r["solver"]
     print(f"solver       {s['preconditioner']}, {s['iterations']} iterations, "
-          f"relative residual {s['relative_residual']:.3e}")
+          f"relative residual {s['relative_residual']:.3e}, "
+          f"setup {s['setup_s']:.3f} s, iterate {s['iterate_s']:.3f} s "
+          f"({1e3 * s['iterate_s'] / max(1, s['iterations']):.2f} ms/iteration)")
     bal = r["balance"]
     print(f"balance      outflow {bal['dirichlet_outflow']:.6e}, "
           f"supplied {bal['supplied']:.6e}, "

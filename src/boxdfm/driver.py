@@ -140,6 +140,8 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
             "iterations": solver_report.iterations,
             "relative_residual": solver_report.relative_residual,
             "shift": solver_report.shift,
+            "setup_s": solver_report.setup_s,
+            "iterate_s": solver_report.iterate_s,
         },
         "balance": flux_balance(system, x),
         "warnings": warn,

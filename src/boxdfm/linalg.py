@@ -8,6 +8,7 @@ breakdown (non-SPD operator) is a distinct hard error.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,8 @@ class SolverReport:
     relative_residual: float
     preconditioner: str
     shift: float = 0.0  # diagonal shift an ic0 factorization needed, if any
+    setup_s: float = 0.0    # preconditioner build time
+    iterate_s: float = 0.0  # time spent in the CG iteration
 
 
 class _Jacobi:
@@ -124,7 +127,16 @@ class _Identity:
 
 class _IncompleteCholesky:
     """IC(0): lower factor on the pattern of tril(A), with diagonal-shift
-    retries when a pivot fails (the factorization, unlike A, need not exist)."""
+    retries when a pivot fails (the factorization, unlike A, need not exist).
+
+    The factorization is level scheduled: a row's level is one more than
+    the highest level among its off-diagonal columns, so the rows of one
+    level only read rows of lower levels. Entries are computed one group
+    (level, position in row) at a time, diagonals after each level's
+    off-diagonals, and every inner-product sum is accumulated in ascending
+    column order. The factor is applied through a SuperLU object built once
+    on L with natural ordering and no pivoting, so it holds L itself.
+    """
 
     name = "ic0"
 
@@ -134,45 +146,150 @@ class _IncompleteCholesky:
         diag = A.diagonal()
         if np.any(diag <= 0):
             raise NotPositiveDefiniteError("nonpositive diagonal; operator cannot be SPD")
+        steps = _ic0_schedule(base)
         shift = 0.0
         for attempt in range(6):
-            L = self._factor(base, diag, shift)
-            if L is not None:
-                self._L = L
-                self._LT = L.T.tocsr()
+            vals = base.data.astype(np.float64)
+            if shift:
+                vals[base.indptr[1:] - 1] += shift * diag
+            if _ic0_numeric(vals, steps):
+                self.L = sp.csr_matrix((vals, base.indices, base.indptr), shape=base.shape)
                 self.shift = shift
+                self.lu = spla.splu(self.L.tocsc(), permc_spec="NATURAL",
+                                    diag_pivot_thresh=0.0,
+                                    options={"SymmetricMode": True})
+                ident = np.arange(A.n)
+                if not (np.array_equal(self.lu.perm_r, ident)
+                        and np.array_equal(self.lu.perm_c, ident)):
+                    raise SolverError("SuperLU permuted the ic0 factor")
                 return
             shift = 1e-3 if shift == 0.0 else shift * 10.0
         raise NotPositiveDefiniteError("ic0 factorization failed even with diagonal shifts")
 
-    @staticmethod
-    def _factor(base: sp.csr_matrix, diag: np.ndarray, shift: float):
-        n = base.shape[0]
-        indptr, indices = base.indptr, base.indices
-        vals = base.data.astype(np.float64).copy()
-        if shift:
-            vals[indptr[1:] - 1] += shift * diag
-        for i in range(n):
-            s, e = indptr[i], indptr[i + 1]
-            cols = indices[s:e]
-            for p in range(s, e - 1):
-                j = cols[p - s]
-                js, je = indptr[j], indptr[j + 1]
-                ci = indices[s:p]
-                cj = indices[js : je - 1]
-                common, ia, ja = np.intersect1d(ci, cj, assume_unique=True, return_indices=True)
-                acc = float(vals[s + ia] @ vals[js + ja]) if len(common) else 0.0
-                vals[p] = (vals[p] - acc) / vals[je - 1]
-            head = vals[s : e - 1]
-            piv = vals[e - 1] - float(head @ head)
-            if piv <= 1e-14 * abs(vals[e - 1]) or piv <= 0.0:
-                return None
-            vals[e - 1] = np.sqrt(piv)
-        return sp.csr_matrix((vals, indices.copy(), indptr.copy()), shape=base.shape)
-
     def apply(self, r: np.ndarray) -> np.ndarray:
-        y = spla.spsolve_triangular(self._L, r, lower=True)
-        return spla.spsolve_triangular(self._LT, y, lower=False)
+        return self.lu.solve(self.lu.solve(r), trans="T")
+
+
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of the ranges starts[t] : starts[t] + counts[t]."""
+    total = int(counts.sum())
+    first = np.cumsum(counts) - counts
+    return np.repeat(starts - first, counts) + np.arange(total)
+
+
+def _ic0_schedule(base: sp.csr_matrix) -> list:
+    """Symbolic IC(0) pass on tril(A) (sorted, diagonal last in each row).
+
+    Returns the steps of the numeric pass in order: ("off", E, D, left,
+    right, T) computes the entries at CSR positions E, dividing by the
+    diagonal positions D after subtracting the sums of data[left] *
+    data[right] grouped by local target T; ("diag", P, O, T) computes the
+    diagonals at positions P from the squares of data[O] grouped by T.
+    """
+    n = base.shape[0]
+    indptr = base.indptr.astype(np.int64)
+    cols = base.indices.astype(np.int64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    diagpos = indptr[1:] - 1  # A's diagonal is positive, so stored
+    off = np.nonzero(cols < rows)[0]  # strict lower, row-major
+    orow = rows[off]
+    # strict lower part by columns: rows ascend within each column
+    order = np.argsort(cols[off], kind="stable")
+    colptr = np.concatenate([[0], np.cumsum(np.bincount(cols[off], minlength=n))])
+    level = _ic0_levels(orow, orow[order], colptr)
+    target, left, right = _ic0_triples(rows * n + cols, orow[order], off[order], colptr)
+    del rows, order, colptr  # freed before the grouping arrays, which set the peak
+
+    # off-diagonals grouped by (level, position in row), diagonal last
+    width = int(np.diff(indptr).max())
+    ekey = np.concatenate([level[orow] * width + (off - indptr[orow]),
+                           level * width + (width - 1)])
+    eorder = np.argsort(ekey, kind="stable")
+    ekey = ekey[eorder]
+    epos = np.concatenate([off, diagpos])[eorder]
+    del eorder
+    gstart = np.concatenate([[0], np.flatnonzero(np.diff(ekey)) + 1, [len(ekey)]])
+    rank = np.empty(len(cols), dtype=np.int64)
+    rank[epos] = np.arange(len(epos))
+
+    tr = rank[target]
+    torder = np.lexsort((cols[left], tr))  # by target, then ascending k
+    tr, left, right = tr[torder], left[torder], right[torder]
+    tptr = np.searchsorted(tr, gstart)
+
+    # diagonal sums: a row's off-diagonals in ascending column order
+    drank = rank[diagpos[orow]]
+    dorder = np.argsort(drank, kind="stable")
+    drank, dpos = drank[dorder], off[dorder]
+    dptr = np.searchsorted(drank, gstart)
+
+    divisor = diagpos[cols[epos]]
+    tlocal = tr - np.repeat(gstart[:-1], np.diff(tptr))
+    dlocal = drank - np.repeat(gstart[:-1], np.diff(dptr))
+    steps = []
+    for g in range(len(gstart) - 1):
+        s, e = gstart[g], gstart[g + 1]
+        if ekey[s] % width == width - 1:
+            d = slice(dptr[g], dptr[g + 1])
+            steps.append(("diag", epos[s:e], dpos[d], dlocal[d]))
+        else:
+            t = slice(tptr[g], tptr[g + 1])
+            steps.append(("off", epos[s:e], divisor[s:e], left[t], right[t], tlocal[t]))
+    return steps
+
+
+def _ic0_levels(orow: np.ndarray, crow: np.ndarray, colptr: np.ndarray) -> np.ndarray:
+    """Row levels from the strict lower pattern (rows orow by row, crow by
+    column), found wavefront by wavefront."""
+    n = len(colptr) - 1
+    ccount = np.diff(colptr)
+    level = np.empty(n, dtype=np.int64)
+    waiting = np.bincount(orow, minlength=n)
+    front = np.nonzero(waiting == 0)[0]
+    nlev = 0
+    while len(front):
+        level[front] = nlev
+        nlev += 1
+        dep = crow[_segments(colptr[front], ccount[front])]
+        np.subtract.at(waiting, dep, 1)
+        front = np.unique(dep[waiting[dep] == 0])
+    return level
+
+
+def _ic0_triples(keys: np.ndarray, crow: np.ndarray, cpos: np.ndarray,
+                 colptr: np.ndarray):
+    """Update triples as CSR positions (target, left, right): pairs j < i
+    within column k of the strict lower part give target (i, j), left
+    (i, k) and right (j, k), kept when (i, j) is in the pattern. keys are
+    row * n + col of the pattern, ascending; crow/cpos list the strict
+    lower part by column."""
+    n = len(colptr) - 1
+    a = np.arange(len(crow), dtype=np.int64)
+    after = np.repeat(colptr[1:], np.diff(colptr)) - 1 - a
+    b = _segments(a + 1, after)
+    a = np.repeat(a, after)
+    want = crow[b] * n + crow[a]
+    loc = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    hit = keys[loc] == want
+    return loc[hit], cpos[b[hit]], cpos[a[hit]]
+
+
+def _ic0_numeric(vals: np.ndarray, steps: list) -> bool:
+    """Run the scheduled IC(0) steps on vals in place; False on a failed pivot."""
+    for step in steps:
+        if step[0] == "off":
+            _, E, D, left, right, T = step
+            acc = np.bincount(T, weights=vals[left] * vals[right], minlength=len(E))
+            vals[E] = (vals[E] - acc) / vals[D]
+        else:
+            _, P, O, T = step
+            acc = np.bincount(T, weights=vals[O] * vals[O], minlength=len(P))
+            d = vals[P]
+            piv = d - acc
+            if np.any((piv <= 1e-14 * np.abs(d)) | (piv <= 0.0)):
+                return False
+            vals[P] = np.sqrt(piv)
+    return True
 
 
 _PRECONDITIONER_CLASSES = {"none": _Identity, "jacobi": _Jacobi, "ic0": _IncompleteCholesky}
@@ -207,12 +324,19 @@ def cg_solve(A: SymmetricSparseMatrix, b: np.ndarray, tol: float = 1e-10,
     if bnorm == 0.0:
         return np.zeros(n), SolverReport(True, 0, 0.0, preconditioner)
 
+    t0 = time.perf_counter()
     M = make_preconditioner(A, preconditioner)
+    t1 = time.perf_counter()
+
+    def done(converged, it, relres):
+        return x, SolverReport(converged, it, relres, preconditioner, M.shift,
+                               setup_s=t1 - t0, iterate_s=time.perf_counter() - t1)
+
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - A.matvec(x)
     relres = float(np.linalg.norm(r)) / bnorm
     if relres <= tol:
-        return x, SolverReport(True, 0, relres, preconditioner, M.shift)
+        return done(True, 0, relres)
     z = M.apply(r)
     p = z.copy()
     rz = float(r @ z)
@@ -232,15 +356,15 @@ def cg_solve(A: SymmetricSparseMatrix, b: np.ndarray, tol: float = 1e-10,
         r -= alpha * Ap
         relres = float(np.linalg.norm(r)) / bnorm
         if relres <= tol:
-            return x, SolverReport(True, it, relres, preconditioner, M.shift)
+            return done(True, it, relres)
         z = M.apply(r)
         rz_new = float(r @ z)
         if rz_new <= 0.0:
             # SPD preconditioner forces r'z > 0 unless r is numerically zero
-            return x, SolverReport(relres <= tol, it, relres, preconditioner, M.shift)
+            return done(relres <= tol, it, relres)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, SolverReport(False, it, relres, preconditioner, M.shift)
+    return done(False, it, relres)
 
 
 @dataclass

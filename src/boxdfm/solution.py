@@ -24,6 +24,8 @@ __all__ = ["SolutionField", "sample_slice", "write_profile_csv", "l2_error",
            "convergence_order", "simplex_quadrature"]
 
 _SIDE_EPS_REL = 1e-9  # side-rule offset relative to the domain diameter
+_LOCATE_TOL = -1e-12  # smallest barycentric coordinate that counts as inside
+_NEAR_VERTICES = 8    # nearest vertices whose cells are tested before a full scan
 
 
 def _gauss_jacobi_01(n: int, alpha: int):
@@ -94,35 +96,53 @@ class SolutionField:
         lam = np.linalg.solve(T, p - verts[0])
         return np.concatenate([[1.0 - lam.sum()], lam])
 
+    def _quality(self, cells: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Smallest barycentric coordinate of p in each of the given cells."""
+        verts = self.mesh.vertices[self.mesh.cells[cells]]
+        T = np.transpose(verts[:, 1:] - verts[:, :1], (0, 2, 1))
+        lam = np.linalg.solve(T, (p - verts[:, 0])[..., None])[..., 0]
+        return np.minimum(1.0 - lam.sum(axis=1), lam.min(axis=1))
+
     def locate(self, p: np.ndarray, max_steps: int | None = None) -> int:
-        """Containing cell via adjacency walk from the nearest vertex."""
+        """Containing cell via adjacency walk from the nearest vertex.
+
+        The walk is deterministic, so it stops when it re-enters a cell it
+        has visited (it would cycle) or leaves the mesh; _locate_brute
+        takes over from there.
+        """
+        return self._find(p, max_steps)[0]
+
+    def _find(self, p: np.ndarray, max_steps: int | None = None):
+        """locate, returning (cell, barycentric coordinates of p in it)."""
         self._prepare()
         _, v = self._tree.query(p)
         cell = int(self._vertex_cell[v])
         if max_steps is None:
             max_steps = 4 * int(np.sqrt(self.mesh.n_cells)) + 50
-        tol = -1e-12
-        seen = 0
-        while seen < max_steps:
+        visited = set()
+        while len(visited) < max_steps and cell not in visited:
+            visited.add(cell)
             lam = self._barycentric(cell, p)
             worst = int(np.argmin(lam))
-            if lam[worst] >= tol:
-                return cell
-            nxt = int(self.mesh.cell_neighbors[cell, worst])
-            if nxt < 0:
+            if lam[worst] >= _LOCATE_TOL:
+                return cell, lam
+            cell = int(self.mesh.cell_neighbors[cell, worst])
+            if cell < 0:
                 break
-            cell = nxt
-            seen += 1
-        return self._locate_brute(p)
+        cell = self._locate_brute(p)
+        return cell, self._barycentric(cell, p)
 
     def _locate_brute(self, p: np.ndarray) -> int:
-        verts = self.mesh.vertices[self.mesh.cells]
-        T = np.transpose(verts[:, 1:] - verts[:, :1], (0, 2, 1))
-        lam = np.linalg.solve(T, np.broadcast_to(p, (self.mesh.n_cells, self.mesh.dim))
-                              - verts[:, 0])
-        lam0 = 1.0 - lam.sum(axis=1)
-        full = np.concatenate([lam0[:, None], lam], axis=1)
-        quality = full.min(axis=1)
+        """Containing cell by barycentric tests: first the cells around the
+        nearest vertices, then every cell."""
+        self._prepare()
+        _, near = self._tree.query(p, k=min(_NEAR_VERTICES, self.mesh.n_vertices))
+        cand = np.nonzero(np.isin(self.mesh.cells, near).any(axis=1))[0]
+        quality = self._quality(cand, p)
+        best = int(np.argmax(quality))
+        if quality[best] >= _LOCATE_TOL:
+            return int(cand[best])
+        quality = self._quality(np.arange(self.mesh.n_cells), p)
         best = int(np.argmax(quality))
         # slack admits side-rule samples nudged just past the hull
         if quality[best] < -1e-6:
@@ -134,8 +154,7 @@ class SolutionField:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = np.empty(points.shape[0])
         for i, p in enumerate(points):
-            c = self.locate(p)
-            lam = self._barycentric(c, p)
+            c, lam = self._find(p)
             out[i] = float(lam @ self.values[self.cell_dofs[c]])
         return out
 

@@ -7,11 +7,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from boxdfm.assembly import assemble_system
+from boxdfm.benchmarks import get_scenario
 from boxdfm.dofspace import build_dof_map
 from boxdfm.errors import NotPositiveDefiniteError, ValidationError
+from boxdfm.generators import kuhn_cube_mesh
 from boxdfm.linalg import (SymmetricSparseMatrix, cg_solve, dense_spd_check,
-                           write_matrix_market)
-from boxdfm.materials import BarrierLaw, MaterialModel
+                           make_preconditioner, write_matrix_market)
+from boxdfm.materials import BarrierLaw, FractureLaw, MaterialModel
 from conftest import barrier_square
 
 
@@ -145,3 +147,104 @@ def test_matvec_and_coo_duplicates():
     assert np.allclose(A.matvec(v), dense @ v)
     assert A.max_abs() == 2.0
     assert A.n == 2 and A.nnz == 4
+
+
+def reference_ic0(A, shift=0.0):
+    """Row-by-row IC(0) on the pattern of tril(A), the oracle for the
+    level-scheduled factorization: factor data, or None on a failed pivot."""
+    L = sp.tril(A.to_scipy(), format="csr")
+    L.sort_indices()
+    ptr, idx = L.indptr, L.indices
+    vals = L.data.astype(np.float64)
+    vals[ptr[1:] - 1] += shift * A.diagonal()
+    for i in range(A.n):
+        s, e = ptr[i], ptr[i + 1]
+        for p in range(s, e - 1):
+            j = idx[p]
+            _, a, b = np.intersect1d(idx[s:p], idx[ptr[j]:ptr[j + 1] - 1],
+                                     assume_unique=True, return_indices=True)
+            vals[p] = (vals[p] - vals[s + a] @ vals[ptr[j] + b]) / vals[ptr[j + 1] - 1]
+        piv = vals[e - 1] - vals[s:e - 1] @ vals[s:e - 1]
+        if piv <= 1e-14 * abs(vals[e - 1]) or piv <= 0.0:
+            return None
+        vals[e - 1] = np.sqrt(piv)
+    return vals
+
+
+def scenario_system(name, policy):
+    sc = get_scenario(name)
+    mesh = sc.mesh_factory(sc.default_refine)
+    return assemble_system(mesh, build_dof_map(mesh, policy), sc.materials,
+                           source=sc.source, neumann=sc.neumann,
+                           dirichlet=sc.dirichlet)
+
+
+def cube_system(policy):
+    """3d: a barrier plane x = 0.5 crossed by a fracture plane y = 0.5."""
+    tags = {1: "dirichlet", 2: "dirichlet", 40: "barrier", 41: "fracture"}
+    tags.update({t: "neumann" for t in range(3, 7)})
+    mesh = kuhn_cube_mesh(4, planes=[(0, 0.5, (0.0, 0.0), (1.0, 1.0), 40),
+                                     (1, 0.5, (0.0, 0.0), (1.0, 1.0), 41)],
+                          tag_map=tags)
+    mats = MaterialModel(matrix={1: 1.0}, fractures={41: FractureLaw(1e-2, 1e3)},
+                         barriers={40: BarrierLaw(1e-3, 1e-4)}, dim=3)
+    zero = lambda p, *r: np.zeros(len(p))  # noqa: E731
+    return assemble_system(
+        mesh, build_dof_map(mesh, policy), mats,
+        dirichlet={1: zero, 2: lambda p, r: np.ones(len(p))},
+        neumann={t: zero for t in range(3, 7)},
+    )
+
+
+@pytest.mark.parametrize("policy", ["barrier_cuts", "fracture_penetrates"])
+@pytest.mark.parametrize("build", [lambda pol: scenario_system("ex54a", pol),
+                                   cube_system], ids=["ex54a-2d", "cube-3d"])
+def test_ic0_factor_matches_row_by_row_reference(build, policy):
+    A = build(policy).A
+    M = make_preconditioner(A, "ic0")
+    ref = reference_ic0(A)
+    assert M.shift == 0.0 and ref is not None
+    assert np.abs(M.L.data - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_ic0_long_dependency_chain():
+    # a path graph: every row depends on the previous one, one level each
+    n = 60
+    T = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+    A = SymmetricSparseMatrix(T.tocsr() + sp.eye(n, format="csr") * 1e-3)
+    M = make_preconditioner(A, "ic0")
+    ref = reference_ic0(A)
+    assert np.abs(M.L.data - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_ic0_kershaw_needs_the_unit_shift():
+    # SPD, but IC(0) breaks down until the retries reach shift 1
+    K = spd2([[3, -2, 0, 2], [-2, 3, -2, 0], [0, -2, 3, -2], [2, 0, -2, 3]])
+    assert dense_spd_check(K).cholesky_ok
+    assert all(reference_ic0(K, s) is None for s in (0.0, 1e-3, 1e-2, 1e-1))
+    M = make_preconditioner(K, "ic0")
+    assert M.shift == 1.0
+    ref = reference_ic0(K, 1.0)
+    assert np.abs(M.L.data - ref).max() <= 1e-14 * np.abs(ref).max()
+    b = np.array([1.0, -2.0, 0.5, 3.0])
+    x, report = cg_solve(K, b, tol=1e-12, preconditioner="ic0")
+    assert report.converged and report.shift == 1.0
+    assert np.allclose(K.toarray() @ x, b, atol=1e-10)
+
+
+def test_ic0_application_is_the_factor_itself():
+    A = assembled_system().A
+    M = make_preconditioner(A, "ic0")
+    ident = np.arange(A.n)
+    assert np.array_equal(M.lu.perm_r, ident)
+    assert np.array_equal(M.lu.perm_c, ident)
+    r = np.random.default_rng(3).standard_normal(A.n)
+    y = spla.spsolve_triangular(M.L, r, lower=True)
+    z = spla.spsolve_triangular(M.L.T.tocsr(), y, lower=False)
+    assert np.abs(M.apply(r) - z).max() <= 1e-12 * np.abs(z).max()
+
+
+def test_solver_report_times_setup_and_iterations():
+    system = assembled_system()
+    _, report = cg_solve(system.A, system.b, tol=1e-12, preconditioner="ic0")
+    assert report.setup_s > 0.0 and report.iterate_s > 0.0

@@ -152,8 +152,11 @@ def test_cli_run_writes_bundle(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["scenario"] == "tiny"
     assert report["solver"]["iterations"] > 0
+    assert report["solver"]["setup_s"] >= 0.0
+    assert report["solver"]["iterate_s"] >= 0.0
     stdout = capsys.readouterr().out
     assert "tiny" in stdout and "dofs" in stdout
+    assert "setup" in stdout and "ms/iteration" in stdout
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -185,6 +188,10 @@ def test_cli_slice_prints_csv(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "s,x,y,p"
     assert len(lines) == 6
+    code = main(["slice", str(out), "--from", "0,0.25", "--to", "2,0.25"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "outside the mesh" in err and "Traceback" not in err
 
 
 def test_cli_convergence_writes_study(tmp_path, capsys):

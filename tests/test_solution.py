@@ -6,7 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from boxdfm.benchmarks import analytic_barrier_scenario
+from boxdfm.benchmarks import analytic_barrier_scenario, get_scenario
 from boxdfm.dofspace import build_dof_map
 from boxdfm.driver import run_scenario
 from boxdfm.errors import ValidationError
@@ -73,6 +73,43 @@ def test_locate_returns_containing_cell():
         c = field.locate(p)
         lam = field._barycentric(c, p)
         assert lam.min() >= -1e-12
+
+
+def test_walk_cycle_falls_back_to_containing_cell(monkeypatch):
+    # on ex57a's jittered mesh the adjacency walk toward this interior
+    # point cycles; the fallback must still find the containing cell
+    sc = get_scenario("ex57a")
+    mesh = sc.mesh_factory(sc.default_refine)
+    field = SolutionField(mesh, mesh.cells, np.arange(mesh.n_vertices),
+                          np.zeros(mesh.n_vertices))
+    routed = []
+    brute = field._locate_brute
+    monkeypatch.setattr(field, "_locate_brute",
+                        lambda p: routed.append(p) or brute(p))
+    p = np.array([0.015, 0.645])
+    c = field.locate(p)
+    assert len(routed) == 1
+    assert field._barycentric(c, p).min() >= -1e-12
+    assert field.evaluate(p[None])[0] == 0.0
+
+
+def test_locate_brute_scans_every_cell():
+    mesh, field = linear_field()
+    rng = np.random.default_rng(2)
+    for p in rng.uniform(0.02, 0.98, size=(10, 2)):
+        assert field._barycentric(field._locate_brute(p), p).min() >= -1e-12
+    # just past the hull: no nearby cell contains it, the full scan
+    # admits it within the side-rule slack
+    p = np.array([1.0 + 1e-9, 0.5])
+    assert field._barycentric(field._locate_brute(p), p).min() >= -1e-6
+
+
+def test_point_outside_the_mesh_rejected():
+    mesh, field = linear_field()
+    with pytest.raises(ValidationError, match="outside the mesh"):
+        field.evaluate([[1.5, 0.5]])
+    with pytest.raises(ValidationError, match="outside the mesh"):
+        sample_slice(field, (0.5, 0.5), (0.5, 1.2), 5)
 
 
 def test_l2_error_vanishes_on_interpolated_linear():
