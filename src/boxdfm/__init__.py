@@ -19,7 +19,7 @@ from .errors import (BoxDfmError, DofMapError, MeshFormatError,
                      NotPositiveDefiniteError, SolverError, ValidationError)
 from .generators import (crossed_square_mesh, delaunay_rect_mesh,
                          kuhn_cube_mesh, strip_grid_mesh)
-from .linalg import SolverReport, SymmetricSparseMatrix, cg_solve
+from .linalg import SolverReport, cg_solve
 from .materials import BarrierLaw, FractureLaw, MaterialModel
 from .mesh import FacetKind, Mesh, build_mesh
 from .msh_io import load_msh, read_msh_arrays, write_msh22
@@ -45,7 +45,7 @@ __all__ = [
     "SparseSystem", "assemble_operator", "assemble_rhs", "assemble_system",
     "flux_balance", "local_barrier_coupling",
     # linear algebra
-    "SymmetricSparseMatrix", "SolverReport", "cg_solve",
+    "SolverReport", "cg_solve",
     # solutions and studies
     "SolutionField", "l2_error", "convergence_order", "sample_slice",
     "write_profile_csv", "write_solution_vtk", "write_facets_vtk",

@@ -24,7 +24,6 @@ import scipy.sparse as sp
 from .dofspace import DofMap, facet_vertex_dofs
 from .dual import DualBoxGeometry, dual_geometry, boundary_subfaces, p1_gradients, subface_flux_matrices
 from .errors import ValidationError
-from .linalg import SymmetricSparseMatrix
 from .materials import MaterialModel
 from .mesh import FacetKind, Mesh, facet_measures
 
@@ -148,7 +147,7 @@ def assemble_operator(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
 
     fr = dofmap.fracture_facet_rows
     if len(fr):
-        trans = _fracture_coefficients(mesh, materials, fr)
+        trans = materials.fracture_transmissivity(mesh.facet_tags[fr])
         mats = local_fracture_matrices(mesh, fr, trans)
         fd = dofmap.fracture_dofs
         d = mesh.dim
@@ -158,7 +157,7 @@ def assemble_operator(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
 
     br = dofmap.barrier_facet_rows
     if len(br):
-        beta = _barrier_coefficients(mesh, materials, br)
+        beta = materials.barrier_beta(mesh.facet_tags[br])
         mats = local_barrier_matrices(mesh, br, beta)
         bd = np.concatenate([dofmap.barrier_minus, dofmap.barrier_plus], axis=1)
         d2 = 2 * mesh.dim
@@ -173,28 +172,6 @@ def assemble_operator(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
     A0.sum_duplicates()
     A0.sort_indices()
     return A0
-
-
-def _fracture_coefficients(mesh: Mesh, materials: MaterialModel, rows: np.ndarray) -> np.ndarray:
-    out = np.empty(len(rows))
-    for i, r in enumerate(rows):
-        tag = int(mesh.facet_tags[r])
-        law = materials.fractures.get(tag)
-        if law is None:
-            raise ValidationError(f"no fracture law for tag {tag}")
-        out[i] = law.aperture * law.k
-    return out
-
-
-def _barrier_coefficients(mesh: Mesh, materials: MaterialModel, rows: np.ndarray) -> np.ndarray:
-    out = np.empty(len(rows))
-    for i, r in enumerate(rows):
-        tag = int(mesh.facet_tags[r])
-        law = materials.barriers.get(tag)
-        if law is None:
-            raise ValidationError(f"no barrier law for tag {tag}")
-        out[i] = law.beta
-    return out
 
 
 def assemble_rhs(mesh: Mesh, dofmap: DofMap, dual: DualBoxGeometry,
@@ -212,7 +189,7 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, dual: DualBoxGeometry,
         nloc = mesh.dim + 1
         pts = cent.reshape(-1, mesh.dim)
         regs = np.repeat(mesh.cell_region, nloc)
-        q = np.asarray(source(pts, regs), dtype=np.float64).reshape(mesh.n_cells, nloc)
+        q = _values("source", source(pts, regs), len(pts)).reshape(mesh.n_cells, nloc)
         np.add.at(b, dofmap.cell_dofs, q * dual.subvol)
     if neumann:
         for tag, g in neumann.items():
@@ -222,9 +199,21 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, dual: DualBoxGeometry,
                 raise ValidationError(f"neumann tag {tag} matches no facets")
             meas, cents = boundary_subfaces(mesh, rows)
             dofs, _ = facet_vertex_dofs(mesh, dofmap, rows)
-            vals = np.asarray(g(cents.reshape(-1, mesh.dim)), dtype=np.float64)
+            pts = cents.reshape(-1, mesh.dim)
+            vals = _values(f"neumann tag {tag}", g(pts), len(pts))
             np.add.at(b, dofs.ravel(), -vals * meas.ravel())
     return b
+
+
+def _values(what: str, result, n: int) -> np.ndarray:
+    """A boundary or source callable's result as n floats, one per point."""
+    v = np.asarray(result, dtype=np.float64)
+    if v.size != n:
+        raise ValidationError(
+            f"{what} returned values of shape {v.shape} for {n} points; "
+            f"expected shape ({n},)"
+        )
+    return v.reshape(n)
 
 
 def collect_dirichlet(mesh: Mesh, dofmap: DofMap, dirichlet: dict):
@@ -233,35 +222,45 @@ def collect_dirichlet(mesh: Mesh, dofmap: DofMap, dirichlet: dict):
     Every dof of a boundary vertex that belongs to a cell touching the
     facet receives the value; values are evaluated with the resolving
     cell's region so side-dependent data lands on the matching component.
-    Contradictory assignments (beyond rounding) are an error.
+    A dof assigned more than once keeps the last value in tag order; two
+    successive values that differ by more than 1e-9 times the later tag's
+    scale are contradictory and an error. Returns sorted dofs and values.
     """
-    vals: dict[int, float] = {}
+    dofs, vals, scales = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
     for tag, g in (dirichlet or {}).items():
         rows = np.nonzero((mesh.facet_tags == int(tag))
                           & (mesh.facet_kinds == int(FacetKind.DIRICHLET)))[0]
         if len(rows) == 0:
             raise ValidationError(f"dirichlet tag {tag} matches no facets")
-        dofs, cells_r = facet_vertex_dofs(mesh, dofmap, rows)
+        d, cells_r = facet_vertex_dofs(mesh, dofmap, rows)
         pts = mesh.vertices[mesh.facets[rows]].reshape(-1, mesh.dim)
         regs = np.repeat(mesh.cell_region[cells_r], mesh.dim)
-        g_vals = np.asarray(g(pts, regs), dtype=np.float64).ravel()
-        scale = max(1.0, float(np.abs(g_vals).max()))
-        for d, v in zip(dofs.ravel().tolist(), g_vals.tolist()):
-            if d in vals and abs(vals[d] - v) > 1e-9 * scale:
-                raise ValidationError(
-                    f"dof {d} receives contradictory Dirichlet values "
-                    f"{vals[d]!r} and {v!r}"
-                )
-            vals[d] = v
-    dofs = np.array(sorted(vals), dtype=np.int64)
-    return dofs, np.array([vals[int(d)] for d in dofs])
+        v = _values(f"dirichlet tag {tag}", g(pts, regs), len(pts))
+        dofs.append(d.ravel())
+        vals.append(v)
+        scales.append(np.full(len(v), max(1.0, float(np.abs(v).max()))))
+    dofs = np.concatenate(dofs)
+    order = np.argsort(dofs, kind="stable")
+    dofs, vals, scales = dofs[order], np.concatenate(vals)[order], np.concatenate(scales)[order]
+    same = dofs[1:] == dofs[:-1]
+    clash = same & (np.abs(np.diff(vals)) > 1e-9 * scales[1:])
+    if clash.any():
+        # the clash a tag-order sweep meets first
+        i = np.flatnonzero(clash)[np.argmin(order[1:][clash])]
+        raise ValidationError(
+            f"dof {int(dofs[i])} receives contradictory Dirichlet values "
+            f"{float(vals[i])!r} and {float(vals[i + 1])!r}"
+        )
+    last = np.ones(len(dofs), dtype=bool)
+    last[:-1] = ~same
+    return dofs[last], vals[last]
 
 
 @dataclass
 class SparseSystem:
     """Constrained system plus the unconstrained pieces for flux recovery."""
 
-    A: SymmetricSparseMatrix
+    A: sp.csr_matrix
     b: np.ndarray
     A0: sp.csr_matrix
     b0: np.ndarray
@@ -271,7 +270,7 @@ class SparseSystem:
 
     @property
     def n(self) -> int:
-        return self.A.n
+        return self.A.shape[0]
 
     def residual_fluxes(self, x: np.ndarray) -> np.ndarray:
         """A0 x - b0: zero at interior dofs, boundary inflow at Dirichlet dofs."""
@@ -280,19 +279,27 @@ class SparseSystem:
 
 def apply_dirichlet(A0: sp.csr_matrix, b0: np.ndarray, dofs: np.ndarray,
                     values: np.ndarray):
-    """Symmetric elimination: zero rows/cols, unit diagonal, shifted rhs."""
+    """Symmetric elimination: zero rows/cols, unit diagonal, shifted rhs.
+
+    Works on a copy of A0 in place. Every dof's diagonal is stored (cell
+    stiffness diagonals are positive), so it can be set to one; entries
+    zeroed here and explicit zeros of A0 are dropped, so the pattern of
+    tril(A) that IC(0) factors on holds no zero.
+    """
     n = A0.shape[0]
     g = np.zeros(n)
     g[dofs] = values
     b = b0 - A0 @ g
-    free = np.ones(n)
-    free[dofs] = 0.0
-    P = sp.diags(free, format="csr")
-    D = sp.diags(1.0 - free, format="csr")
-    A = (P @ A0 @ P + D).tocsr()
-    b = free * b
     b[dofs] = values
-    return SymmetricSparseMatrix(A), b
+    fixed = np.zeros(n, dtype=bool)
+    fixed[dofs] = True
+    A = A0.copy()
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    hit = fixed[rows] | fixed[A.indices]
+    A.data[hit] = 0.0
+    A.data[hit & (rows == A.indices)] = 1.0
+    A.eliminate_zeros()
+    return A, b
 
 
 def assemble_system(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,

@@ -68,12 +68,14 @@ class DofMap:
         return out
 
 
-def _local_index(cells: np.ndarray, cell_ids: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Local index of vertex verts[k] inside cell cell_ids[k]."""
-    eq = cells[cell_ids] == verts[:, None]
-    if not np.all(eq.any(axis=1)):
+def _corner_nodes(cells: np.ndarray, cell_ids: np.ndarray,
+                  facet_verts: np.ndarray) -> np.ndarray:
+    """(n, dim) node ids cell * nloc + local of facet_verts[k] inside cell
+    cell_ids[k]; dofs are then cell_dofs.ravel()[nodes]."""
+    eq = cells[cell_ids][:, None, :] == facet_verts[:, :, None]
+    if not np.all(eq.any(axis=2)):
         raise DofMapError("vertex not found in its supposed cell")
-    return np.argmax(eq, axis=1)
+    return cell_ids[:, None] * cells.shape[1] + np.argmax(eq, axis=2)
 
 
 def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
@@ -89,16 +91,9 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
     interior = mesh.ufacet_cells[:, 1] >= 0
     link = interior & ~barrier_uf
 
-    rows = []
-    cols = []
-    c1 = mesh.ufacet_cells[link, 0]
-    c2 = mesh.ufacet_cells[link, 1]
-    for k in range(mesh.dim):
-        v = mesh.ufacets[link, k]
-        l1 = _local_index(cells, c1, v)
-        l2 = _local_index(cells, c2, v)
-        rows.append(c1 * nloc + l1)
-        cols.append(c2 * nloc + l2)
+    link_cells, link_verts = mesh.ufacet_cells[link], mesh.ufacets[link]
+    rows = [_corner_nodes(cells, link_cells[:, 0], link_verts).ravel()]
+    cols = [_corner_nodes(cells, link_cells[:, 1], link_verts).ravel()]
 
     has_barrier = np.zeros(nv, dtype=bool)
     has_fracture = np.zeros(nv, dtype=bool)
@@ -120,12 +115,8 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
                     cols.append(nodes[1:])
 
     n_nodes = nc * nloc
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-    else:
-        r = np.zeros(0, dtype=np.int64)
-        c = np.zeros(0, dtype=np.int64)
+    r = np.concatenate(rows)
+    c = np.concatenate(cols)
     graph = coo_matrix((np.ones(len(r), dtype=np.int8), (r, c)), shape=(n_nodes, n_nodes))
     n_comp, labels = connected_components(graph, directed=False)
 
@@ -155,17 +146,10 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
     vclass[has_barrier & has_fracture] = int(VertexClass.INTERSECTION)
 
     bar_rows = mesh.facets_of_kind(FacetKind.BARRIER)
-    uf = mesh.facet_to_ufacet[bar_rows]
-    cm = mesh.ufacet_cells[uf, 0]
-    cp = mesh.ufacet_cells[uf, 1]
-    nb = len(bar_rows)
-    minus = np.empty((nb, mesh.dim), dtype=np.int64)
-    plus = np.empty((nb, mesh.dim), dtype=np.int64)
-    for k in range(mesh.dim):
-        v = mesh.facets[bar_rows, k]
-        minus[:, k] = cell_dofs[cm, _local_index(cells, cm, v)]
-        plus[:, k] = cell_dofs[cp, _local_index(cells, cp, v)]
-    dead = np.all(minus == plus, axis=1) if nb else np.zeros(0, dtype=bool)
+    bar_cells = mesh.ufacet_cells[mesh.facet_to_ufacet[bar_rows]]
+    minus = cell_dofs.ravel()[_corner_nodes(cells, bar_cells[:, 0], mesh.facets[bar_rows])]
+    plus = cell_dofs.ravel()[_corner_nodes(cells, bar_cells[:, 1], mesh.facets[bar_rows])]
+    dead = np.all(minus == plus, axis=1)
     if np.any(dead):
         i = int(np.nonzero(dead)[0][0])
         raise DofMapError(
@@ -175,18 +159,11 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
         )
 
     fr_rows = mesh.facets_of_kind(FacetKind.FRACTURE)
-    uff = mesh.facet_to_ufacet[fr_rows]
-    f1 = mesh.ufacet_cells[uff, 0]
-    f2 = mesh.ufacet_cells[uff, 1]
-    nfr = len(fr_rows)
-    fdofs = np.empty((nfr, mesh.dim), dtype=np.int64)
-    for k in range(mesh.dim):
-        v = mesh.facets[fr_rows, k]
-        d1 = cell_dofs[f1, _local_index(cells, f1, v)]
-        d2 = cell_dofs[f2, _local_index(cells, f2, v)]
-        if not np.array_equal(d1, d2):
-            raise DofMapError("fracture facet resolves to different dofs from its two sides")
-        fdofs[:, k] = d1
+    fr_cells = mesh.ufacet_cells[mesh.facet_to_ufacet[fr_rows]]
+    fdofs = cell_dofs.ravel()[_corner_nodes(cells, fr_cells[:, 0], mesh.facets[fr_rows])]
+    other = cell_dofs.ravel()[_corner_nodes(cells, fr_cells[:, 1], mesh.facets[fr_rows])]
+    if not np.array_equal(fdofs, other):
+        raise DofMapError("fracture facet resolves to different dofs from its two sides")
 
     return DofMap(
         policy=policy,
@@ -209,13 +186,8 @@ def facet_vertex_dofs(mesh: Mesh, dofmap: DofMap, facet_rows: np.ndarray):
     Returns (dofs, cells): dofs has shape (len(rows), dim); cells is the
     resolving cell per facet (used for region-dependent boundary values).
     """
-    uf = mesh.facet_to_ufacet[facet_rows]
-    c = mesh.ufacet_cells[uf, 0]
-    out = np.empty((len(facet_rows), mesh.dim), dtype=np.int64)
-    for k in range(mesh.dim):
-        v = mesh.facets[facet_rows, k]
-        out[:, k] = dofmap.cell_dofs[c, _local_index(mesh.cells, c, v)]
-    return out, c
+    c = mesh.ufacet_cells[mesh.facet_to_ufacet[facet_rows], 0]
+    return dofmap.cell_dofs.ravel()[_corner_nodes(mesh.cells, c, mesh.facets[facet_rows])], c
 
 
 def boundary_dofs(mesh: Mesh, dofmap: DofMap, kind: FacetKind) -> np.ndarray:

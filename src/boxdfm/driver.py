@@ -63,13 +63,9 @@ def scenario_warnings(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
     for i, j in combinations(range(mesh.dim + 1), 2):
         rows.append(dofmap.cell_dofs[:, i])
         cols.append(dofmap.cell_dofs[:, j])
-    if len(dofmap.barrier_facet_rows):
-        tags = mesh.facet_tags[dofmap.barrier_facet_rows]
-        beta = np.array([materials.barriers[int(t)].beta for t in tags])
-        live = beta > 0.0
-        for k in range(mesh.dim):
-            rows.append(dofmap.barrier_minus[live, k])
-            cols.append(dofmap.barrier_plus[live, k])
+    live = materials.barrier_beta(mesh.facet_tags[dofmap.barrier_facet_rows]) > 0.0
+    rows.append(dofmap.barrier_minus[live].ravel())
+    cols.append(dofmap.barrier_plus[live].ravel())
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     n = dofmap.n_dofs

@@ -1,9 +1,9 @@
-"""Sparse symmetric matrices and a preconditioned conjugate gradient solver.
+"""Preconditioned conjugate gradients on symmetric scipy CSR matrices.
 
-Storage and matvec sit on scipy CSR; the CG iteration, the Jacobi and
-zero-fill incomplete Cholesky preconditioners, and the SPD diagnostics are
-implemented here. CG reports instead of raising on slow convergence; a
-breakdown (non-SPD operator) is a distinct hard error.
+The CG iteration, the Jacobi and zero-fill incomplete Cholesky
+preconditioners, and the symmetry and SPD diagnostics are implemented
+here. CG reports instead of raising on slow convergence; a breakdown
+(non-SPD operator) is a distinct hard error.
 """
 
 from __future__ import annotations
@@ -18,72 +18,30 @@ import scipy.sparse.linalg as spla
 
 from .errors import NotPositiveDefiniteError, SolverError, ValidationError
 
-__all__ = ["SymmetricSparseMatrix", "SolverReport", "cg_solve", "dense_spd_check",
+__all__ = ["SolverReport", "check_symmetric", "cg_solve", "dense_spd_check",
            "write_matrix_market", "PRECONDITIONERS"]
 
 PRECONDITIONERS = ("none", "jacobi", "ic0")
 
 
-class SymmetricSparseMatrix:
-    """CSR-backed symmetric sparse matrix with structural invariants.
-
-    The stored pattern must be structurally symmetric with sorted, duplicate
-    free column indices; validate() checks this plus numerical symmetry.
-    """
-
-    def __init__(self, csr: sp.csr_matrix):
-        csr = sp.csr_matrix(csr)
-        if csr.shape[0] != csr.shape[1]:
-            raise ValidationError(f"matrix must be square, got {csr.shape}")
-        csr.sum_duplicates()
-        csr.sort_indices()
-        self._m = csr
-
-    @classmethod
-    def from_coo(cls, rows, cols, data, n: int) -> "SymmetricSparseMatrix":
-        m = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-        return cls(m)
-
-    @property
-    def n(self) -> int:
-        return self._m.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self._m.nnz
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._m @ x
-
-    def diagonal(self) -> np.ndarray:
-        return self._m.diagonal()
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return self._m
-
-    def toarray(self) -> np.ndarray:
-        return self._m.toarray()
-
-    def max_abs(self) -> float:
-        return float(np.abs(self._m.data).max()) if self._m.nnz else 0.0
-
-    def validate(self, tol: float = 1e-12) -> None:
-        m = self._m
-        if not m.has_sorted_indices:
-            raise ValidationError("column indices are not sorted")
-        d = (m - m.T).tocoo()
-        scale = self.max_abs()
-        if d.nnz and np.abs(d.data).max() > tol * max(scale, 1e-300):
-            raise ValidationError(
-                f"matrix is not symmetric: max asymmetry {np.abs(d.data).max():.3e} "
-                f"(scale {scale:.3e})"
-            )
-        pattern = sp.csr_matrix((np.ones_like(m.data), m.indices, m.indptr), shape=m.shape)
-        pt = pattern.T.tocsr()
-        pt.sort_indices()
-        if not (np.array_equal(pattern.indptr, pt.indptr)
-                and np.array_equal(pattern.indices, pt.indices)):
-            raise ValidationError("sparsity pattern is not structurally symmetric")
+def check_symmetric(A: sp.csr_matrix, tol: float = 1e-12) -> None:
+    """Raise ValidationError unless A is numerically symmetric (relative to
+    its largest entry) and its stored pattern is structurally symmetric."""
+    m = sp.csr_matrix(A, copy=True)
+    m.sum_duplicates()  # also sorts the column indices
+    d = (m - m.T).tocoo()
+    scale = float(np.abs(m.data).max()) if m.nnz else 0.0
+    if d.nnz and np.abs(d.data).max() > tol * max(scale, 1e-300):
+        raise ValidationError(
+            f"matrix is not symmetric: max asymmetry {np.abs(d.data).max():.3e} "
+            f"(scale {scale:.3e})"
+        )
+    pattern = sp.csr_matrix((np.ones_like(m.data), m.indices, m.indptr), shape=m.shape)
+    pt = pattern.T.tocsr()
+    pt.sort_indices()
+    if not (np.array_equal(pattern.indptr, pt.indptr)
+            and np.array_equal(pattern.indices, pt.indices)):
+        raise ValidationError("sparsity pattern is not structurally symmetric")
 
 
 @dataclass
@@ -101,7 +59,7 @@ class _Jacobi:
     name = "jacobi"
     shift = 0.0
 
-    def __init__(self, A: SymmetricSparseMatrix):
+    def __init__(self, A: sp.csr_matrix):
         d = A.diagonal()
         if np.any(d <= 0):
             i = int(np.argmin(d))
@@ -140,8 +98,8 @@ class _IncompleteCholesky:
 
     name = "ic0"
 
-    def __init__(self, A: SymmetricSparseMatrix):
-        base = sp.tril(A.to_scipy(), format="csr")
+    def __init__(self, A: sp.csr_matrix):
+        base = sp.tril(A, format="csr")
         base.sort_indices()
         diag = A.diagonal()
         if np.any(diag <= 0):
@@ -158,7 +116,7 @@ class _IncompleteCholesky:
                 self.lu = spla.splu(self.L.tocsc(), permc_spec="NATURAL",
                                     diag_pivot_thresh=0.0,
                                     options={"SymmetricMode": True})
-                ident = np.arange(A.n)
+                ident = np.arange(A.shape[0])
                 if not (np.array_equal(self.lu.perm_r, ident)
                         and np.array_equal(self.lu.perm_c, ident)):
                     raise SolverError("SuperLU permuted the ic0 factor")
@@ -295,7 +253,7 @@ def _ic0_numeric(vals: np.ndarray, steps: list) -> bool:
 _PRECONDITIONER_CLASSES = {"none": _Identity, "jacobi": _Jacobi, "ic0": _IncompleteCholesky}
 
 
-def make_preconditioner(A: SymmetricSparseMatrix, name: str):
+def make_preconditioner(A: sp.csr_matrix, name: str):
     try:
         cls = _PRECONDITIONER_CLASSES[name]
     except KeyError:
@@ -305,7 +263,7 @@ def make_preconditioner(A: SymmetricSparseMatrix, name: str):
     return cls(A)
 
 
-def cg_solve(A: SymmetricSparseMatrix, b: np.ndarray, tol: float = 1e-10,
+def cg_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
              max_iter: int | None = None, preconditioner: str = "jacobi",
              x0: np.ndarray | None = None):
     """Preconditioned CG. Returns (x, SolverReport).
@@ -314,7 +272,9 @@ def cg_solve(A: SymmetricSparseMatrix, b: np.ndarray, tol: float = 1e-10,
     the best iterate with converged=False; a nonpositive curvature
     direction raises NotPositiveDefiniteError.
     """
-    n = A.n
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValidationError(f"matrix must be square, got {A.shape}")
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (n,):
         raise ValidationError(f"rhs has shape {b.shape}, expected ({n},)")
@@ -333,7 +293,7 @@ def cg_solve(A: SymmetricSparseMatrix, b: np.ndarray, tol: float = 1e-10,
                                setup_s=t1 - t0, iterate_s=time.perf_counter() - t1)
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - A.matvec(x)
+    r = b - A @ x
     relres = float(np.linalg.norm(r)) / bnorm
     if relres <= tol:
         return done(True, 0, relres)
@@ -342,7 +302,7 @@ def cg_solve(A: SymmetricSparseMatrix, b: np.ndarray, tol: float = 1e-10,
     rz = float(r @ z)
     it = 0
     for it in range(1, max_iter + 1):
-        Ap = A.matvec(p)
+        Ap = A @ p
         pAp = float(p @ Ap)
         if not np.isfinite(pAp):
             raise SolverError(f"CG produced a non-finite value at iteration {it}")
@@ -375,11 +335,12 @@ class SpdCheckResult:
     min_eigenvalue: float | None
 
 
-def dense_spd_check(A: SymmetricSparseMatrix, max_n: int = 500,
+def dense_spd_check(A: sp.csr_matrix, max_n: int = 500,
                     eig_max_n: int = 200) -> SpdCheckResult:
     """Densify and verify SPD-ness; small systems only by design."""
-    if A.n > max_n:
-        raise ValidationError(f"dense SPD check limited to n <= {max_n}, got {A.n}")
+    n = A.shape[0]
+    if n > max_n:
+        raise ValidationError(f"dense SPD check limited to n <= {max_n}, got {n}")
     D = A.toarray()
     scale = max(float(np.abs(D).max()), 1e-300)
     symmetric = bool(np.abs(D - D.T).max() <= 1e-12 * scale)
@@ -388,11 +349,11 @@ def dense_spd_check(A: SymmetricSparseMatrix, max_n: int = 500,
         chol = True
     except np.linalg.LinAlgError:
         chol = False
-    mineig = float(np.linalg.eigvalsh(D).min()) if A.n <= eig_max_n else None
-    return SpdCheckResult(n=A.n, symmetric=symmetric, cholesky_ok=chol, min_eigenvalue=mineig)
+    mineig = float(np.linalg.eigvalsh(D).min()) if n <= eig_max_n else None
+    return SpdCheckResult(n=n, symmetric=symmetric, cholesky_ok=chol, min_eigenvalue=mineig)
 
 
-def write_matrix_market(prefix, A: SymmetricSparseMatrix, b: np.ndarray) -> None:
+def write_matrix_market(prefix, A: sp.csr_matrix, b: np.ndarray) -> None:
     """Write (A, b) as Matrix Market files <prefix>_A.mtx / <prefix>_b.mtx."""
-    scipy.io.mmwrite(f"{prefix}_A.mtx", A.to_scipy().tocoo(), symmetry="general")
+    scipy.io.mmwrite(f"{prefix}_A.mtx", A.tocoo(), symmetry="general")
     scipy.io.mmwrite(f"{prefix}_b.mtx", np.asarray(b).reshape(-1, 1))

@@ -57,6 +57,18 @@ def _as_tensor(value, dim: int) -> np.ndarray:
     return K
 
 
+def _per_tag(tags: np.ndarray, laws: dict, kind: str, value) -> np.ndarray:
+    """value(law) for each tag, resolved once per distinct tag."""
+    uniq, inverse = np.unique(tags, return_inverse=True)
+    out = np.empty(len(uniq))
+    for i, tag in enumerate(uniq.tolist()):
+        law = laws.get(tag)
+        if law is None:
+            raise ValidationError(f"no {kind} law for tag {tag}")
+        out[i] = value(law)
+    return out[inverse]
+
+
 @dataclass
 class MaterialModel:
     """Region and tag resolved material laws.
@@ -90,6 +102,14 @@ class MaterialModel:
                 raise ValidationError(f"no matrix permeability for region {int(r)}")
             out[mesh.cell_region == r] = self.matrix[int(r)]
         return out
+
+    def fracture_transmissivity(self, tags: np.ndarray) -> np.ndarray:
+        """aperture * k of the fracture law of each facet tag."""
+        return _per_tag(tags, self.fractures, "fracture", lambda law: law.aperture * law.k)
+
+    def barrier_beta(self, tags: np.ndarray) -> np.ndarray:
+        """Transfer coefficient k / aperture of the barrier law of each facet tag."""
+        return _per_tag(tags, self.barriers, "barrier", lambda law: law.beta)
 
     def matrix_norm(self) -> float:
         return max(float(np.linalg.norm(K, 2)) for K in self.matrix.values())

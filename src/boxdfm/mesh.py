@@ -63,7 +63,6 @@ class Mesh:
     # derived topology, filled by build_mesh
     ufacets: np.ndarray = field(repr=False, default=None)        # (nu, dim) sorted vertex ids
     ufacet_cells: np.ndarray = field(repr=False, default=None)   # (nu, 2) cell ids, -1 pad
-    ufacet_local: np.ndarray = field(repr=False, default=None)   # (nu, 2) opposite local vertex
     facet_to_ufacet: np.ndarray = field(repr=False, default=None)  # (nf,)
     cell_neighbors: np.ndarray = field(repr=False, default=None)   # (nc, dim+1)
 
@@ -143,7 +142,7 @@ def _orient_cells(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def _unique_facet_table(cells: np.ndarray, dim: int):
     """All unique cell facets plus incidence.
 
-    Returns (ufacets, ufacet_cells, ufacet_local, cell_facet_index) where
+    Returns (ufacets, ufacet_cells, cell_facet_index) where
     cell_facet_index[c, i] is the unique-facet id opposite local vertex i.
     """
     nc = cells.shape[0]
@@ -164,7 +163,6 @@ def _unique_facet_table(cells: np.ndarray, dim: int):
 
     ufacets = sf[new]
     ufacet_cells = np.full((nu, 2), -1, dtype=np.int64)
-    ufacet_local = np.full((nu, 2), -1, dtype=np.int64)
     counts = np.bincount(group, minlength=nu)
     if counts.max(initial=0) > 2:
         bad = ufacets[np.argmax(counts)]
@@ -173,14 +171,12 @@ def _unique_facet_table(cells: np.ndarray, dim: int):
         )
     first = np.nonzero(new)[0]
     ufacet_cells[:, 0] = owners[order][first]
-    ufacet_local[:, 0] = local[order][first]
     second_mask = counts == 2
     ufacet_cells[second_mask, 1] = owners[order][first[second_mask] + 1]
-    ufacet_local[second_mask, 1] = local[order][first[second_mask] + 1]
 
     cell_facet_index = np.empty((nc, nloc), dtype=np.int64)
     cell_facet_index[owners[order], local[order]] = group
-    return ufacets, ufacet_cells, ufacet_local, cell_facet_index
+    return ufacets, ufacet_cells, cell_facet_index
 
 
 def _locate_tagged(ufacets: np.ndarray, tagged: np.ndarray) -> np.ndarray:
@@ -270,7 +266,7 @@ def build_mesh(
     if cell_region.shape != (cells.shape[0],):
         raise ValidationError("cell_region length does not match cells")
 
-    ufacets, ufacet_cells, ufacet_local, cell_facet_index = _unique_facet_table(cells, dim)
+    ufacets, ufacet_cells, cell_facet_index = _unique_facet_table(cells, dim)
     facet_to_ufacet = _locate_tagged(ufacets, facets)
 
     # duplicate tags on one geometric facet are a modeling error
@@ -313,7 +309,6 @@ def build_mesh(
         facet_kinds=facet_kinds,
         ufacets=ufacets,
         ufacet_cells=ufacet_cells,
-        ufacet_local=ufacet_local,
         facet_to_ufacet=facet_to_ufacet,
         cell_neighbors=neigh,
     )

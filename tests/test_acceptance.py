@@ -164,7 +164,7 @@ def test_criterion_2_symmetry_and_spd_randomized():
         max_dofs = max(max_dofs, dofmap.n_dofs)
         ratio_lo = min(ratio_lo, ratios.min())
         ratio_hi = max(ratio_hi, ratios.max())
-        A = system.A.to_scipy()
+        A = system.A
         asym = np.abs((A - A.T).toarray()).max()
         scale = np.abs(A.toarray()).max()
         worst_rel_asym = max(worst_rel_asym, asym / scale)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from boxdfm.assembly import (assemble_operator, assemble_rhs, assemble_system,
-                             collect_dirichlet, flux_balance,
+from boxdfm.assembly import (apply_dirichlet, assemble_operator, assemble_rhs,
+                             assemble_system, collect_dirichlet, flux_balance,
                              local_barrier_coupling, local_cell_matrices,
                              local_fracture_matrices)
-from boxdfm.benchmarks import analytic_barrier_scenario
-from boxdfm.dofspace import build_dof_map
+from boxdfm.benchmarks import analytic_barrier_scenario, get_scenario
+from boxdfm.dofspace import build_dof_map, facet_vertex_dofs
 from boxdfm.driver import run_scenario
 from boxdfm.dual import dual_geometry
 from boxdfm.errors import ValidationError
@@ -239,3 +239,146 @@ def test_barrier_exactness_and_interface_fluxes():
         # flow exits through the high pressure side of the interface
         hi = np.sign(u[2:].mean() - u[:2].mean())
         assert np.all(np.sign(t[2:]) == hi)
+
+
+def reference_elimination(A0, b0, dofs, values):
+    """Dirichlet elimination as P A0 P + D with P, D diagonal masks: the
+    oracle for apply_dirichlet's in-place masking."""
+    n = A0.shape[0]
+    g = np.zeros(n)
+    g[dofs] = values
+    b = b0 - A0 @ g
+    free = np.ones(n)
+    free[dofs] = 0.0
+    P = sp.diags(free, format="csr")
+    D = sp.diags(1.0 - free, format="csr")
+    A = (P @ A0 @ P + D).tocsr()
+    A.sum_duplicates()
+    A.sort_indices()
+    b = free * b
+    b[dofs] = values
+    return A, b
+
+
+def scenario_pieces(name):
+    sc = get_scenario(name)
+    mesh = sc.mesh_factory(sc.default_refine)
+    dm = build_dof_map(mesh, sc.policy)
+    dual = dual_geometry(mesh)
+    A0 = assemble_operator(mesh, dm, sc.materials, dual)
+    b0 = assemble_rhs(mesh, dm, dual, source=sc.source, neumann=sc.neumann)
+    return mesh, dm, A0, b0, sc.dirichlet
+
+
+def sealed_square_pieces():
+    mesh = barrier_square(n=4, jitter=0.15, seed=2)
+    dm = build_dof_map(mesh, "barrier_cuts")
+    mats = MaterialModel(matrix={1: 1.0, 2: 1.0}, fractures={},
+                         barriers={10: BarrierLaw(1e-2, 0.0)}, dim=2)
+    dual = dual_geometry(mesh)
+    A0 = assemble_operator(mesh, dm, mats, dual)
+    b0 = assemble_rhs(mesh, dm, dual, source=lambda p, r: np.ones(len(p)))
+    dirichlet = {1: lambda p, r: np.zeros(len(p)), 2: lambda p, r: p[:, 1] + 1.0}
+    return mesh, dm, A0, b0, dirichlet
+
+
+@pytest.mark.parametrize("build, a0_zeros", [
+    (lambda: scenario_pieces("ex51"), False),
+    (lambda: scenario_pieces("ex56"), True),  # Kuhn cells' orthogonal edges
+    (sealed_square_pieces, True),             # k = 0 barrier blocks
+], ids=["ex51-r0", "ex56-r0", "sealed-barrier"])
+def test_dirichlet_masking_matches_projection_oracle(build, a0_zeros):
+    mesh, dm, A0, b0, dirichlet = build()
+    assert np.any(A0.data == 0.0) == a0_zeros
+    dofs, values = collect_dirichlet(mesh, dm, dirichlet)
+    A, b = apply_dirichlet(A0, b0, dofs, values)
+    ref, ref_b = reference_elimination(A0, b0, dofs, values)
+    assert isinstance(A, sp.csr_matrix)
+    for got, want in [(A.indptr, ref.indptr), (A.indices, ref.indices),
+                      (A.data, ref.data), (b, ref_b)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.all(A.data != 0.0)
+
+
+def reference_collect_dirichlet(mesh, dofmap, dirichlet):
+    """Per-dof sweep in tag order: the oracle for the vectorized
+    collect_dirichlet (last value wins, successive values must agree)."""
+    vals = {}
+    for tag, g in dirichlet.items():
+        rows = np.nonzero((mesh.facet_tags == int(tag))
+                          & (mesh.facet_kinds == int(FacetKind.DIRICHLET)))[0]
+        dofs, cells_r = facet_vertex_dofs(mesh, dofmap, rows)
+        pts = mesh.vertices[mesh.facets[rows]].reshape(-1, mesh.dim)
+        regs = np.repeat(mesh.cell_region[cells_r], mesh.dim)
+        g_vals = np.asarray(g(pts, regs), dtype=np.float64).ravel()
+        scale = max(1.0, float(np.abs(g_vals).max()))
+        for d, v in zip(dofs.ravel().tolist(), g_vals.tolist()):
+            if d in vals and abs(vals[d] - v) > 1e-9 * scale:
+                raise ValidationError(
+                    f"dof {d} receives contradictory Dirichlet values "
+                    f"{vals[d]!r} and {v!r}"
+                )
+            vals[d] = v
+    dofs = np.array(sorted(vals), dtype=np.int64)
+    return dofs, np.array([vals[int(d)] for d in dofs])
+
+
+def dirichlet_cases():
+    tags = {1: "dirichlet", 2: "dirichlet", 3: "dirichlet", 4: "neumann",
+            10: "barrier"}
+    mesh = barrier_square(n=4, jitter=0.1, seed=7, tag_map=tags)
+    dm = build_dof_map(mesh, "barrier_cuts")
+    side = lambda p, r: p[:, 1] + r  # noqa: E731  (splits the barrier foot)
+    yield "side-dependent", mesh, dm, {1: side, 2: side, 3: side}
+    # corners get a second value within rounding: the later tag's wins
+    yield "rounding", mesh, dm, {1: side, 3: lambda p, r: side(p, r) + 1e-12, 2: side}
+    # two clashes, (1, 0) met first in tag order, (0, 0) first by dof
+    yield "contradiction", mesh, dm, {2: side, 3: lambda p, r: side(p, r) + 1e-3,
+                                      1: lambda p, r: side(p, r) + 2e-3}
+    for name in ("ex51", "ex53", "ex56"):
+        mesh, dm, _, _, dirichlet = scenario_pieces(name)
+        yield name, mesh, dm, dirichlet
+
+
+def test_collect_dirichlet_matches_per_dof_sweep():
+    raised = []
+    for name, mesh, dm, dirichlet in dirichlet_cases():
+        try:
+            ref = reference_collect_dirichlet(mesh, dm, dirichlet)
+        except ValidationError as e:
+            with pytest.raises(ValidationError) as got:
+                collect_dirichlet(mesh, dm, dirichlet)
+            assert str(got.value) == str(e), name
+            raised.append(name)
+            continue
+        dofs, values = collect_dirichlet(mesh, dm, dirichlet)
+        assert dofs.dtype == ref[0].dtype and np.array_equal(dofs, ref[0]), name
+        assert values.tobytes() == ref[1].tobytes(), name
+    assert raised == ["contradiction"]
+
+
+def test_callable_results_must_match_point_count():
+    mesh = crossed_square_mesh(2, tag_map=TAGS_PLAIN)
+    dm = build_dof_map(mesh, "barrier_cuts")
+    dual = dual_geometry(mesh)
+    # a scalar used to fix only the first of the tag's four points
+    with pytest.raises(ValidationError, match=r"dirichlet tag 1 .* shape \(\) .* \(4,\)"):
+        collect_dirichlet(mesh, dm, {1: lambda p, r: 1.0})
+    with pytest.raises(ValidationError, match=r"neumann tag 3 .* shape \(5,\) .* \(4,\)"):
+        assemble_rhs(mesh, dm, dual, neumann={3: lambda p: np.ones(len(p) + 1)})
+    with pytest.raises(ValidationError, match=r"source .* shape \(3,\) .* \(48,\)"):
+        assemble_rhs(mesh, dm, dual, source=lambda p, r: np.ones(3))
+
+
+def test_facet_laws_resolved_per_tag():
+    mats = MaterialModel(matrix={1: 1.0}, fractures={20: FractureLaw(1e-3, 7.0)},
+                         barriers={10: BarrierLaw(1e-2, 3e-4), 11: BarrierLaw(0.5, 0.0)},
+                         dim=2)
+    tags = np.array([11, 10, 10, 11])
+    assert mats.barrier_beta(tags).tolist() == [0.0, 3e-4 / 1e-2, 3e-4 / 1e-2, 0.0]
+    assert mats.fracture_transmissivity(np.array([20, 20])).tolist() == [1e-3 * 7.0] * 2
+    assert mats.barrier_beta(np.zeros(0, dtype=np.int64)).shape == (0,)
+    with pytest.raises(ValidationError, match="no barrier law for tag 12"):
+        mats.barrier_beta(np.array([10, 12]))
+    with pytest.raises(ValidationError, match="no fracture law for tag 10"):
+        mats.fracture_transmissivity(tags)

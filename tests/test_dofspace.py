@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from boxdfm.dofspace import (DofMap, build_dof_map, boundary_dofs,
+from boxdfm.dofspace import (DofMap, _corner_nodes, build_dof_map, boundary_dofs,
                              facet_vertex_dofs, write_vertex_report)
-from boxdfm.errors import ValidationError
+from boxdfm.errors import DofMapError, ValidationError
 from boxdfm.generators import crossed_square_mesh
 from boxdfm.mesh import FacetKind, build_mesh
 from conftest import TAGS_BARRIER, barrier_square
@@ -157,6 +157,10 @@ def test_facet_vertex_dofs_resolves_boundary(barrier_square_mesh):
     # the resolving cell contains the facet's vertices
     for k, c in enumerate(cells):
         assert set(mesh.facets[rows[k]]) <= set(mesh.cells[c])
+    # a facet vertex missing from its cell is a dof map error
+    stranger = np.setdiff1d(np.arange(mesh.n_vertices), mesh.cells[cells[0]])[0]
+    with pytest.raises(DofMapError, match="not found"):
+        _corner_nodes(mesh.cells, cells[:1], np.array([[mesh.facets[rows[0], 0], stranger]]))
 
 
 def test_boundary_dofs_kinds(barrier_square_mesh):

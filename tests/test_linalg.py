@@ -1,4 +1,4 @@
-"""Symmetric sparse wrapper, CG solver, preconditioners, diagnostics."""
+"""Symmetry check, CG solver, preconditioners, diagnostics."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from boxdfm.benchmarks import get_scenario
 from boxdfm.dofspace import build_dof_map
 from boxdfm.errors import NotPositiveDefiniteError, ValidationError
 from boxdfm.generators import kuhn_cube_mesh
-from boxdfm.linalg import (SymmetricSparseMatrix, cg_solve, dense_spd_check,
+from boxdfm.linalg import (cg_solve, check_symmetric, dense_spd_check,
                            make_preconditioner, write_matrix_market)
 from boxdfm.materials import BarrierLaw, FractureLaw, MaterialModel
 from conftest import barrier_square
@@ -32,7 +32,7 @@ def assembled_system(n=6, beta_scale=1e-3):
 
 
 def spd2(entries):
-    return SymmetricSparseMatrix(sp.csr_matrix(np.array(entries, dtype=float)))
+    return sp.csr_matrix(np.array(entries, dtype=float))
 
 
 def test_cg_matches_direct_solve():
@@ -41,7 +41,7 @@ def test_cg_matches_direct_solve():
     assert report.converged
     assert report.iterations > 0
     assert report.relative_residual <= 1e-12
-    direct = spla.spsolve(system.A.to_scipy().tocsc(), system.b)
+    direct = spla.spsolve(system.A.tocsc(), system.b)
     assert np.abs(x - direct).max() <= 1e-9 * np.abs(direct).max()
 
 
@@ -75,6 +75,8 @@ def test_rhs_shape_checked():
     A = spd2([[2.0, -1.0], [-1.0, 2.0]])
     with pytest.raises(ValidationError):
         cg_solve(A, np.ones(3))
+    with pytest.raises(ValidationError, match="square"):
+        cg_solve(sp.csr_matrix(np.ones((2, 3))), np.ones(2))
 
 
 def test_max_iter_returns_unconverged():
@@ -109,7 +111,7 @@ def test_dense_spd_check_verdicts():
     assert bad.symmetric and not bad.cholesky_ok
     assert bad.min_eigenvalue == pytest.approx(-1.0)
 
-    big = SymmetricSparseMatrix(sp.eye(501, format="csr"))
+    big = sp.eye(501, format="csr")
     with pytest.raises(ValidationError):
         dense_spd_check(big)
 
@@ -124,40 +126,27 @@ def test_matrix_market_roundtrip(tmp_path):
     assert np.array_equal(b_back, system.b)
 
 
-def test_validate_rejects_asymmetry():
-    with pytest.raises(ValidationError):
-        spd2([[2.0, 1.0], [0.999, 2.0]]).validate()
+def test_check_symmetric_rejects_asymmetry():
+    with pytest.raises(ValidationError, match="not symmetric"):
+        check_symmetric(spd2([[2.0, 1.0], [0.999, 2.0]]))
     # numerically symmetric but structurally one-sided pattern
     lop = sp.csr_matrix((np.array([2.0, 0.0, 2.0]),
                          (np.array([0, 0, 1]), np.array([0, 1, 1]))),
                         shape=(2, 2))
-    with pytest.raises(ValidationError):
-        SymmetricSparseMatrix(lop).validate()
-    assembled_system(n=4).A.validate()
-
-
-def test_matvec_and_coo_duplicates():
-    rows = np.array([0, 1, 0, 1, 0])
-    cols = np.array([0, 1, 1, 0, 0])
-    data = np.array([1.0, 2.0, -0.5, -0.5, 1.0])
-    A = SymmetricSparseMatrix.from_coo(rows, cols, data, 2)
-    dense = np.array([[2.0, -0.5], [-0.5, 2.0]])
-    v = np.array([0.3, -1.1])
-    assert np.array_equal(A.toarray(), dense)
-    assert np.allclose(A.matvec(v), dense @ v)
-    assert A.max_abs() == 2.0
-    assert A.n == 2 and A.nnz == 4
+    with pytest.raises(ValidationError, match="structurally"):
+        check_symmetric(lop)
+    check_symmetric(assembled_system(n=4).A)
 
 
 def reference_ic0(A, shift=0.0):
     """Row-by-row IC(0) on the pattern of tril(A), the oracle for the
     level-scheduled factorization: factor data, or None on a failed pivot."""
-    L = sp.tril(A.to_scipy(), format="csr")
+    L = sp.tril(A, format="csr")
     L.sort_indices()
     ptr, idx = L.indptr, L.indices
     vals = L.data.astype(np.float64)
     vals[ptr[1:] - 1] += shift * A.diagonal()
-    for i in range(A.n):
+    for i in range(A.shape[0]):
         s, e = ptr[i], ptr[i + 1]
         for p in range(s, e - 1):
             j = idx[p]
@@ -211,7 +200,7 @@ def test_ic0_long_dependency_chain():
     # a path graph: every row depends on the previous one, one level each
     n = 60
     T = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
-    A = SymmetricSparseMatrix(T.tocsr() + sp.eye(n, format="csr") * 1e-3)
+    A = T.tocsr() + sp.eye(n, format="csr") * 1e-3
     M = make_preconditioner(A, "ic0")
     ref = reference_ic0(A)
     assert np.abs(M.L.data - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -235,10 +224,10 @@ def test_ic0_kershaw_needs_the_unit_shift():
 def test_ic0_application_is_the_factor_itself():
     A = assembled_system().A
     M = make_preconditioner(A, "ic0")
-    ident = np.arange(A.n)
+    ident = np.arange(A.shape[0])
     assert np.array_equal(M.lu.perm_r, ident)
     assert np.array_equal(M.lu.perm_c, ident)
-    r = np.random.default_rng(3).standard_normal(A.n)
+    r = np.random.default_rng(3).standard_normal(A.shape[0])
     y = spla.spsolve_triangular(M.L, r, lower=True)
     z = spla.spsolve_triangular(M.L.T.tocsr(), y, lower=False)
     assert np.abs(M.apply(r) - z).max() <= 1e-12 * np.abs(z).max()
