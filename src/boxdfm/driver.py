@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+import zipfile
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -173,17 +174,39 @@ def write_bundle(out: Path, scenario: Scenario, mesh: Mesh, dofmap: DofMap,
         f.write("\n")
 
 
+_SOLUTION_ARRAYS = ("vertices", "cells", "facets", "facet_tags", "facet_kinds",
+                    "cell_region", "cell_dofs", "dof_vertex", "values")
+
+
 def load_solution(run_dir) -> SolutionField:
     """Rebuild the solved field from a run directory's solution.npz."""
     path = Path(run_dir) / "solution.npz"
     if not path.exists():
         raise ValidationError(f"no solution.npz under {run_dir}")
-    with np.load(path) as z:
-        mesh = build_mesh(z["vertices"], z["cells"], facets=z["facets"],
-                          facet_tags=z["facet_tags"],
-                          facet_kinds=z["facet_kinds"],
-                          cell_region=z["cell_region"])
-        return SolutionField(mesh, z["cell_dofs"], z["dof_vertex"], z["values"])
+    try:
+        z = np.load(path, allow_pickle=False)
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        with z:
+            missing = [k for k in _SOLUTION_ARRAYS if k not in z.files]
+            if missing:
+                raise ValidationError(f"{path} lacks the array(s) {', '.join(missing)}")
+            a = {k: z[k] for k in _SOLUTION_ARRAYS}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+        raise ValidationError(f"{path} is not a readable solution bundle") from None
+    mesh = build_mesh(a["vertices"], a["cells"], facets=a["facets"],
+                      facet_tags=a["facet_tags"], facet_kinds=a["facet_kinds"],
+                      cell_region=a["cell_region"])
+    cell_dofs, dof_vertex, values = a["cell_dofs"], a["dof_vertex"], a["values"]
+    if cell_dofs.shape != mesh.cells.shape:
+        raise ValidationError(f"{path}: cell_dofs has shape {cell_dofs.shape}, "
+                              f"the mesh's cells {mesh.cells.shape}")
+    if values.ndim != 1 or values.shape != dof_vertex.shape:
+        raise ValidationError(f"{path}: values has shape {values.shape}, "
+                              f"dof_vertex {dof_vertex.shape}")
+    if cell_dofs.min() < 0 or cell_dofs.max() >= len(values):
+        raise ValidationError(f"{path}: cell_dofs refers to dofs outside 0..{len(values) - 1}")
+    return SolutionField(mesh, cell_dofs, dof_vertex, values)
 
 
 def run_convergence(scenario: Scenario, levels: int, policy: str | None = None,

@@ -131,71 +131,100 @@ def facet_normals(vertices: np.ndarray, facets: np.ndarray) -> np.ndarray:
     return n / np.linalg.norm(n, axis=1, keepdims=True)
 
 
-def _orient_cells(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
+def _orient_cells(vertices: np.ndarray, cells: np.ndarray):
+    """Cells with negative volume get their first two vertices swapped.
+
+    Returns (oriented cells, signed volumes of the cells as given).
+    """
     vol = _signed_volumes(vertices, cells)
     flipped = cells.copy()
     neg = vol < 0
     flipped[neg, 0], flipped[neg, 1] = cells[neg, 1], cells[neg, 0]
-    return flipped
+    return flipped, vol
 
 
-def _unique_facet_table(cells: np.ndarray, dim: int):
+def _facet_keys(rows: np.ndarray, nv: int) -> np.ndarray:
+    """Sorted facet rows packed into one integer each: (a*nv + b)*nv + c.
+
+    The key is monotone in the rows' lexicographic order, so sorting keys
+    sorts rows. Vertex ids must lie below nv.
+    """
+    dim = rows.shape[1]
+    if nv ** dim > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"{nv} vertices are too many for the facet table in {dim}d: "
+            f"{nv}**{dim} must fit in a signed 64-bit integer"
+        )
+    key = rows[:, 0].copy()
+    for j in range(1, dim):
+        key *= nv
+        key += rows[:, j]
+    return key
+
+
+def _unique_facet_table(cells: np.ndarray, dim: int, nv: int):
     """All unique cell facets plus incidence.
 
-    Returns (ufacets, ufacet_cells, cell_facet_index) where
-    cell_facet_index[c, i] is the unique-facet id opposite local vertex i.
+    Returns (ufacets, ufacet_cells, cell_neighbors): ufacets holds sorted
+    vertex ids in lexicographic row order, ufacet_cells the one or two
+    cells of each (-1 pad), and cell_neighbors[c, i] the cell across the
+    facet opposite local vertex i of cell c (-1 on the boundary).
     """
     nc = cells.shape[0]
     nloc = dim + 1
-    # facet opposite local vertex i keeps all vertices but i
+    # row i*nc + c: the facet of cell c opposite its local vertex i
     keep = [[j for j in range(nloc) if j != i] for i in range(nloc)]
-    all_facets = np.concatenate([cells[:, k] for k in keep], axis=0)
-    all_facets = np.sort(all_facets, axis=1)
-    owners = np.tile(np.arange(nc, dtype=np.int64), nloc)
-    local = np.repeat(np.arange(nloc, dtype=np.int64), nc)
+    all_facets = np.sort(np.concatenate([cells[:, k] for k in keep], axis=0), axis=1)
+    key = _facet_keys(all_facets, nv)
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    new = np.ones(skey.shape[0], dtype=bool)
+    new[1:] = skey[1:] != skey[:-1]
+    first = np.nonzero(new)[0]
+    nu = first.shape[0]
 
-    order = np.lexsort(all_facets.T[::-1])
-    sf = all_facets[order]
-    new = np.ones(sf.shape[0], dtype=bool)
-    new[1:] = np.any(sf[1:] != sf[:-1], axis=1)
-    group = np.cumsum(new) - 1
-    nu = int(group[-1]) + 1 if sf.shape[0] else 0
+    # unpack the unique keys instead of gathering rows
+    ufacets = np.empty((nu, dim), dtype=np.int64)
+    rest = skey[first]
+    for j in range(dim - 1, 0, -1):
+        rest, ufacets[:, j] = np.divmod(rest, nv)
+    ufacets[:, 0] = rest
 
-    ufacets = sf[new]
-    ufacet_cells = np.full((nu, 2), -1, dtype=np.int64)
-    counts = np.bincount(group, minlength=nu)
+    counts = np.diff(np.append(first, skey.shape[0]))
     if counts.max(initial=0) > 2:
         bad = ufacets[np.argmax(counts)]
         raise ValidationError(
             f"facet {tuple(bad)} is shared by {counts.max()} cells; mesh is not a manifold complex"
         )
-    first = np.nonzero(new)[0]
-    ufacet_cells[:, 0] = owners[order][first]
-    second_mask = counts == 2
-    ufacet_cells[second_mask, 1] = owners[order][first[second_mask] + 1]
+    local, owner = np.divmod(order, nc)
+    ufacet_cells = np.full((nu, 2), -1, dtype=np.int64)
+    ufacet_cells[:, 0] = owner[first]
+    shared = counts == 2
+    ufacet_cells[shared, 1] = owner[first[shared] + 1]
 
-    cell_facet_index = np.empty((nc, nloc), dtype=np.int64)
-    cell_facet_index[owners[order], local[order]] = group
-    return ufacets, ufacet_cells, cell_facet_index
+    # the two cells of a shared facet are neighbours across it
+    a, b = first[shared], first[shared] + 1
+    neighbors = np.full((nc, nloc), -1, dtype=np.int64)
+    neighbors[owner[a], local[a]] = owner[b]
+    neighbors[owner[b], local[b]] = owner[a]
+    return ufacets, ufacet_cells, neighbors
 
 
-def _locate_tagged(ufacets: np.ndarray, tagged: np.ndarray) -> np.ndarray:
+def _locate_tagged(ufacets: np.ndarray, tagged: np.ndarray, nv: int) -> np.ndarray:
     """Index of each tagged facet row in the sorted unique-facet table."""
     if tagged.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    key = np.sort(tagged, axis=1)
-    # lexicographic binary search over rows via structured view
+    ukey = _facet_keys(ufacets, nv)
+    key = _facet_keys(np.sort(tagged, axis=1), nv)
     nu = ufacets.shape[0]
-    view = np.ascontiguousarray(ufacets).view([("", ufacets.dtype)] * ufacets.shape[1]).ravel()
-    kview = np.ascontiguousarray(key).view([("", key.dtype)] * key.shape[1]).ravel()
-    pos = np.searchsorted(view, kview)
-    bad = (pos >= nu) | (view[np.minimum(pos, nu - 1)] != kview)
+    pos = np.searchsorted(ukey, key)
+    bad = (pos >= nu) | (ukey[np.minimum(pos, nu - 1)] != key)
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
         raise ValidationError(
             f"tagged facet {tuple(tagged[i])} does not coincide with any cell facet"
         )
-    return pos.astype(np.int64)
+    return pos.astype(np.int64, copy=False)
 
 
 def build_mesh(
@@ -227,9 +256,9 @@ def build_mesh(
     if cells.shape[0] == 0:
         raise ValidationError("mesh has no cells")
 
-    cells = _orient_cells(vertices, cells)
-    vol = _signed_volumes(vertices, cells)
-    scale = float(np.abs(vol).max())
+    cells, vol = _orient_cells(vertices, cells)
+    vol = np.abs(vol)
+    scale = float(vol.max())
     if np.any(vol <= 1e-14 * max(scale, 1e-300)):
         i = int(np.argmin(vol))
         raise ValidationError(f"cell {i} is degenerate (volume {vol[i]:.3e})")
@@ -239,7 +268,9 @@ def build_mesh(
         facet_tags = np.zeros(0, dtype=np.int64)
     facets = np.ascontiguousarray(facets, dtype=np.int64)
     facet_tags = np.ascontiguousarray(facet_tags, dtype=np.int64)
-    if facets.ndim != 2 or (facets.shape[0] and facets.shape[1] != dim):
+    if facets.ndim in (1, 2) and facets.shape[0] == 0:
+        facets = facets.reshape(0, dim)
+    if facets.ndim != 2 or facets.shape[1] != dim:
         raise ValidationError(f"facets must be (n, {dim}) for dim={dim}, got {facets.shape}")
     if facet_tags.shape != (facets.shape[0],):
         raise ValidationError("facet_tags length does not match facets")
@@ -266,8 +297,8 @@ def build_mesh(
     if cell_region.shape != (cells.shape[0],):
         raise ValidationError("cell_region length does not match cells")
 
-    ufacets, ufacet_cells, cell_facet_index = _unique_facet_table(cells, dim)
-    facet_to_ufacet = _locate_tagged(ufacets, facets)
+    ufacets, ufacet_cells, neigh = _unique_facet_table(cells, dim, nv)
+    facet_to_ufacet = _locate_tagged(ufacets, facets, nv)
 
     # duplicate tags on one geometric facet are a modeling error
     if facet_to_ufacet.size:
@@ -292,12 +323,6 @@ def build_mesh(
             f"facet {tuple(facets[i])} (tag {facet_tags[i]}) carries a boundary "
             "condition but is interior"
         )
-
-    neigh = np.full((cells.shape[0], dim + 1), -1, dtype=np.int64)
-    fid = cell_facet_index
-    both = ufacet_cells[fid]  # (nc, dim+1, 2)
-    own = np.arange(cells.shape[0], dtype=np.int64)[:, None]
-    neigh = np.where(both[:, :, 0] == own, both[:, :, 1], both[:, :, 0])
 
     return Mesh(
         dim=dim,

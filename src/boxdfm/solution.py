@@ -2,10 +2,14 @@
 
 The field is piecewise linear per cell on the broken vertex space, so it is
 discontinuous across barriers. Point evaluation finds the containing cell
-(adjacency walk with a brute-force fallback) and uses that cell's dofs, so
-values naturally take the side of the cell the point falls into; points
-lying exactly on a barrier are disambiguated by a fixed offset along the
-sampling segment's normal.
+and uses that cell's dofs, so values take the side of the cell the point
+falls into. All points of a call walk together from a cell of their
+nearest vertex, one stacked barycentric solve per step; a point whose walk
+leaves the mesh, steps back or runs long is located on its own by the same
+walk with a brute-force fallback, so both routes land in the same cell.
+Slice samples lying on a barrier facet are first moved by a fixed offset
+along the facet's normal; the (sample, facet) pairs to test come from a
+k-d tree over the facets' bounding boxes.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = ["SolutionField", "sample_slice", "write_profile_csv", "l2_error",
 _SIDE_EPS_REL = 1e-9  # side-rule offset relative to the domain diameter
 _LOCATE_TOL = -1e-12  # smallest barycentric coordinate that counts as inside
 _NEAR_VERTICES = 8    # nearest vertices whose cells are tested before a full scan
+_WALK_STEPS = 32      # batched walk steps before a point goes to the per-point walk
 
 
 def _gauss_jacobi_01(n: int, alpha: int):
@@ -96,24 +101,64 @@ class SolutionField:
         lam = np.linalg.solve(T, p - verts[0])
         return np.concatenate([[1.0 - lam.sum()], lam])
 
-    def _quality(self, cells: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Smallest barycentric coordinate of p in each of the given cells."""
+    def _barycentrics(self, cells: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """_barycentric for many (cell, point) pairs in one stacked solve."""
         verts = self.mesh.vertices[self.mesh.cells[cells]]
-        T = np.transpose(verts[:, 1:] - verts[:, :1], (0, 2, 1))
-        lam = np.linalg.solve(T, (p - verts[:, 0])[..., None])[..., 0]
-        return np.minimum(1.0 - lam.sum(axis=1), lam.min(axis=1))
+        T = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
+        lam = np.linalg.solve(T, (points - verts[:, 0])[..., None])[..., 0]
+        return np.concatenate([1.0 - lam.sum(axis=1)[:, None], lam], axis=1)
 
     def locate(self, p: np.ndarray, max_steps: int | None = None) -> int:
-        """Containing cell via adjacency walk from the nearest vertex.
+        """Containing cell via adjacency walk from the nearest vertex."""
+        p = np.asarray(p, dtype=np.float64)
+        return int(self._locate_all(p[None], max_steps)[0][0])
+
+    def _locate_all(self, points: np.ndarray, max_steps: int | None = None):
+        """Containing cells of many points and their barycentric coordinates.
+
+        All points walk together: each step solves for the barycentrics of
+        every point still walking at once and moves it across the facet
+        opposite its smallest coordinate. A point that would leave the mesh,
+        step back into the cell it came from, or walk more than _WALK_STEPS
+        cells goes to the per-point _find instead. Every point visits the
+        cells _find's walk would visit, so both land in the same cell.
+        """
+        n = points.shape[0]
+        if n == 1:  # the same walk, without the batch bookkeeping
+            cell, lam = self._find(points[0], max_steps)
+            return np.array([cell]), lam[None]
+        self._prepare()
+        cells = np.full(n, -1, dtype=np.int64)
+        lams = np.empty((n, self.mesh.dim + 1))
+        _, v = self._tree.query(points)
+        cur = self._vertex_cell[v]
+        prev = np.full(n, -1, dtype=np.int64)
+        walking, pts = np.arange(n), points
+        steps = _WALK_STEPS if max_steps is None else min(_WALK_STEPS, max_steps)
+        for _ in range(steps):
+            lam = self._barycentrics(cur, pts)
+            worst = lam.argmin(axis=1)
+            inside = lam.min(axis=1) >= _LOCATE_TOL
+            if inside.any():
+                cells[walking[inside]] = cur[inside]
+                lams[walking[inside]] = lam[inside]
+            nxt = self.mesh.cell_neighbors[cur, worst]
+            go = (nxt != prev) & (nxt >= 0)
+            go[inside] = False
+            if not go.any():
+                break
+            walking, pts, prev, cur = walking[go], pts[go], cur[go], nxt[go]
+        for i in np.nonzero(cells < 0)[0]:
+            cells[i], lams[i] = self._find(points[i], max_steps)
+        return cells, lams
+
+    def _find(self, p: np.ndarray, max_steps: int | None = None):
+        """Per-point walk, returning (cell, barycentric coordinates of p).
 
         The walk is deterministic, so it stops when it re-enters a cell it
         has visited (it would cycle) or leaves the mesh; _locate_brute
         takes over from there.
         """
-        return self._find(p, max_steps)[0]
-
-    def _find(self, p: np.ndarray, max_steps: int | None = None):
-        """locate, returning (cell, barycentric coordinates of p in it)."""
         self._prepare()
         _, v = self._tree.query(p)
         cell = int(self._vertex_cell[v])
@@ -138,11 +183,11 @@ class SolutionField:
         self._prepare()
         _, near = self._tree.query(p, k=min(_NEAR_VERTICES, self.mesh.n_vertices))
         cand = np.nonzero(np.isin(self.mesh.cells, near).any(axis=1))[0]
-        quality = self._quality(cand, p)
+        quality = self._barycentrics(cand, p).min(axis=1)
         best = int(np.argmax(quality))
         if quality[best] >= _LOCATE_TOL:
             return int(cand[best])
-        quality = self._quality(np.arange(self.mesh.n_cells), p)
+        quality = self._barycentrics(np.arange(self.mesh.n_cells), p).min(axis=1)
         best = int(np.argmax(quality))
         # slack admits side-rule samples nudged just past the hull
         if quality[best] < -1e-6:
@@ -152,11 +197,10 @@ class SolutionField:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Field values at points; each point uses its containing cell's dofs."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.empty(points.shape[0])
-        for i, p in enumerate(points):
-            c, lam = self._find(p)
-            out[i] = float(lam @ self.values[self.cell_dofs[c]])
-        return out
+        cells, lam = self._locate_all(points)
+        dofvals = self.values[self.cell_dofs[cells]]
+        # a stack of row-times-column products: one dot per point, like lam @ v
+        return (lam[:, None, :] @ dofvals[:, :, None])[:, 0, 0]
 
     def vertex_value_spread(self, vertex: int) -> float:
         """Max difference between the dof values living at one vertex."""
@@ -182,24 +226,42 @@ def _canonical_barrier_normals(mesh: Mesh):
 
 
 def _apply_side_rule(fieldobj: SolutionField, pts: np.ndarray, side: str) -> np.ndarray:
-    """Shift samples lying on a barrier by eps along the barrier normal."""
+    """Shift samples lying on a barrier by eps along the barrier normal.
+
+    A sample is on facet f when it lies in f's bounding box grown by eps
+    and within eps of f's plane; a sample on several facets takes the one
+    with the lowest index. Candidate (sample, facet) pairs come from a
+    k-d tree over the box centres, so no samples-by-facets array is formed.
+    """
     mesh = fieldobj.mesh
     fpts, normals, facets = _canonical_barrier_normals(mesh)
     if fpts is None:
         return pts
     eps = _SIDE_EPS_REL * mesh.domain_diameter()
     sign = 1.0 if side == "plus" else -1.0
-    out = pts.copy()
-    moved = np.zeros(len(pts), dtype=bool)
     lo = fpts.min(axis=1) - eps
     hi = fpts.max(axis=1) + eps
-    for f in range(len(normals)):
-        d = np.abs((pts - fpts[f, 0]) @ normals[f])
-        inside = np.all((pts >= lo[f]) & (pts <= hi[f]), axis=1)
-        on = (d < eps) & inside & ~moved
-        if np.any(on):
-            out[on] += sign * eps * normals[f]
-            moved |= on
+    # every grown box lies within r of its centre in the max norm
+    r = float((hi - lo).max()) / 2.0 + eps
+    near = cKDTree((lo + hi) / 2.0).query_ball_point(pts, r, p=np.inf)
+    pi = np.repeat(np.arange(len(pts)), [len(c) for c in near])
+    fi = np.fromiter((f for c in near for f in c), dtype=np.int64, count=len(pi))
+    q = pts[pi]
+    inside = np.all((q >= lo[fi]) & (q <= hi[fi]), axis=1)
+    d = np.abs(np.einsum("kd,kd->k", q - fpts[fi, 0], normals[fi]))
+    # d may differ in the last bits (well under 1e-15 of the diameter) from
+    # the per-facet matrix-vector product that defines the rule; where that
+    # could flip d < eps, take the product itself
+    tie = np.abs(d - eps) <= 1e-4 * eps
+    for f in np.unique(fi[tie]):
+        sel = tie & (fi == f)
+        d[sel] = np.abs((pts - fpts[f, 0]) @ normals[f])[pi[sel]]
+    on = inside & (d < eps)
+    first = np.full(len(pts), len(normals))
+    np.minimum.at(first, pi[on], fi[on])
+    moved = first < len(normals)
+    out = pts.copy()
+    out[moved] += sign * eps * normals[first[moved]]
     return out
 
 
@@ -216,6 +278,12 @@ def sample_slice(fieldobj: SolutionField, p0, p1, n: int, side: str = "plus"):
     p1 = np.asarray(p1, dtype=np.float64)
     if side not in ("plus", "minus"):
         raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"number of samples must be an integer >= 1, got {n!r}")
+    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
+        raise ValidationError(
+            f"slice endpoints must be finite, got {p0.tolist()} and {p1.tolist()}"
+        )
     if not np.linalg.norm(p1 - p0) > 0:
         raise ValidationError("slice segment is degenerate")
     s = np.linspace(0.0, 1.0, n)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from boxdfm.benchmarks import get_scenario
+from boxdfm.dofspace import build_dof_map
 from boxdfm.errors import ValidationError
-from boxdfm.mesh import FacetKind, build_mesh
+from boxdfm.generators import crossed_square_mesh
+from boxdfm.mesh import FacetKind, _unique_facet_table, build_mesh
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TWO_TRIS = np.array([[0, 1, 2], [0, 2, 3]])
@@ -86,3 +89,83 @@ def test_tetrahedron_mesh_basics():
     assert m.dim == 3
     assert np.all(m.cell_volumes() > 0)
     assert m.cell_volumes()[0] == pytest.approx(1.0 / 6.0)
+
+
+def reference_unique_facet_table(cells, dim):
+    """Facet table by a lexsort over the sorted facet rows, with the cell
+    neighbours read off it row by row: the construction the packed-key
+    sort replaced."""
+    nc = cells.shape[0]
+    nloc = dim + 1
+    keep = [[j for j in range(nloc) if j != i] for i in range(nloc)]
+    all_facets = np.sort(np.concatenate([cells[:, k] for k in keep], axis=0), axis=1)
+    owners = np.tile(np.arange(nc, dtype=np.int64), nloc)
+    local = np.repeat(np.arange(nloc, dtype=np.int64), nc)
+    order = np.lexsort(all_facets.T[::-1])
+    sf = all_facets[order]
+    new = np.ones(sf.shape[0], dtype=bool)
+    new[1:] = np.any(sf[1:] != sf[:-1], axis=1)
+    group = np.cumsum(new) - 1
+    nu = int(group[-1]) + 1
+    ufacets = sf[new]
+    ufacet_cells = np.full((nu, 2), -1, dtype=np.int64)
+    counts = np.bincount(group, minlength=nu)
+    first = np.nonzero(new)[0]
+    ufacet_cells[:, 0] = owners[order][first]
+    ufacet_cells[counts == 2, 1] = owners[order][first[counts == 2] + 1]
+    cell_facet_index = np.empty((nc, nloc), dtype=np.int64)
+    cell_facet_index[owners[order], local[order]] = group
+    both = ufacet_cells[cell_facet_index]
+    own = np.arange(nc, dtype=np.int64)[:, None]
+    neigh = np.where(both[:, :, 0] == own, both[:, :, 1], both[:, :, 0])
+    return ufacets, ufacet_cells, neigh
+
+
+def _shuffled(mesh, seed):
+    """The same mesh with vertex ids and cell order permuted."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.n_vertices)
+    inv = np.argsort(perm)
+    cells = inv[mesh.cells][rng.permutation(mesh.n_cells)]
+    return build_mesh(mesh.vertices[perm], cells)
+
+
+def _table_meshes():
+    ex56 = get_scenario("ex56")
+    yield build_mesh(SQUARE, TWO_TRIS)
+    yield crossed_square_mesh(7, jitter=0.3, seed=4)
+    yield _shuffled(crossed_square_mesh(5, jitter=0.2, seed=1), 2)
+    yield ex56.mesh_factory(ex56.default_refine)
+    yield _shuffled(ex56.mesh_factory(ex56.default_refine), 3)
+
+
+def test_facet_table_matches_lexsort_reference():
+    for mesh in _table_meshes():
+        got = _unique_facet_table(mesh.cells, mesh.dim, mesh.n_vertices)
+        want = reference_unique_facet_table(mesh.cells, mesh.dim)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        assert mesh.cell_neighbors.tobytes() == want[2].tobytes()
+
+
+def test_facet_key_limit():
+    tet = np.array([[0, 1, 2, 3]])
+    _unique_facet_table(tet, 3, 2**21 - 1)
+    with pytest.raises(ValidationError, match="64-bit"):
+        _unique_facet_table(tet, 3, 2**21)
+
+
+def test_empty_facets_take_the_mesh_dimension():
+    verts3 = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                       [0.0, 0.0, 1.0]])
+    for verts, cells in ((SQUARE, TWO_TRIS), (verts3, np.array([[0, 1, 2, 3]]))):
+        dim = verts.shape[1]
+        for facets, tags in ((np.zeros((0, 0)), np.zeros(0)), ([], [])):
+            m = build_mesh(verts, cells, facets, tags)
+            assert m.facets.shape == (0, dim)
+            dm = build_dof_map(m, "barrier_cuts")
+            for arr in (dm.barrier_minus, dm.barrier_plus, dm.fracture_dofs):
+                assert arr.shape == (0, dim)
+    with pytest.raises(ValidationError, match="facets must be"):
+        build_mesh(SQUARE, TWO_TRIS, np.zeros((1, 3)), [7])

@@ -1,6 +1,7 @@
 """Scenario registry, JSON scenarios, driver plumbing, CLI exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,52 @@ def test_load_solution_roundtrip(tmp_path):
     assert np.allclose(back.evaluate(pts), res.field.evaluate(pts), atol=1e-14)
     with pytest.raises(ValidationError):
         load_solution(tmp_path / "nowhere")
+
+
+def test_load_solution_rejects_broken_bundles(tmp_path, capsys):
+    sc = load_scenario_file(tiny_file(tmp_path))
+    out = tmp_path / "run"
+    run_scenario(sc, out_dir=out)
+    with np.load(out / "solution.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+
+    def bundle(name, **arrs):
+        d = tmp_path / name
+        d.mkdir()
+        np.savez(d / "solution.npz", **arrs)
+        return d
+
+    no_values = bundle("no_values", **{k: v for k, v in arrays.items() if k != "values"})
+    short = bundle("short", **{**arrays, "values": arrays["values"][:-1]})
+    cells_off = bundle("cells_off", **{**arrays, "cell_dofs": arrays["cell_dofs"][1:]})
+    not_npz = tmp_path / "not_npz"
+    not_npz.mkdir()
+    (not_npz / "solution.npz").write_text("not an archive\n")
+    for d, msg in ((no_values, "lacks the array(s) values"), (short, "values has shape"),
+                   (cells_off, "cell_dofs has shape"),
+                   (not_npz, "not a readable solution bundle")):
+        with pytest.raises(ValidationError, match=re.escape(msg)):
+            load_solution(d)
+        code = main(["slice", str(d), "--from", "0,0.25", "--to", "1,0.25"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert msg in err and "solution.npz" in err and "Traceback" not in err
+
+
+def test_cli_slice_rejects_bad_counts_and_endpoints(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(tiny_file(tmp_path)), "--out", str(out)]) == 0
+    capsys.readouterr()
+    target = tmp_path / "profile.csv"
+    for args, msg in ((["-n", "-3"], "number of samples"),
+                      (["-n", "0"], "number of samples"),
+                      (["--from", "0,nan"], "finite")):
+        argv = ["slice", str(out), "--from", "0,0.25", "--to", "1,0.25",
+                "--out", str(target), *args]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert msg in err and "Traceback" not in err
+        assert not target.exists()
 
 
 def test_cli_run_writes_bundle(tmp_path, capsys):

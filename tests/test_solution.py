@@ -1,19 +1,26 @@
 """Quadrature, point evaluation, slices, error norms."""
 
 import io
+import re
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boxdfm.benchmarks import analytic_barrier_scenario, get_scenario
-from boxdfm.dofspace import build_dof_map
+from boxdfm.benchmarks import analytic_barrier_scenario, get_scenario, scenario_names
+from boxdfm.dofspace import POLICIES, build_dof_map
 from boxdfm.driver import run_scenario
-from boxdfm.errors import ValidationError
+from boxdfm.errors import MissingDataError, ValidationError
 from boxdfm.generators import crossed_square_mesh
-from boxdfm.solution import (SolutionField, convergence_order, l2_error,
-                             sample_slice, simplex_quadrature,
+from boxdfm.mesh import FacetKind
+from boxdfm.solution import (_SIDE_EPS_REL, SolutionField, _apply_side_rule,
+                             _canonical_barrier_normals, convergence_order,
+                             l2_error, sample_slice, simplex_quadrature,
                              write_profile_csv)
+from conftest import barrier_square
 
 TAGS = {1: "dirichlet", 2: "dirichlet", 3: "neumann", 4: "neumann"}
 
@@ -24,6 +31,46 @@ def linear_field(n=5, jitter=0.3, seed=8):
     pts = mesh.vertices[dm.dof_vertex]
     values = 2.0 * pts[:, 0] - pts[:, 1] + 0.25
     return mesh, SolutionField(mesh, dm.cell_dofs, dm.dof_vertex, values)
+
+
+def random_field(mesh, policy="barrier_cuts", seed=0):
+    """Independent random dof values: a wrong cell shows in the value."""
+    dm = build_dof_map(mesh, policy)
+    values = np.random.default_rng(seed).standard_normal(dm.n_dofs)
+    return SolutionField(mesh, dm.cell_dofs, dm.dof_vertex, values)
+
+
+def reference_evaluate(field, points):
+    """Point by point through the per-point walk: the evaluation loop the
+    batched walk replaced."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    out = np.empty(points.shape[0])
+    for i, p in enumerate(points):
+        c, lam = field._find(p)
+        out[i] = float(lam @ field.values[field.cell_dofs[c]])
+    return out
+
+
+def reference_side_rule(field, pts, side):
+    """Facet by facet: the side-rule loop the candidate-pair pass replaced."""
+    mesh = field.mesh
+    fpts, normals, _ = _canonical_barrier_normals(mesh)
+    if fpts is None:
+        return pts
+    eps = _SIDE_EPS_REL * mesh.domain_diameter()
+    sign = 1.0 if side == "plus" else -1.0
+    out = pts.copy()
+    moved = np.zeros(len(pts), dtype=bool)
+    lo = fpts.min(axis=1) - eps
+    hi = fpts.max(axis=1) + eps
+    for f in range(len(normals)):
+        d = np.abs((pts - fpts[f, 0]) @ normals[f])
+        inside = np.all((pts >= lo[f]) & (pts <= hi[f]), axis=1)
+        on = (d < eps) & inside & ~moved
+        if np.any(on):
+            out[on] += sign * eps * normals[f]
+            moved |= on
+    return out
 
 
 def test_triangle_quadrature_exact_to_degree_five():
@@ -161,6 +208,22 @@ def test_slice_argument_validation():
         sample_slice(field, (0.0, 0.0), (1.0, 1.0), 5, side="left")
 
 
+@pytest.mark.parametrize("n", [0, -3, 2.5, 3.0, True, "5"])
+def test_slice_sample_count_must_be_a_positive_integer(n):
+    mesh, field = linear_field()
+    with pytest.raises(ValidationError, match="number of samples"):
+        sample_slice(field, (0.0, 0.0), (1.0, 1.0), n)
+
+
+def test_slice_endpoints_must_be_finite():
+    mesh, field = linear_field()
+    for p0, p1 in (((0.0, np.nan), (1.0, 1.0)), ((0.0, 0.0), (np.inf, 1.0))):
+        with pytest.raises(ValidationError, match="finite"):
+            sample_slice(field, p0, p1, 5)
+    one = sample_slice(field, (0.2, 0.3), (0.9, 0.3), 1)
+    assert one["points"].tolist() == [[0.2, 0.3]]
+
+
 def test_profile_csv_is_deterministic():
     mesh, field = linear_field()
     sample = sample_slice(field, (0.0, 0.2), (1.0, 0.8), 9)
@@ -192,3 +255,120 @@ def test_convergence_order_math():
     assert convergence_order([1.0, 1.0 / 3.0], ratio=3.0)[0] == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         convergence_order([1.0, 0.0])
+
+
+def _oracle_mesh(case):
+    if case == "crossed":
+        return barrier_square(n=8, jitter=0.3, seed=4)
+    sc = get_scenario(case)
+    return sc.mesh_factory(sc.default_refine)
+
+
+@pytest.mark.parametrize("case", ["ex57a", "ex56", "crossed"])
+def test_batched_walk_matches_per_point_walk(case):
+    mesh = _oracle_mesh(case)
+    field = random_field(mesh)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pts = np.random.default_rng(7).uniform(lo, hi, size=(10_000, mesh.dim))
+    if case == "ex57a":
+        pts[0] = (0.015, 0.645)  # the walk cycles here
+    cells, lam = field._locate_all(pts)
+    for i in range(0, len(pts), 97):
+        c, ref_lam = field._find(pts[i])
+        assert cells[i] == c and lam[i].tobytes() == ref_lam.tobytes()
+    assert field.evaluate(pts).tobytes() == reference_evaluate(field, pts).tobytes()
+
+
+def test_bundle_slices_match_reference_on_every_builtin_scenario():
+    for name in scenario_names():
+        try:
+            sc = get_scenario(name)
+        except MissingDataError:
+            continue
+        mesh = sc.mesh_factory(sc.default_refine)
+        for policy in POLICIES:
+            field = random_field(mesh, policy)
+            for sl in sc.slices:
+                for side in ("plus", "minus"):
+                    got = sample_slice(field, sl.start, sl.end, sl.n, side=side)
+                    pts = got["points"]
+                    shifted = reference_side_rule(field, pts, side)
+                    assert _apply_side_rule(field, pts, side).tobytes() == shifted.tobytes()
+                    want = reference_evaluate(field, shifted)
+                    assert got["values"].tobytes() == want.tobytes(), (name, policy, side)
+
+
+def test_side_rule_at_the_eps_threshold_matches_reference():
+    # samples at distance ~eps from the slanted barrier, spaced by less than
+    # the rounding of the distance, so the d < eps test goes both ways
+    sc = get_scenario("ex52_slanted")
+    mesh = sc.mesh_factory(sc.default_refine)
+    field = random_field(mesh)
+    fpts, normals, _ = _canonical_barrier_normals(mesh)
+    eps = _SIDE_EPS_REL * mesh.domain_diameter()
+    rng = np.random.default_rng(3)
+    f = rng.integers(0, len(normals), 400)
+    t = rng.uniform(0.05, 0.95, 400)[:, None]
+    base = (1 - t) * fpts[f, 0] + t * fpts[f, 1]
+    off = eps + rng.uniform(-1e-16, 1e-16, 400)
+    pts = np.concatenate([base + off[:, None] * normals[f],
+                          base - off[:, None] * normals[f]])
+    for side in ("plus", "minus"):
+        want = reference_side_rule(field, pts, side)
+        assert _apply_side_rule(field, pts, side).tobytes() == want.tobytes()
+        moved = np.any(want != pts, axis=1)
+        assert moved.any() and not moved.all()
+
+
+@pytest.mark.parametrize("name", ["ex53", "ex54a", "ex56"])
+def test_side_rule_on_barrier_vertices_takes_the_first_facet(name):
+    # a vertex lies on several barrier facets, at corners with different normals
+    sc = get_scenario(name)
+    mesh = sc.mesh_factory(sc.default_refine)
+    field = random_field(mesh)
+    rows = mesh.facets_of_kind(FacetKind.BARRIER)
+    pts = mesh.vertices[np.unique(mesh.facets[rows])]
+    for side in ("plus", "minus"):
+        want = reference_side_rule(field, pts, side)
+        assert _apply_side_rule(field, pts, side).tobytes() == want.tobytes()
+        assert np.all(np.any(want != pts, axis=1))
+
+
+@lru_cache(maxsize=1)
+def _hypothesis_field():
+    return random_field(barrier_square(n=6, jitter=0.25, seed=11), seed=5)
+
+
+@st.composite
+def special_point(draw):
+    mesh = _hypothesis_field().mesh
+    kind = draw(st.sampled_from(["vertex", "barrier", "outside"]))
+    if kind == "vertex":
+        return mesh.vertices[draw(st.integers(0, mesh.n_vertices - 1))]
+    if kind == "barrier":
+        rows = mesh.facets_of_kind(FacetKind.BARRIER)
+        a, b = mesh.vertices[mesh.facets[rows[draw(st.integers(0, len(rows) - 1))]]]
+        t = draw(st.floats(0.0, 1.0))
+        return (1 - t) * a + t * b
+    along = draw(st.floats(0.0, 1.0))
+    past = draw(st.floats(1e-12, 1e-3))
+    return [(-past, along), (1 + past, along), (along, -past), (along, 1 + past)][
+        draw(st.integers(0, 3))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(special_point(), min_size=2, max_size=6))
+def test_walk_agrees_with_reference_on_special_points(points):
+    field = _hypothesis_field()
+    pts = np.array(points, dtype=np.float64)
+    for side in ("plus", "minus"):
+        want = reference_side_rule(field, pts, side)
+        assert _apply_side_rule(field, pts, side).tobytes() == want.tobytes()
+    try:
+        want = reference_evaluate(field, pts)
+    except ValidationError as e:
+        assert "outside the mesh" in str(e)
+        with pytest.raises(ValidationError, match=re.escape(str(e))):
+            field.evaluate(pts)
+        return
+    assert field.evaluate(pts).tobytes() == want.tobytes()
