@@ -100,19 +100,15 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
     has_barrier[mesh.facets[mesh.facets_of_kind(FacetKind.BARRIER)].ravel()] = True
     has_fracture[mesh.facets[mesh.facets_of_kind(FacetKind.FRACTURE)].ravel()] = True
 
-    if policy == "fracture_penetrates":
-        crossing = np.nonzero(has_barrier & has_fracture)[0]
-        if len(crossing):
-            flat = cells.ravel()
-            order = np.argsort(flat, kind="stable")
-            sorted_v = flat[order]
-            starts = np.searchsorted(sorted_v, crossing)
-            ends = np.searchsorted(sorted_v, crossing + 1)
-            for s, e in zip(starts, ends):
-                nodes = order[s:e]
-                if len(nodes) > 1:
-                    rows.append(nodes[:-1])
-                    cols.append(nodes[1:])
+    crossing = has_barrier & has_fracture
+    if policy == "fracture_penetrates" and crossing.any():
+        # chain the nodes of each crossing vertex: over the nodes sorted by
+        # vertex, link each node to the next one of the same vertex
+        order = np.argsort(cells.ravel(), kind="stable")
+        sorted_v = cells.ravel()[order]
+        link_next = (sorted_v[:-1] == sorted_v[1:]) & crossing[sorted_v[:-1]]
+        rows.append(order[:-1][link_next])
+        cols.append(order[1:][link_next])
 
     n_nodes = nc * nloc
     r = np.concatenate(rows)
@@ -143,7 +139,7 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
     vclass = np.full(nv, int(VertexClass.PLAIN), dtype=np.int64)
     vclass[has_barrier & (vertex_ndofs == 1)] = int(VertexClass.BARRIER_TIP)
     vclass[has_barrier & (vertex_ndofs > 1)] = int(VertexClass.BARRIER_INTERIOR)
-    vclass[has_barrier & has_fracture] = int(VertexClass.INTERSECTION)
+    vclass[crossing] = int(VertexClass.INTERSECTION)
 
     bar_rows = mesh.facets_of_kind(FacetKind.BARRIER)
     bar_cells = mesh.ufacet_cells[mesh.facet_to_ufacet[bar_rows]]

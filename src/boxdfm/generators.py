@@ -10,6 +10,10 @@ The unstructured generator is not a general constrained Delaunay code: it
 places points so that the plain Delaunay triangulation contains every
 feature sub-edge (cleared corridor, locally uniform spacing) and raises if
 recovery fails. Meshes for geometries beyond its reach come from MSH files.
+
+Hull facets, interior faces and the feature-edge check come straight from
+the packed-key unique-facet table of :mod:`.mesh` (in 2D the facets are
+the edges), so each generator calls build_mesh once, on its final arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from .errors import MeshGenerationError
-from .mesh import FacetKind, Mesh, build_mesh
+from .mesh import FacetKind, Mesh, _facet_keys, _search_keys, _unique_facet_table, build_mesh
 
 __all__ = [
     "crossed_square_mesh",
@@ -29,20 +33,6 @@ __all__ = [
     "strip_grid_mesh",
     "split_segments_at_intersections",
 ]
-
-
-def _side_tag_2d(p0, p1, lo, hi, tol):
-    for coord, axis, tag in ((lo[0], 0, 1), (hi[0], 0, 2), (lo[1], 1, 3), (hi[1], 1, 4)):
-        if abs(p0[axis] - coord) < tol and abs(p1[axis] - coord) < tol:
-            return tag
-    return 0
-
-
-def _boundary_edges(mesh_like_vertices, cells):
-    """Hull edges (rows) of a triangulation, via the unique-facet table."""
-    m = build_mesh(mesh_like_vertices, cells)
-    on_boundary = m.ufacet_cells[:, 1] < 0
-    return m.ufacets[on_boundary], m
 
 
 def crossed_square_mesh(n, jitter=0.0, seed=0, keep_x=(), keep_y=(),
@@ -106,8 +96,7 @@ def crossed_square_mesh(n, jitter=0.0, seed=0, keep_x=(), keep_y=(),
 
 def _feature_edges_on_lines(vertices, segments, tol):
     """Edges between vertices lying on a given segment (for grid meshes)."""
-    edges = []
-    tags = []
+    chains = []
     for p0, p1, tag in segments:
         p0 = np.asarray(p0, float)
         p1 = np.asarray(p1, float)
@@ -119,65 +108,64 @@ def _feature_edges_on_lines(vertices, segments, tol):
         ids = np.nonzero(on)[0]
         if len(ids) < 2:
             raise MeshGenerationError(f"segment {tuple(p0)}-{tuple(p1)} hits < 2 vertices")
-        order = np.argsort(t[ids])
-        ids = ids[order]
-        for k in range(len(ids) - 1):
-            edges.append((ids[k], ids[k + 1]))
-            tags.append(tag)
-    if not edges:
-        return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.array(edges, dtype=np.int64), np.array(tags, dtype=np.int64)
+        chains.append((ids[np.argsort(t[ids])], tag))
+    return _chain_edges(chains)
+
+
+def _chain_edges(chains):
+    """Consecutive vertex pairs of each (vertex ids, tag) chain, tagged."""
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    tags = [np.zeros(0, dtype=np.int64)]
+    for ids, tag in chains:
+        ids = np.asarray(ids, dtype=np.int64)
+        edges.append(np.stack([ids[:-1], ids[1:]], axis=1))
+        tags.append(np.full(len(ids) - 1, tag, dtype=np.int64))
+    return np.concatenate(edges), np.concatenate(tags)
 
 
 def _finish_2d_checked(vertices, cells, feature_edges, feature_tags, lo, hi,
                        region_fn, boundary_tag_fn, tag_map):
     tol = 1e-9 * float(max(hi - lo))
-    bedges, probe = _boundary_edges(vertices, cells)
-    btags = np.zeros(len(bedges), dtype=np.int64)
-    for i, (a, b) in enumerate(bedges):
-        btags[i] = _side_tag_2d(vertices[a], vertices[b], lo, hi, tol)
+    nv = len(vertices)
+    ufacets, ufacet_cells, _ = _unique_facet_table(cells, 2, nv)
+    bedges = ufacets[ufacet_cells[:, 1] < 0]
+    # sides left, right, bottom, top -> tags 1..4; the first side holding
+    # both endpoints wins
+    axes = [0, 0, 1, 1]
+    coords = np.array([lo[0], hi[0], lo[1], hi[1]])
+    p0, p1 = vertices[bedges[:, 0]], vertices[bedges[:, 1]]
+    on = (np.abs(p0[:, axes] - coords) < tol) & (np.abs(p1[:, axes] - coords) < tol)
+    btags = np.where(on.any(axis=1), np.argmax(on, axis=1) + 1, 0)
     if np.any(btags == 0):
         k = int(np.nonzero(btags == 0)[0][0])
         raise MeshGenerationError(f"boundary edge {tuple(bedges[k])} lies on no rectangle side")
     if boundary_tag_fn is not None:
-        mids = 0.5 * (vertices[bedges[:, 0]] + vertices[bedges[:, 1]])
-        btags = np.asarray(boundary_tag_fn(mids, btags), dtype=np.int64)
+        btags = np.asarray(boundary_tag_fn(0.5 * (p0 + p1), btags), dtype=np.int64)
 
-    if len(feature_edges):
-        # every feature edge must be an edge of the triangulation
-        have = set()
-        nloc = cells.shape[1]
-        for i in range(nloc):
-            for j in range(i + 1, nloc):
-                a = np.minimum(cells[:, i], cells[:, j])
-                b = np.maximum(cells[:, i], cells[:, j])
-                have.update(zip(a.tolist(), b.tolist()))
-        for a, b in feature_edges:
-            key = (min(int(a), int(b)), max(int(a), int(b)))
-            if key not in have:
-                pa, pb = vertices[a], vertices[b]
-                raise MeshGenerationError(
-                    f"feature edge {tuple(np.round(pa, 6))}-{tuple(np.round(pb, 6))} "
-                    "was not recovered by the triangulation"
-                )
-        facets = np.vstack([bedges, feature_edges])
-        tags = np.concatenate([btags, feature_tags])
-        n_boundary = len(bedges)
-    else:
-        facets, tags = bedges, btags
-        n_boundary = len(bedges)
+    # every feature edge must be an edge of the triangulation
+    _, found = _search_keys(_facet_keys(ufacets, nv), feature_edges, nv)
+    if not found.all():
+        pa, pb = vertices[feature_edges[np.argmin(found)]]
+        raise MeshGenerationError(
+            f"feature edge {tuple(np.round(pa, 6))}-{tuple(np.round(pb, 6))} "
+            "was not recovered by the triangulation"
+        )
+    return _finish_mesh(vertices, cells, np.vstack([bedges, feature_edges]),
+                        np.concatenate([btags, feature_tags]), len(bedges),
+                        region_fn, tag_map)
 
+
+def _finish_mesh(vertices, cells, facets, tags, n_boundary, region_fn, tag_map):
+    """build_mesh with regions from region_fn(centroids) and kinds from
+    tag_map; without a map, all facets are kept with placeholder kinds
+    (files store tags only): the first n_boundary Neumann, the rest barrier."""
     region = None
     if region_fn is not None:
-        centroids = vertices[cells].mean(axis=1)
-        region = np.asarray(region_fn(centroids), dtype=np.int64)
+        region = np.asarray(region_fn(vertices[cells].mean(axis=1)), dtype=np.int64)
     if tag_map is not None:
         return build_mesh(vertices, cells, facets, tags, tag_map=tag_map, cell_region=region)
-    # no map: keep everything; placeholder kinds (files store tags only)
-    kinds = np.concatenate([
-        np.full(n_boundary, int(FacetKind.NEUMANN), dtype=np.int64),
-        np.full(len(facets) - n_boundary, int(FacetKind.BARRIER), dtype=np.int64),
-    ])
+    kinds = np.where(np.arange(len(facets)) < n_boundary,
+                     int(FacetKind.NEUMANN), int(FacetKind.BARRIER))
     return build_mesh(vertices, cells, facets, tags, facet_kinds=kinds, cell_region=region)
 
 
@@ -345,15 +333,7 @@ def delaunay_rect_mesh(domain, h, segments=(), seed=0, boundary_div=None,
     if not used.all():
         raise MeshGenerationError("Delaunay dropped input points (coincident points?)")
 
-    fe = []
-    ft = []
-    for ids, (pts, tag) in zip(chain_ids, chains):
-        for a, b in zip(ids[:-1], ids[1:]):
-            fe.append((a, b))
-            ft.append(tag)
-    fe = np.array(fe, dtype=np.int64) if fe else np.zeros((0, 2), dtype=np.int64)
-    ft = np.array(ft, dtype=np.int64) if len(ft) else np.zeros(0, dtype=np.int64)
-
+    fe, ft = _chain_edges(zip(chain_ids, (tag for _, tag in chains)))
     return _finish_2d_checked(allpts, cells, fe, ft, lo, hi, region_fn,
                               boundary_tag_fn, tag_map)
 
@@ -401,10 +381,10 @@ def kuhn_cube_mesh(n, planes=(), domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
             [vid(c[:, 0], c[:, 1], c[:, 2]) for c in (c0, c1, c2, c3)], axis=1))
     cells = np.concatenate(cells, axis=0).astype(np.int64)
 
-    probe = build_mesh(vertices, cells)
     tolv = 1e-9 * float(np.linalg.norm(size))
-    on_boundary = probe.ufacet_cells[:, 1] < 0
-    btris = probe.ufacets[on_boundary]
+    ufacets, ufacet_cells, _ = _unique_facet_table(cells, 3, len(vertices))
+    on_boundary = ufacet_cells[:, 1] < 0
+    btris = ufacets[on_boundary]
     mids = vertices[btris].mean(axis=1)
     btags = np.zeros(len(btris), dtype=np.int64)
     for axis in range(3):
@@ -415,10 +395,9 @@ def kuhn_cube_mesh(n, planes=(), domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
     if boundary_tag_fn is not None:
         btags = np.asarray(boundary_tag_fn(mids, btags), dtype=np.int64)
 
-    fe = []
-    ft = []
-    interior = ~on_boundary
-    itris = probe.ufacets[interior]
+    fe = [btris]
+    ft = [btags]
+    itris = ufacets[~on_boundary]
     imids = vertices[itris].mean(axis=1)
     ipts = vertices[itris]
     for axis, coord, lo2, hi2, tag in planes:
@@ -437,20 +416,8 @@ def kuhn_cube_mesh(n, planes=(), domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
         fe.append(itris[sel])
         ft.append(np.full(int(sel.sum()), tag, dtype=np.int64))
 
-    facets = np.vstack([btris] + fe) if fe else btris
-    tags = np.concatenate([btags] + ft) if ft else btags
-
-    region = None
-    if region_fn is not None:
-        centroids = vertices[cells].mean(axis=1)
-        region = np.asarray(region_fn(centroids), dtype=np.int64)
-    if tag_map is not None:
-        return build_mesh(vertices, cells, facets, tags, tag_map=tag_map, cell_region=region)
-    kinds = np.concatenate([
-        np.full(len(btris), int(FacetKind.NEUMANN), dtype=np.int64),
-        np.full(len(facets) - len(btris), int(FacetKind.BARRIER), dtype=np.int64),
-    ])
-    return build_mesh(vertices, cells, facets, tags, facet_kinds=kinds, cell_region=region)
+    return _finish_mesh(vertices, cells, np.vstack(fe), np.concatenate(ft), len(btris),
+                        region_fn, tag_map)
 
 
 def strip_grid_mesh(x_lines, y_lines, region_fn=None, boundary_tag_fn=None,

@@ -12,14 +12,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NotPositiveDefiniteError, SolverError, ValidationError
 
 __all__ = ["SolverReport", "check_symmetric", "cg_solve", "dense_spd_check",
-           "write_matrix_market", "PRECONDITIONERS"]
+           "PRECONDITIONERS"]
 
 PRECONDITIONERS = ("none", "jacobi", "ic0")
 
@@ -351,9 +350,3 @@ def dense_spd_check(A: sp.csr_matrix, max_n: int = 500,
         chol = False
     mineig = float(np.linalg.eigvalsh(D).min()) if n <= eig_max_n else None
     return SpdCheckResult(n=n, symmetric=symmetric, cholesky_ok=chol, min_eigenvalue=mineig)
-
-
-def write_matrix_market(prefix, A: sp.csr_matrix, b: np.ndarray) -> None:
-    """Write (A, b) as Matrix Market files <prefix>_A.mtx / <prefix>_b.mtx."""
-    scipy.io.mmwrite(f"{prefix}_A.mtx", A.tocoo(), symmetry="general")
-    scipy.io.mmwrite(f"{prefix}_b.mtx", np.asarray(b).reshape(-1, 1))

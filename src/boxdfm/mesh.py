@@ -152,7 +152,7 @@ def _facet_keys(rows: np.ndarray, nv: int) -> np.ndarray:
     dim = rows.shape[1]
     if nv ** dim > np.iinfo(np.int64).max:
         raise ValidationError(
-            f"{nv} vertices are too many for the facet table in {dim}d: "
+            f"{nv} vertices are too many for packed {dim}-vertex keys: "
             f"{nv}**{dim} must fit in a signed 64-bit integer"
         )
     key = rows[:, 0].copy()
@@ -160,6 +160,28 @@ def _facet_keys(rows: np.ndarray, nv: int) -> np.ndarray:
         key *= nv
         key += rows[:, j]
     return key
+
+
+def _unpack_keys(keys: np.ndarray, nv: int, dim: int) -> np.ndarray:
+    """Inverse of :func:`_facet_keys`: the (n, dim) sorted rows of keys."""
+    rows = np.empty((keys.shape[0], dim), dtype=np.int64)
+    rest = keys
+    for j in range(dim - 1, 0, -1):
+        rest, rows[:, j] = np.divmod(rest, nv)
+    rows[:, 0] = rest
+    return rows
+
+
+def _search_keys(ukey: np.ndarray, rows: np.ndarray, nv: int):
+    """Where the rows (any vertex order) sit in the sorted unique keys ukey.
+
+    Returns (pos, found): pos is the searchsorted position of each row's
+    key, found whether the key is really there.
+    """
+    key = _facet_keys(np.sort(rows, axis=1), nv)
+    pos = np.searchsorted(ukey, key)
+    found = ukey[np.minimum(pos, ukey.shape[0] - 1)] == key
+    return pos, found
 
 
 def _unique_facet_table(cells: np.ndarray, dim: int, nv: int):
@@ -184,11 +206,7 @@ def _unique_facet_table(cells: np.ndarray, dim: int, nv: int):
     nu = first.shape[0]
 
     # unpack the unique keys instead of gathering rows
-    ufacets = np.empty((nu, dim), dtype=np.int64)
-    rest = skey[first]
-    for j in range(dim - 1, 0, -1):
-        rest, ufacets[:, j] = np.divmod(rest, nv)
-    ufacets[:, 0] = rest
+    ufacets = _unpack_keys(skey[first], nv, dim)
 
     counts = np.diff(np.append(first, skey.shape[0]))
     if counts.max(initial=0) > 2:
@@ -214,13 +232,9 @@ def _locate_tagged(ufacets: np.ndarray, tagged: np.ndarray, nv: int) -> np.ndarr
     """Index of each tagged facet row in the sorted unique-facet table."""
     if tagged.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    ukey = _facet_keys(ufacets, nv)
-    key = _facet_keys(np.sort(tagged, axis=1), nv)
-    nu = ufacets.shape[0]
-    pos = np.searchsorted(ukey, key)
-    bad = (pos >= nu) | (ukey[np.minimum(pos, nu - 1)] != key)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
+    pos, found = _search_keys(_facet_keys(ufacets, nv), tagged, nv)
+    if not found.all():
+        i = int(np.argmin(found))
         raise ValidationError(
             f"tagged facet {tuple(tagged[i])} does not coincide with any cell facet"
         )

@@ -1,34 +1,19 @@
-"""Uniform red refinement of simplicial meshes with tag inheritance."""
+"""Uniform red refinement of simplicial meshes with tag inheritance.
+
+Edges use the packed int64 keys of the facet table in :mod:`.mesh`: the
+edge table is the sorted unique keys of all cell edges, and the midpoint
+of edge (a, b) is vertex n_vertices + the position of its key in that
+table, found by one searchsorted. Keys ascend in the lexicographic order
+of the sorted edge rows, so midpoints are numbered in that order.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh, _facet_keys, _search_keys, _unpack_keys, build_mesh
 
 __all__ = ["uniform_refine"]
-
-
-def _unique_edges(cells: np.ndarray):
-    nloc = cells.shape[1]
-    pairs = [(i, j) for i in range(nloc) for j in range(i + 1, nloc)]
-    e = np.concatenate([cells[:, p] for p in pairs], axis=0)
-    e = np.sort(e, axis=1)
-    edges = np.unique(e, axis=0)
-    return edges
-
-
-def _edge_lookup(edges: np.ndarray):
-    """Callable mapping (a, b) vertex-pair arrays to edge row indices."""
-    view = edges.view([("", edges.dtype)] * 2).ravel()
-
-    def find(q: np.ndarray) -> np.ndarray:
-        q = np.sort(q, axis=1)
-        qv = np.ascontiguousarray(q).view([("", q.dtype)] * 2).ravel()
-        pos = np.searchsorted(view, qv)
-        return pos.astype(np.int64)
-
-    return find
 
 
 def uniform_refine(mesh: Mesh, levels: int = 1) -> Mesh:
@@ -47,13 +32,16 @@ def uniform_refine(mesh: Mesh, levels: int = 1) -> Mesh:
 def _refine_once(mesh: Mesh) -> Mesh:
     cells = mesh.cells
     nv = mesh.n_vertices
-    edges = _unique_edges(cells)
-    find = _edge_lookup(edges)
+    nloc = cells.shape[1]
+    pairs = np.concatenate([cells[:, [i, j]] for i in range(nloc) for j in range(i + 1, nloc)])
+    # edge keys ascend in the lexicographic order of the edge rows
+    ekey = np.unique(_facet_keys(np.sort(pairs, axis=1), nv))
+    edges = _unpack_keys(ekey, nv, 2)
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
 
     def mid(a, b):
-        return nv + find(np.stack([a, b], axis=1))
+        return nv + _search_keys(ekey, np.stack([a, b], axis=1), nv)[0]
 
     if mesh.dim == 2:
         v0, v1, v2 = cells[:, 0], cells[:, 1], cells[:, 2]

@@ -22,7 +22,7 @@ from .errors import MissingDataError, ValidationError
 from .expressions import compile_expression
 from .generators import crossed_square_mesh, delaunay_rect_mesh, kuhn_cube_mesh
 from .materials import BarrierLaw, FractureLaw, MaterialModel
-from .mesh import FacetKind, Mesh
+from .mesh import FacetKind, Mesh, parse_kind
 from .msh_io import load_msh
 from .refine import uniform_refine
 
@@ -198,21 +198,13 @@ def box_boundary_fn(boxes, tol: float = 1e-9):
     return fn
 
 
-_KIND_NAMES = {
-    "fracture": FacetKind.FRACTURE,
-    "barrier": FacetKind.BARRIER,
-    "dirichlet": FacetKind.DIRICHLET,
-    "neumann": FacetKind.NEUMANN,
-}
-
-
 def _parse_tag_map(raw: dict) -> dict:
     out = {}
     for tag, kind in raw.items():
-        k = str(kind).strip().lower()
-        if k not in _KIND_NAMES:
-            raise ValidationError(f"unknown facet kind {kind!r} for tag {tag}")
-        out[int(tag)] = _KIND_NAMES[k]
+        try:
+            out[int(tag)] = parse_kind(str(kind).strip())
+        except ValidationError as e:
+            raise ValidationError(f"tag {tag}: {e}") from None
     return out
 
 

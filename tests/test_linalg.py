@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -12,7 +11,7 @@ from boxdfm.dofspace import build_dof_map
 from boxdfm.errors import NotPositiveDefiniteError, ValidationError
 from boxdfm.generators import kuhn_cube_mesh
 from boxdfm.linalg import (cg_solve, check_symmetric, dense_spd_check,
-                           make_preconditioner, write_matrix_market)
+                           make_preconditioner)
 from boxdfm.materials import BarrierLaw, FractureLaw, MaterialModel
 from conftest import barrier_square
 
@@ -114,16 +113,6 @@ def test_dense_spd_check_verdicts():
     big = sp.eye(501, format="csr")
     with pytest.raises(ValidationError):
         dense_spd_check(big)
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    system = assembled_system(n=4)
-    prefix = tmp_path / "dump"
-    write_matrix_market(prefix, system.A, system.b)
-    A_back = scipy.io.mmread(f"{prefix}_A.mtx").toarray()
-    b_back = np.asarray(scipy.io.mmread(f"{prefix}_b.mtx")).ravel()
-    assert np.array_equal(A_back, system.A.toarray())
-    assert np.array_equal(b_back, system.b)
 
 
 def test_check_symmetric_rejects_asymmetry():

@@ -90,7 +90,8 @@ def test_scenario_dict_validation():
         scenario_from_dict({})
     with pytest.raises(ValidationError):
         scenario_from_dict({"mesh": {"generator": "hexgrid"}})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"tag 1\b.*'wall'.*'barrier', 'dirichlet', "
+                       r"'fracture', 'neumann'"):
         scenario_from_dict({"mesh": {"generator": "crossed_square"},
                             "tag_map": {"1": "wall"}})
 
