@@ -15,14 +15,15 @@ fracture).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import IntEnum
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from ._rows import rows
 from .errors import DofMapError, ValidationError
 from .mesh import FacetKind, Mesh
 
@@ -199,11 +200,10 @@ def boundary_dofs(mesh: Mesh, dofmap: DofMap, kind: FacetKind) -> np.ndarray:
 
 def write_vertex_report(mesh: Mesh, dofmap: DofMap, path) -> None:
     """Per-vertex classification and dof multiplicity as CSV."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        coords = ["x", "y", "z"][: mesh.dim]
-        w.writerow(["vertex", *coords, "n_dofs", "class"])
-        for v in range(mesh.n_vertices):
-            name = _CLASS_NAMES[VertexClass(int(dofmap.vertex_class[v]))]
-            w.writerow([v, *[repr(float(x)) for x in mesh.vertices[v]],
-                        int(dofmap.vertex_ndofs[v]), name])
+    names = np.array([_CLASS_NAMES[c] for c in VertexClass])[dofmap.vertex_class]
+    Path(path).write_text(
+        ",".join(["vertex", *"xyz"[: mesh.dim], "n_dofs", "class"]) + "\r\n"
+        + rows("%d," + "%r," * mesh.dim + "%d,%s\r\n", np.arange(mesh.n_vertices),
+               mesh.vertices, dofmap.vertex_ndofs, names),
+        newline="",
+    )

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MeshFormatError
+from ._rows import rows
+from .errors import MeshFormatError, ValidationError
 from .mesh import Mesh, build_mesh
 
 __all__ = ["load_msh", "read_msh_arrays", "write_msh22"]
@@ -58,14 +59,21 @@ def read_msh_arrays(path):
     sections = _split_sections(text, path)
     if "MeshFormat" not in sections:
         raise MeshFormatError(f"{path}: missing $MeshFormat section")
-    fmt = sections["MeshFormat"][0].split()
-    version = fmt[0]
-    if fmt[1] != "0":
-        raise MeshFormatError(f"{path}: binary MSH files are not supported")
-    if version.startswith("2"):
-        return _read_v2(sections, path)
-    if version.startswith("4.1"):
-        return _read_v41(sections, path)
+    try:
+        fmt = sections["MeshFormat"][0].split()
+        version = fmt[0]
+        if fmt[1] != "0":
+            raise MeshFormatError(f"{path}: binary MSH files are not supported")
+        if version.startswith("2"):
+            return _read_v2(sections, path)
+        if version.startswith("4.1"):
+            return _read_v41(sections, path)
+    except KeyError as e:  # the node-tag lookups are the only dict reads that can miss
+        raise MeshFormatError(f"{path}: an element refers to the unknown node tag {e.args[0]}") from None
+    except IndexError:
+        raise MeshFormatError(f"{path}: a section is shorter than its counts declare") from None
+    except ValueError as e:
+        raise MeshFormatError(f"{path}: malformed number or count ({e})") from None
     raise MeshFormatError(f"{path}: unsupported MSH version {version}")
 
 
@@ -224,22 +232,23 @@ def write_msh22(path, vertices, cells, cell_region, facets, facet_tags) -> None:
     vertices = np.asarray(vertices, dtype=np.float64)
     cells = np.asarray(cells, dtype=np.int64)
     facets = np.asarray(facets, dtype=np.int64)
+    if len(cells) != len(cell_region):
+        raise ValidationError(f"{len(cells)} cells but {len(cell_region)} cell regions")
+    if len(facets) != len(facet_tags):
+        raise ValidationError(f"{len(facets)} facets but {len(facet_tags)} facet tags")
     dim = vertices.shape[1]
-    ftype = _LINE if dim == 2 else _TRIANGLE
-    ctype = _TRIANGLE if dim == 2 else _TETRAHEDRON
-    out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(len(vertices))]
-    for i, p in enumerate(vertices):
-        z = float(p[2]) if dim == 3 else 0.0
-        out.append(f"{i + 1} {float(p[0])!r} {float(p[1])!r} {z!r}")
-    out += ["$EndNodes", "$Elements", str(len(facets) + len(cells))]
-    eid = 1
-    for f, t in zip(facets, facet_tags):
-        nodes = " ".join(str(v + 1) for v in f)
-        out.append(f"{eid} {ftype} 2 {int(t)} {int(t)} {nodes}")
-        eid += 1
-    for c, r in zip(cells, cell_region):
-        nodes = " ".join(str(v + 1) for v in c)
-        out.append(f"{eid} {ctype} 2 {int(r)} {int(r)} {nodes}")
-        eid += 1
-    out.append("$EndElements")
-    Path(path).write_text("\n".join(out) + "\n")
+
+    def elements(etype, conn, tags, first):
+        fmt = f"%d {etype} 2 %d %d" + " %d" * _NODES_PER_TYPE[etype] + "\n"
+        return rows(fmt, np.arange(first, first + len(conn)), tags, tags, conn + 1)
+
+    Path(path).write_text(
+        f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n{len(vertices)}\n"
+        + rows("%d" + " %r" * dim + " 0.0" * (3 - dim) + "\n",
+               np.arange(1, len(vertices) + 1), vertices)
+        + f"$EndNodes\n$Elements\n{len(facets) + len(cells)}\n"
+        + elements(_LINE if dim == 2 else _TRIANGLE, facets, facet_tags, 1)
+        + elements(_TRIANGLE if dim == 2 else _TETRAHEDRON, cells, cell_region, len(facets) + 1)
+        + "$EndElements\n",
+        newline="\n",
+    )

@@ -209,6 +209,8 @@ def _parse_tag_map(raw: dict) -> dict:
 
 
 def _mesh_factory_from_spec(spec: dict, tag_map: dict, base_dir: Path) -> Callable:
+    if not isinstance(spec, dict):
+        raise ValidationError(f"mesh spec must be an object, got {spec!r}")
     if "file" in spec:
         path = Path(spec["file"])
         if not path.is_absolute():
@@ -221,63 +223,40 @@ def _mesh_factory_from_spec(spec: dict, tag_map: dict, base_dir: Path) -> Callab
 
         return from_file
 
+    # every generator parameter is parsed here, so a malformed one fails
+    # when the scenario loads rather than when the mesh is first built
     gen = spec.get("generator")
-    segments = parse_segments(spec.get("segments", []))
-    region_fn = box_region_fn(spec["regions"]) if spec.get("regions") else None
-    boundary_fn = box_boundary_fn(spec["boundary_boxes"]) if spec.get("boundary_boxes") else None
-
+    unit = ((0, 0, 0), (1, 1, 1)) if gen == "kuhn_cube" else ((0, 0), (1, 1))
+    boxes = spec.get("boundary_boxes")
+    kw = dict(
+        domain=tuple(tuple(map(float, c)) for c in spec.get("domain", unit)),
+        region_fn=box_region_fn(spec["regions"]) if spec.get("regions") else None,
+        boundary_tag_fn=box_boundary_fn(boxes) if boxes else None,
+        tag_map=tag_map,
+    )
+    if gen in ("crossed_square", "delaunay_rect"):
+        kw.update(segments=parse_segments(spec.get("segments", [])), seed=int(spec.get("seed", 0)))
     if gen == "crossed_square":
-        def build(level: int) -> Mesh:
-            base = crossed_square_mesh(
-                int(spec.get("n", 8)),
-                jitter=float(spec.get("jitter", 0.0)),
-                seed=int(spec.get("seed", 0)),
-                keep_x=tuple(spec.get("keep_x", ())),
-                keep_y=tuple(spec.get("keep_y", ())),
-                segments=segments,
-                region_fn=region_fn,
-                boundary_tag_fn=boundary_fn,
-                tag_map=tag_map,
-                domain=spec.get("domain", ((0.0, 0.0), (1.0, 1.0))),
-            )
-            return uniform_refine(base, level)
+        make = crossed_square_mesh
+        kw.update(n=int(spec.get("n", 8)), jitter=float(spec.get("jitter", 0.0)),
+                  keep_x=tuple(map(float, spec.get("keep_x", ()))),
+                  keep_y=tuple(map(float, spec.get("keep_y", ()))))
+    elif gen == "delaunay_rect":
+        make = delaunay_rect_mesh
+        div, fill = spec.get("boundary_div"), spec.get("fill_target")
+        kw.update(h=float(spec["h"]),
+                  boundary_div=None if div is None else tuple(map(int, div)),
+                  fill_target=None if fill is None else int(fill))
+    elif gen == "kuhn_cube":
+        make = kuhn_cube_mesh
+        kw.update(n=int(spec.get("n", 8)), planes=parse_planes(spec.get("planes", [])))
+    else:
+        raise ValidationError(f"mesh spec needs 'file' or a known 'generator', got {spec!r}")
 
-        return build
+    def build(level: int) -> Mesh:
+        return uniform_refine(make(**kw), level)
 
-    if gen == "delaunay_rect":
-        def build(level: int) -> Mesh:
-            base = delaunay_rect_mesh(
-                spec.get("domain", ((0.0, 0.0), (1.0, 1.0))),
-                float(spec["h"]),
-                segments=segments,
-                seed=int(spec.get("seed", 0)),
-                boundary_div=spec.get("boundary_div"),
-                fill_target=spec.get("fill_target"),
-                region_fn=region_fn,
-                boundary_tag_fn=boundary_fn,
-                tag_map=tag_map,
-            )
-            return uniform_refine(base, level)
-
-        return build
-
-    if gen == "kuhn_cube":
-        planes = parse_planes(spec.get("planes", []))
-
-        def build(level: int) -> Mesh:
-            base = kuhn_cube_mesh(
-                int(spec.get("n", 8)),
-                planes=planes,
-                domain=spec.get("domain", ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))),
-                region_fn=region_fn,
-                boundary_tag_fn=boundary_fn,
-                tag_map=tag_map,
-            )
-            return uniform_refine(base, level)
-
-        return build
-
-    raise ValidationError(f"mesh spec needs 'file' or a known 'generator', got {spec!r}")
+    return build
 
 
 def _parse_materials(raw: dict, dim: int) -> MaterialModel:
@@ -312,26 +291,38 @@ def load_scenario_file(path) -> Scenario:
                               default_name=path.stem)
 
 
+def _entry(raw: dict, key: str, parse: Callable, default):
+    """parse(raw.get(key, default)); a value of the wrong shape raises
+    ValidationError naming the entry."""
+    try:
+        return parse(raw.get(key, default))
+    except KeyError as e:
+        raise ValidationError(f"scenario entry {key!r} lacks the key {e.args[0]!r}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as e:
+        raise ValidationError(f"scenario entry {key!r} is malformed: {e}") from None
+
+
 def scenario_from_dict(raw: dict, base_dir: Path | None = None,
                        default_name: str = "scenario") -> Scenario:
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
-    if "mesh" not in raw:
-        raise ValidationError("scenario is missing the 'mesh' entry")
-    dim = int(raw.get("dim", 2))
-    tag_map = _parse_tag_map(raw.get("tag_map", {}))
-    factory = _mesh_factory_from_spec(raw["mesh"], tag_map, base_dir)
-    materials = _parse_materials(raw.get("materials", {}), dim)
-    dirichlet = {int(t): scalar_field(e, dim) for t, e in raw.get("dirichlet", {}).items()}
-    neumann = {int(t): boundary_flux(e, dim) for t, e in raw.get("neumann", {}).items()}
-    source = scalar_field(raw["source"], dim) if "source" in raw else None
-    exact = scalar_field(raw["exact"], dim) if "exact" in raw else None
-    sv = raw.get("solver", {})
-    solver = SolverSettings(
+    if not isinstance(raw, dict) or "mesh" not in raw:
+        raise ValidationError("a scenario must be a JSON object with a 'mesh' entry")
+    dim = _entry(raw, "dim", int, 2)
+    tag_map = _entry(raw, "tag_map", _parse_tag_map, {})
+    factory = _entry(raw, "mesh", lambda m: _mesh_factory_from_spec(m, tag_map, base_dir), None)
+    materials = _entry(raw, "materials", lambda m: _parse_materials(m, dim), {})
+    dirichlet = _entry(raw, "dirichlet",
+                       lambda d: {int(t): scalar_field(e, dim) for t, e in d.items()}, {})
+    neumann = _entry(raw, "neumann",
+                     lambda d: {int(t): boundary_flux(e, dim) for t, e in d.items()}, {})
+    source = _entry(raw, "source", lambda e: scalar_field(e, dim), None) if "source" in raw else None
+    exact = _entry(raw, "exact", lambda e: scalar_field(e, dim), None) if "exact" in raw else None
+    solver = _entry(raw, "solver", lambda sv: SolverSettings(
         tol=float(sv.get("tol", 1e-10)),
         max_iter=sv.get("max_iter"),
         preconditioner=str(sv.get("preconditioner", "ic0")),
-    )
-    slices = tuple(
+    ), {})
+    slices = _entry(raw, "slices", lambda rows: tuple(
         SliceSpec(
             name=str(s.get("name", f"slice{i}")),
             start=tuple(map(float, s["from"])),
@@ -339,8 +330,8 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
             n=int(s.get("n", 200)),
             side=str(s.get("side", "plus")),
         )
-        for i, s in enumerate(raw.get("slices", []))
-    )
+        for i, s in enumerate(rows)
+    ), [])
     return Scenario(
         name=str(raw.get("name", default_name)),
         dim=dim,
@@ -354,9 +345,9 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
         solver=solver,
         slices=slices,
         exact=exact,
-        order_window=tuple(raw.get("order_window", (1.9, 2.1))),
+        order_window=_entry(raw, "order_window", tuple, (1.9, 2.1)),
         allow_pure_neumann=bool(raw.get("allow_pure_neumann", False)),
-        default_refine=int(raw.get("refine", 0)),
+        default_refine=_entry(raw, "refine", int, 0),
     )
 
 

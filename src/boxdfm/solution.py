@@ -14,13 +14,14 @@ k-d tree over the facets' bounding boxes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import roots_jacobi
 
+from ._rows import rows
 from .errors import ValidationError
 from .mesh import Mesh
 
@@ -298,20 +299,13 @@ def write_profile_csv(path, sample: dict) -> None:
 
     path may also be an open text stream (stdout for the CLI).
     """
+    dim = sample["points"].shape[1]
+    text = (",".join(["s", *"xyz"[:dim], "p"]) + "\r\n"
+            + rows("%r," * (dim + 1) + "%r\r\n", sample["s"], sample["points"], sample["values"]))
     if hasattr(path, "write"):
-        _write_profile(path, sample)
+        path.write(text)
     else:
-        with open(path, "w", newline="") as fh:
-            _write_profile(fh, sample)
-
-
-def _write_profile(fh, sample: dict) -> None:
-    pts = sample["points"]
-    dim = pts.shape[1]
-    w = csv.writer(fh)
-    w.writerow(["s", *["x", "y", "z"][:dim], "p"])
-    for s, p, v in zip(sample["s"], pts, sample["values"]):
-        w.writerow([repr(float(s)), *[repr(float(c)) for c in p], repr(float(v))])
+        Path(path).write_text(text, newline="")
 
 
 def l2_error(fieldobj: SolutionField, exact, quad_n: int = 3) -> float:

@@ -9,8 +9,11 @@ byte-identical across repeated runs.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
+from ._rows import rows
 from .mesh import Mesh
 from .solution import SolutionField
 
@@ -18,75 +21,47 @@ __all__ = ["write_solution_vtk", "write_facets_vtk"]
 
 _CELL_TYPE = {2: 5, 3: 10}   # triangle, tetrahedron
 _FACET_TYPE = {2: 3, 3: 5}   # line, triangle
+_POINT_ROW = {2: "%r %r 0.0\n", 3: "%r %r %r\n"}   # VTK points are 3d
+_HEADER = "# vtk DataFile Version 3.0\n{}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _grid(title: str, coords: np.ndarray, conn: np.ndarray, cell_type: int) -> str:
+    """Header, points and cells of an unstructured grid of simplices."""
+    n, nloc = conn.shape
+    return (
+        _HEADER.format(title)
+        + f"POINTS {len(coords)} double\n" + rows(_POINT_ROW[coords.shape[1]], coords)
+        + f"CELLS {n} {n * (nloc + 1)}\n" + rows(f"{nloc}" + " %d" * nloc + "\n", conn)
+        + f"CELL_TYPES {n}\n" + f"{cell_type}\n" * n
+    )
 
 
-def _write_points(out, coords: np.ndarray, dim: int) -> None:
-    out.append(f"POINTS {len(coords)} double")
-    for p in coords:
-        z = p[2] if dim == 3 else 0.0
-        out.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(z)}")
-
-
-def write_solution_vtk(path, fieldobj: SolutionField, name: str = "pressure") -> None:
+def write_solution_vtk(path, fieldobj: SolutionField) -> None:
     mesh = fieldobj.mesh
     coords = mesh.vertices[fieldobj.dof_vertex]
     cells = fieldobj.cell_dofs
-    nloc = mesh.dim + 1
-    out = [
-        "# vtk DataFile Version 3.0",
-        "box method pressure field",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-    ]
-    _write_points(out, coords, mesh.dim)
-    out.append(f"CELLS {len(cells)} {len(cells) * (nloc + 1)}")
-    for c in cells:
-        out.append(f"{nloc} " + " ".join(str(int(v)) for v in c))
-    out.append(f"CELL_TYPES {len(cells)}")
-    out.extend([str(_CELL_TYPE[mesh.dim])] * len(cells))
-    out.append(f"POINT_DATA {len(coords)}")
-    out.append(f"SCALARS {name} double 1")
-    out.append("LOOKUP_TABLE default")
-    out.extend(_fmt(v) for v in fieldobj.values)
-    out.append(f"CELL_DATA {len(cells)}")
-    out.append("SCALARS region int 1")
-    out.append("LOOKUP_TABLE default")
-    out.extend(str(int(r)) for r in mesh.cell_region)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    Path(path).write_text(
+        _grid("box method pressure field", coords, cells, _CELL_TYPE[mesh.dim])
+        + f"POINT_DATA {len(coords)}\nSCALARS pressure double 1\nLOOKUP_TABLE default\n"
+        + rows("%r\n", fieldobj.values)
+        + f"CELL_DATA {len(cells)}\nSCALARS region int 1\nLOOKUP_TABLE default\n"
+        + rows("%d\n", mesh.cell_region),
+        newline="\n",
+    )
 
 
 def write_facets_vtk(path, mesh: Mesh) -> None:
     """Tagged facets (fractures, barriers, boundary pieces) as a grid of
     their own, with tag and kind attached per facet."""
-    d = mesh.dim  # facet node count equals mesh dim
-    used = np.unique(mesh.facets.ravel()) if mesh.n_tagged_facets else np.zeros(0, np.int64)
+    used = np.unique(mesh.facets.ravel())
     renum = np.full(mesh.n_vertices, -1, dtype=np.int64)
     renum[used] = np.arange(len(used))
-    coords = mesh.vertices[used]
-    out = [
-        "# vtk DataFile Version 3.0",
-        "tagged facets",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-    ]
-    _write_points(out, coords, mesh.dim)
     nf = mesh.n_tagged_facets
-    out.append(f"CELLS {nf} {nf * (d + 1)}")
-    for f in mesh.facets:
-        out.append(f"{d} " + " ".join(str(int(renum[v])) for v in f))
-    out.append(f"CELL_TYPES {nf}")
-    out.extend([str(_FACET_TYPE[mesh.dim])] * nf)
-    out.append(f"CELL_DATA {nf}")
-    out.append("SCALARS tag int 1")
-    out.append("LOOKUP_TABLE default")
-    out.extend(str(int(t)) for t in mesh.facet_tags)
-    out.append("SCALARS kind int 1")
-    out.append("LOOKUP_TABLE default")
-    out.extend(str(int(k)) for k in mesh.facet_kinds)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    Path(path).write_text(
+        _grid("tagged facets", mesh.vertices[used], renum[mesh.facets], _FACET_TYPE[mesh.dim])
+        + f"CELL_DATA {nf}\nSCALARS tag int 1\nLOOKUP_TABLE default\n"
+        + rows("%d\n", mesh.facet_tags)
+        + "SCALARS kind int 1\nLOOKUP_TABLE default\n"
+        + rows("%d\n", mesh.facet_kinds),
+        newline="\n",
+    )

@@ -1,9 +1,13 @@
 """MSH reading and writing."""
 
+import json
+
 import numpy as np
 import pytest
 
-from boxdfm.errors import MeshFormatError
+from boxdfm.cli import main
+from boxdfm.errors import MeshFormatError, ValidationError
+from boxdfm.generators import crossed_square_mesh
 from boxdfm.mesh import FacetKind
 from boxdfm.msh_io import load_msh, read_msh_arrays, write_msh22
 from conftest import barrier_square
@@ -124,3 +128,35 @@ def test_roundtrip_3d(tmp_path):
     assert back.dim == 3
     assert back.n_cells == 1
     assert back.n_tagged_facets == 1
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("$Nodes\n4\n", "$Nodes\nabc\n", r"m\.msh: malformed number or count .*'abc'"),
+    ("$Nodes\n4\n", "$Nodes\n5\n", r"m\.msh: a section is shorter than its counts declare"),
+    ("4 2 2 6 6 1 3 4", "4 2 2 6 6 1 3 9", r"m\.msh: .* unknown node tag 9"),
+], ids=["non-numeric-count", "short-node-block", "unknown-node-tag"])
+def test_malformed_text_names_the_file(tmp_path, old, new, match):
+    p = tmp_path / "m.msh"
+    p.write_text(MSH_V2.replace(old, new))
+    with pytest.raises(MeshFormatError, match=match):
+        read_msh_arrays(p)
+
+
+def test_cli_run_on_a_malformed_mesh_exits_2(tmp_path, capsys):
+    (tmp_path / "m.msh").write_text(MSH_V2.replace("$Nodes\n4\n", "$Nodes\nabc\n"))
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"mesh": {"file": "m.msh"}, "tag_map": {"7": "dirichlet"}}))
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "m.msh: malformed number or count" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cut", ["cell_region", "facet_tags"])
+def test_write_rejects_mismatched_lengths(tmp_path, cut):
+    mesh = crossed_square_mesh(2, tag_map={1: "dirichlet"})
+    arrays = {"cell_region": mesh.cell_region, "facet_tags": mesh.facet_tags}
+    arrays[cut] = arrays[cut][:-3]
+    with pytest.raises(ValidationError, match=r"\d+ (cells|facets) but \d+ (cell regions|facet tags)"):
+        write_msh22(tmp_path / "m.msh", mesh.vertices, mesh.cells, arrays["cell_region"],
+                    mesh.facets, arrays["facet_tags"])
+    assert not (tmp_path / "m.msh").exists()

@@ -13,7 +13,9 @@ from boxdfm.dofspace import build_dof_map
 from boxdfm.driver import (load_solution, run_convergence, run_scenario,
                            scenario_warnings)
 from boxdfm.errors import MissingDataError, ValidationError
+from boxdfm.generators import crossed_square_mesh, delaunay_rect_mesh, kuhn_cube_mesh
 from boxdfm.materials import BarrierLaw, MaterialModel
+from boxdfm.refine import uniform_refine
 from boxdfm.scenario import (Scenario, load_scenario_file, scenario_from_dict,
                              validate_against_mesh)
 from conftest import barrier_square
@@ -103,6 +105,51 @@ def test_scenario_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValidationError):
         load_scenario_file(bad)
+
+
+def _with(**changes):
+    """TINY with top-level entries replaced."""
+    return {**TINY, **changes}
+
+
+@pytest.mark.parametrize("raw, match", [
+    (5, r"a scenario must be a JSON object with a 'mesh' entry"),
+    (_with(mesh="oops"), r"mesh spec must be an object, got 'oops'"),
+    (_with(materials={"barriers": {"10": {"k": 1e-2}}}),
+     r"scenario entry 'materials' lacks the key 'aperture'"),
+    (_with(mesh={**TINY["mesh"], "n": "x"}), r"scenario entry 'mesh' is malformed: .*'x'"),
+], ids=["not-an-object", "mesh-not-an-object", "barrier-without-aperture", "non-numeric-n"])
+def test_scenario_of_the_wrong_shape_fails_on_load(tmp_path, capsys, raw, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValidationError, match=match):
+        load_scenario_file(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(match, err) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, direct", [
+    ({"generator": "crossed_square", "n": 6.0, "jitter": "0.2", "seed": 3, "keep_x": [1],
+      "domain": [[0, 0], [2, 1]], "segments": [{"from": [1, 0], "to": [1, 1], "tag": 10}]},
+     lambda: crossed_square_mesh(6, jitter=0.2, seed=3, keep_x=(1.0,),
+                                 domain=((0.0, 0.0), (2.0, 1.0)),
+                                 segments=[((1.0, 0.0), (1.0, 1.0), 10)], tag_map={10: "barrier"})),
+    ({"generator": "delaunay_rect", "h": "0.2", "seed": 2, "boundary_div": [5, 5, 6, 6],
+      "fill_target": 8.0, "segments": [{"from": [0.5, 0.2], "to": [0.5, 0.8], "tag": 10}]},
+     lambda: delaunay_rect_mesh(((0.0, 0.0), (1.0, 1.0)), 0.2, seed=2, boundary_div=(5, 5, 6, 6),
+                                fill_target=8, segments=[((0.5, 0.2), (0.5, 0.8), 10)],
+                                tag_map={10: "barrier"})),
+    ({"generator": "kuhn_cube", "n": 2,
+      "planes": [{"axis": 0, "coord": 0.5, "extent": [[0, 0], [1, 1]], "tag": 10}]},
+     lambda: kuhn_cube_mesh(2, planes=[(0, 0.5, (0.0, 0.0), (1.0, 1.0), 10)],
+                            tag_map={10: "barrier"})),
+], ids=["crossed_square", "delaunay_rect", "kuhn_cube"])
+def test_generator_parameters_parse_to_the_same_mesh(spec, direct):
+    got = scenario_from_dict({"mesh": spec, "tag_map": {"10": "barrier"}}).mesh_factory(1)
+    want = uniform_refine(direct(), 1)
+    for name in ("vertices", "cells", "facets", "facet_tags", "facet_kinds", "cell_region"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_convergence_on_exactly_resolved_scenario(tmp_path):
