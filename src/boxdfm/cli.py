@@ -136,7 +136,7 @@ def _cmd_convergence(args) -> int:
     out = Path(args.out) if args.out else Path(f"conv_{scenario.name}")
     result = run_convergence(scenario, levels=args.levels, policy=args.policy,
                              out_dir=out, tol=args.tol,
-                             preconditioner=args.precond)
+                             preconditioner=args.precond, max_iter=args.max_iter)
     print(f"scenario     {result['scenario']}")
     print("level  ndof      l2_error      order")
     for row in result["rows"]:

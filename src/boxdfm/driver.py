@@ -20,13 +20,14 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from ._rows import rows
 from .assembly import SparseSystem, assemble_system, flux_balance
 from .dofspace import DofMap, build_dof_map, write_vertex_report
 from .errors import SolverError, ValidationError
 from .linalg import cg_solve
 from .materials import MaterialModel
 from .mesh import Mesh, build_mesh
-from .scenario import Scenario, validate_against_mesh
+from .scenario import Scenario, SolverSettings, validate_against_mesh
 from .solution import (SolutionField, l2_error, sample_slice,
                        write_profile_csv)
 from .vtkout import write_facets_vtk, write_solution_vtk
@@ -91,11 +92,22 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
     """Solve one scenario at the given extra refinement level.
 
     CLI-style overrides (policy, tol, preconditioner, max_iter) fall back
-    to the scenario's own settings when None. Raises SolverError if the
-    iteration does not reach the requested tolerance.
+    to the scenario's own settings when None. A refinement level below 0
+    or bad solver settings raise ValidationError before the mesh is built;
+    SolverError if the iteration does not reach the requested tolerance.
     """
     t0 = time.perf_counter()
     level = scenario.default_refine + int(refine)
+    if level < 0:
+        raise ValidationError(
+            f"refinement level {level} is below 0 (scenario level "
+            f"{scenario.default_refine}, refine {int(refine)})"
+        )
+    base = scenario.solver
+    s = SolverSettings(tol=base.tol if tol is None else float(tol),
+                       max_iter=base.max_iter if max_iter is None else max_iter,
+                       preconditioner=base.preconditioner if preconditioner is None
+                       else preconditioner)
     mesh = scenario.mesh_factory(level)
     validate_against_mesh(scenario, mesh)
     pol = policy if policy is not None else scenario.policy
@@ -108,17 +120,13 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
     )
     warn = scenario_warnings(mesh, dofmap, scenario.materials,
                              system.dirichlet_dofs)
-    s = scenario.solver
-    use_tol = s.tol if tol is None else float(tol)
-    use_pc = s.preconditioner if preconditioner is None else preconditioner
-    use_maxit = s.max_iter if max_iter is None else int(max_iter)
-    x, solver_report = cg_solve(system.A, system.b, tol=use_tol,
-                                max_iter=use_maxit, preconditioner=use_pc)
+    x, solver_report = cg_solve(system.A, system.b, tol=s.tol,
+                                max_iter=s.max_iter, preconditioner=s.preconditioner)
     if not solver_report.converged:
         raise SolverError(
             f"conjugate gradients stopped at relative residual "
             f"{solver_report.relative_residual:.3e} after "
-            f"{solver_report.iterations} iterations (tol {use_tol:g})"
+            f"{solver_report.iterations} iterations (tol {s.tol:g})"
         )
     field = SolutionField(mesh, dofmap.cell_dofs, dofmap.dof_vertex, x)
     report = {
@@ -133,7 +141,7 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
         "vertex_classes": dofmap.class_counts(),
         "solver": {
             "preconditioner": solver_report.preconditioner,
-            "tol": use_tol,
+            "tol": s.tol,
             "iterations": solver_report.iterations,
             "relative_residual": solver_report.relative_residual,
             "shift": solver_report.shift,
@@ -211,7 +219,8 @@ def load_solution(run_dir) -> SolutionField:
 
 def run_convergence(scenario: Scenario, levels: int, policy: str | None = None,
                     out_dir=None, tol: float | None = None,
-                    preconditioner: str | None = None) -> dict:
+                    preconditioner: str | None = None,
+                    max_iter: int | None = None) -> dict:
     """Refinement study against the scenario's exact solution.
 
     Solves levels+1 times, reports L2 errors and the observed order
@@ -223,10 +232,12 @@ def run_convergence(scenario: Scenario, levels: int, policy: str | None = None,
             f"scenario {scenario.name!r} has no exact solution; "
             "a convergence study needs one"
         )
-    ndofs, errors, rows = [], [], []
+    if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)) or levels < 1:
+        raise ValidationError(f"a convergence study needs levels >= 1, got {levels!r}")
+    ndofs, errors = [], []
     for level in range(levels + 1):
         res = run_scenario(scenario, refine=level, policy=policy, tol=tol,
-                           preconditioner=preconditioner)
+                           preconditioner=preconditioner, max_iter=max_iter)
         ndofs.append(res.report["n_dofs"])
         errors.append(res.report["l2_error"])
     orders = [None]
@@ -236,26 +247,25 @@ def run_convergence(scenario: Scenario, levels: int, policy: str | None = None,
             orders.append(float(np.log2(errors[i - 1] / errors[i])))
         else:
             orders.append(None)
-    for level in range(levels + 1):
-        rows.append({"level": level, "ndof": ndofs[level],
-                     "l2_error": errors[level], "order": orders[level]})
+    table = [{"level": level, "ndof": ndofs[level], "l2_error": errors[level],
+              "order": orders[level]} for level in range(levels + 1)]
     lo, hi = scenario.order_window
     measured = [o for o in orders if o is not None]
     result = {
         "scenario": scenario.name,
         "levels": levels,
-        "rows": rows,
+        "rows": table,
         "orders_in_window": bool(measured) and all(lo <= o <= hi for o in measured),
         "order_window": [lo, hi],
     }
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "convergence.csv", "w", newline="\n") as f:
-            f.write("level,ndof,l2_error,order\n")
-            for r in rows:
-                o = "" if r["order"] is None else repr(r["order"])
-                f.write(f"{r['level']},{r['ndof']},{r['l2_error']!r},{o}\n")
+        (out / "convergence.csv").write_text(
+            "level,ndof,l2_error,order\r\n"
+            + rows("%d,%d,%r,%s\r\n", np.arange(levels + 1), ndofs, errors,
+                   ["" if o is None else repr(o) for o in orders]),
+            newline="")
         with open(out / "convergence.json", "w", newline="\n") as f:
             json.dump(result, f, indent=2, sort_keys=True)
             f.write("\n")

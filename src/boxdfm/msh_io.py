@@ -237,6 +237,10 @@ def write_msh22(path, vertices, cells, cell_region, facets, facet_tags) -> None:
     if len(facets) != len(facet_tags):
         raise ValidationError(f"{len(facets)} facets but {len(facet_tags)} facet tags")
     dim = vertices.shape[1]
+    if cells.ndim != 2 or cells.shape[1] != dim + 1:
+        raise ValidationError(f"cells has shape {cells.shape}; {dim}d cells need {dim + 1} vertices")
+    if len(facets) and (facets.ndim != 2 or facets.shape[1] != dim):
+        raise ValidationError(f"facets has shape {facets.shape}; {dim}d facets need {dim} vertices")
 
     def elements(etype, conn, tags, first):
         fmt = f"%d {etype} 2 %d %d" + " %d" * _NODES_PER_TYPE[etype] + "\n"

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import MissingDataError, ValidationError
 from .expressions import compile_expression
 from .generators import crossed_square_mesh, delaunay_rect_mesh, kuhn_cube_mesh
+from .linalg import PRECONDITIONERS
 from .materials import BarrierLaw, FractureLaw, MaterialModel
 from .mesh import FacetKind, Mesh, parse_kind
 from .msh_io import load_msh
@@ -41,9 +42,22 @@ __all__ = [
 
 @dataclass
 class SolverSettings:
+    """CG settings, checked on construction so a bad one fails before any
+    mesh is built."""
+
     tol: float = 1e-10
     max_iter: int | None = None
     preconditioner: str = "ic0"
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError(f"solver tolerance must be finite and > 0, got {self.tol!r}")
+        m = self.max_iter
+        if m is not None and (isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1):
+            raise ValidationError(f"solver max_iter must be an integer >= 1, got {m!r}")
+        if self.preconditioner not in PRECONDITIONERS:
+            raise ValidationError(f"unknown preconditioner {self.preconditioner!r}; "
+                                  f"expected one of {PRECONDITIONERS}")
 
 
 @dataclass
@@ -244,8 +258,14 @@ def _mesh_factory_from_spec(spec: dict, tag_map: dict, base_dir: Path) -> Callab
     elif gen == "delaunay_rect":
         make = delaunay_rect_mesh
         div, fill = spec.get("boundary_div"), spec.get("fill_target")
-        kw.update(h=float(spec["h"]),
-                  boundary_div=None if div is None else tuple(map(int, div)),
+        if div is not None:
+            div = tuple(map(int, div))
+            if len(div) != 4 or min(div) < 1:
+                raise ValidationError(
+                    f"boundary_div needs four positive integers (left, right, "
+                    f"bottom, top), got {list(div)}"
+                )
+        kw.update(h=float(spec["h"]), boundary_div=div,
                   fill_target=None if fill is None else int(fill))
     elif gen == "kuhn_cube":
         make = kuhn_cube_mesh

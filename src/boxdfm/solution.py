@@ -5,8 +5,8 @@ discontinuous across barriers. Point evaluation finds the containing cell
 and uses that cell's dofs, so values take the side of the cell the point
 falls into. All points of a call walk together from a cell of their
 nearest vertex, one stacked barycentric solve per step; a point whose walk
-leaves the mesh, steps back or runs long is located on its own by the same
-walk with a brute-force fallback, so both routes land in the same cell.
+leaves the mesh, steps back or runs long is located by a barycentric test
+of the cells around it, then of every cell.
 Slice samples lying on a barrier facet are first moved by a fixed offset
 along the facet's normal; the (sample, facet) pairs to test come from a
 k-d tree over the facets' bounding boxes.
@@ -31,7 +31,7 @@ __all__ = ["SolutionField", "sample_slice", "write_profile_csv", "l2_error",
 _SIDE_EPS_REL = 1e-9  # side-rule offset relative to the domain diameter
 _LOCATE_TOL = -1e-12  # smallest barycentric coordinate that counts as inside
 _NEAR_VERTICES = 8    # nearest vertices whose cells are tested before a full scan
-_WALK_STEPS = 32      # batched walk steps before a point goes to the per-point walk
+_WALK_STEPS = 32      # walk steps before a point goes to the brute-force scan
 
 
 def _gauss_jacobi_01(n: int, alpha: int):
@@ -96,47 +96,37 @@ class SolutionField:
             )
             self._vertex_cell = vc
 
-    def _barycentric(self, cell: int, p: np.ndarray) -> np.ndarray:
-        verts = self.mesh.vertices[self.mesh.cells[cell]]
-        T = (verts[1:] - verts[0]).T
-        lam = np.linalg.solve(T, p - verts[0])
-        return np.concatenate([[1.0 - lam.sum()], lam])
-
     def _barycentrics(self, cells: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """_barycentric for many (cell, point) pairs in one stacked solve."""
+        """Barycentric coordinates of (cell, point) pairs in one stacked solve."""
         verts = self.mesh.vertices[self.mesh.cells[cells]]
         T = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
         lam = np.linalg.solve(T, (points - verts[:, 0])[..., None])[..., 0]
         return np.concatenate([1.0 - lam.sum(axis=1)[:, None], lam], axis=1)
 
-    def locate(self, p: np.ndarray, max_steps: int | None = None) -> int:
-        """Containing cell via adjacency walk from the nearest vertex."""
+    def locate(self, p: np.ndarray) -> int:
+        """Containing cell of one point (see _locate_all)."""
         p = np.asarray(p, dtype=np.float64)
-        return int(self._locate_all(p[None], max_steps)[0][0])
+        return int(self._locate_all(p[None])[0][0])
 
-    def _locate_all(self, points: np.ndarray, max_steps: int | None = None):
+    def _locate_all(self, points: np.ndarray):
         """Containing cells of many points and their barycentric coordinates.
 
-        All points walk together: each step solves for the barycentrics of
-        every point still walking at once and moves it across the facet
-        opposite its smallest coordinate. A point that would leave the mesh,
-        step back into the cell it came from, or walk more than _WALK_STEPS
-        cells goes to the per-point _find instead. Every point visits the
-        cells _find's walk would visit, so both land in the same cell.
+        All points walk together from a cell of their nearest vertex: each
+        step solves for the barycentrics of every point still walking at
+        once and moves it across the facet opposite its smallest
+        coordinate. A point that would leave the mesh, step back into the
+        cell it came from, or walk more than _WALK_STEPS cells goes to
+        _locate_brute instead.
         """
-        n = points.shape[0]
-        if n == 1:  # the same walk, without the batch bookkeeping
-            cell, lam = self._find(points[0], max_steps)
-            return np.array([cell]), lam[None]
         self._prepare()
+        n = points.shape[0]
         cells = np.full(n, -1, dtype=np.int64)
         lams = np.empty((n, self.mesh.dim + 1))
         _, v = self._tree.query(points)
         cur = self._vertex_cell[v]
         prev = np.full(n, -1, dtype=np.int64)
         walking, pts = np.arange(n), points
-        steps = _WALK_STEPS if max_steps is None else min(_WALK_STEPS, max_steps)
-        for _ in range(steps):
+        for _ in range(_WALK_STEPS):
             lam = self._barycentrics(cur, pts)
             worst = lam.argmin(axis=1)
             inside = lam.min(axis=1) >= _LOCATE_TOL
@@ -149,34 +139,11 @@ class SolutionField:
             if not go.any():
                 break
             walking, pts, prev, cur = walking[go], pts[go], cur[go], nxt[go]
-        for i in np.nonzero(cells < 0)[0]:
-            cells[i], lams[i] = self._find(points[i], max_steps)
+        lost = np.nonzero(cells < 0)[0]
+        if len(lost):
+            cells[lost] = [self._locate_brute(points[i]) for i in lost]
+            lams[lost] = self._barycentrics(cells[lost], points[lost])
         return cells, lams
-
-    def _find(self, p: np.ndarray, max_steps: int | None = None):
-        """Per-point walk, returning (cell, barycentric coordinates of p).
-
-        The walk is deterministic, so it stops when it re-enters a cell it
-        has visited (it would cycle) or leaves the mesh; _locate_brute
-        takes over from there.
-        """
-        self._prepare()
-        _, v = self._tree.query(p)
-        cell = int(self._vertex_cell[v])
-        if max_steps is None:
-            max_steps = 4 * int(np.sqrt(self.mesh.n_cells)) + 50
-        visited = set()
-        while len(visited) < max_steps and cell not in visited:
-            visited.add(cell)
-            lam = self._barycentric(cell, p)
-            worst = int(np.argmin(lam))
-            if lam[worst] >= _LOCATE_TOL:
-                return cell, lam
-            cell = int(self.mesh.cell_neighbors[cell, worst])
-            if cell < 0:
-                break
-        cell = self._locate_brute(p)
-        return cell, self._barycentric(cell, p)
 
     def _locate_brute(self, p: np.ndarray) -> int:
         """Containing cell by barycentric tests: first the cells around the

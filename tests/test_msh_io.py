@@ -160,3 +160,17 @@ def test_write_rejects_mismatched_lengths(tmp_path, cut):
         write_msh22(tmp_path / "m.msh", mesh.vertices, mesh.cells, arrays["cell_region"],
                     mesh.facets, arrays["facet_tags"])
     assert not (tmp_path / "m.msh").exists()
+
+
+@pytest.mark.parametrize("dim, cells, facets, match", [
+    (3, [[0, 1, 2]], [[0, 1, 2]], r"cells has shape \(1, 3\); 3d cells need 4 vertices"),
+    (2, [[0, 1, 2, 3]], [[0, 1]], r"cells has shape \(1, 4\); 2d cells need 3 vertices"),
+    (2, [[0, 1, 2]], [[0, 1, 2]], r"facets has shape \(1, 3\); 2d facets need 2 vertices"),
+    (3, [[0, 1, 2, 3]], [[0, 1]], r"facets has shape \(1, 2\); 3d facets need 3 vertices"),
+], ids=["3d-triangle-cells", "2d-tet-cells", "2d-triangle-facets", "3d-line-facets"])
+def test_write_rejects_wrong_connectivity_width(tmp_path, dim, cells, facets, match):
+    verts = np.eye(4, 3)[:, :dim]
+    with pytest.raises(ValidationError, match=match):
+        write_msh22(tmp_path / "m.msh", verts, np.array(cells), np.array([1]),
+                    np.array(facets), np.array([5]))
+    assert not (tmp_path / "m.msh").exists()

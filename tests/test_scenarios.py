@@ -118,7 +118,18 @@ def _with(**changes):
     (_with(materials={"barriers": {"10": {"k": 1e-2}}}),
      r"scenario entry 'materials' lacks the key 'aperture'"),
     (_with(mesh={**TINY["mesh"], "n": "x"}), r"scenario entry 'mesh' is malformed: .*'x'"),
-], ids=["not-an-object", "mesh-not-an-object", "barrier-without-aperture", "non-numeric-n"])
+    (_with(mesh={"generator": "delaunay_rect", "h": 0.2, "boundary_div": [3, 3, 3]}),
+     r"boundary_div needs four positive integers .*got \[3, 3, 3\]"),
+    (_with(mesh={"generator": "delaunay_rect", "h": 0.2, "boundary_div": [3, 0, 3, 3]}),
+     r"boundary_div needs four positive integers .*got \[3, 0, 3, 3\]"),
+    (_with(solver={"preconditioner": "ilu"}), r"unknown preconditioner 'ilu'"),
+    (_with(solver={"tol": -1}), r"solver tolerance must be finite and > 0, got -1\.0"),
+    (_with(solver={"tol": "nan"}), r"solver tolerance must be finite and > 0, got nan"),
+    (_with(solver={"max_iter": 0}), r"solver max_iter must be an integer >= 1, got 0"),
+    (_with(solver={"max_iter": 2.5}), r"solver max_iter must be an integer >= 1, got 2\.5"),
+], ids=["not-an-object", "mesh-not-an-object", "barrier-without-aperture", "non-numeric-n",
+        "boundary-div-of-three", "boundary-div-zero", "unknown-preconditioner",
+        "negative-tol", "nan-tol", "zero-max-iter", "fractional-max-iter"])
 def test_scenario_of_the_wrong_shape_fails_on_load(tmp_path, capsys, raw, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
@@ -163,6 +174,75 @@ def test_convergence_on_exactly_resolved_scenario(tmp_path):
     assert lines[0] == "level,ndof,l2_error,order"
     assert all(ln.endswith(",") for ln in lines[1:])
     assert json.loads((out / "convergence.json").read_text())["levels"] == 1
+
+
+def _unbuildable(tmp_path, **changes):
+    """TINY whose mesh must not be built."""
+    sc = scenario_from_dict({**TINY, **changes}, base_dir=tmp_path)
+
+    def factory(level):
+        raise AssertionError("the mesh was built")
+
+    sc.mesh_factory = factory
+    return sc
+
+
+@pytest.mark.parametrize("changes, kw, match", [
+    ({}, {"refine": -1}, r"refinement level -1 is below 0 \(scenario level 0, refine -1\)"),
+    ({"refine": -1}, {}, r"refinement level -1 is below 0 \(scenario level -1, refine 0\)"),
+    ({}, {"tol": -1.0}, r"tolerance must be finite and > 0, got -1\.0"),
+    ({}, {"tol": float("inf")}, r"tolerance must be finite and > 0, got inf"),
+    ({}, {"max_iter": -5}, r"max_iter must be an integer >= 1, got -5"),
+    ({}, {"preconditioner": "ilu"}, r"unknown preconditioner 'ilu'"),
+], ids=["refine-override", "refine-entry", "negative-tol", "infinite-tol", "negative-max-iter",
+        "unknown-preconditioner"])
+def test_run_settings_fail_before_the_mesh_is_built(tmp_path, changes, kw, match):
+    with pytest.raises(ValidationError, match=match):
+        run_scenario(_unbuildable(tmp_path, **changes), **kw)
+
+
+@pytest.mark.parametrize("levels", [0, -1, True, 1.0])
+def test_convergence_levels_must_be_a_positive_integer(tmp_path, levels):
+    with pytest.raises(ValidationError, match=r"levels >= 1"):
+        run_convergence(_unbuildable(tmp_path), levels=levels)
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["run", "--refine", "-1"], r"refinement level -1 is below 0"),
+    (["run", "--tol", "-1", "--max-iter", "50"], r"tolerance must be finite and > 0"),
+    (["run", "--tol", "nan"], r"tolerance must be finite and > 0"),
+    (["run", "--max-iter", "-5"], r"max_iter must be an integer >= 1, got -5"),
+    (["convergence", "--levels", "-1"], r"levels >= 1, got -1"),
+    (["convergence", "--levels", "0"], r"levels >= 1, got 0"),
+    (["convergence", "--levels", "1", "--max-iter", "0"], r"max_iter must be an integer >= 1"),
+], ids=["refine", "negative-tol", "nan-tol", "negative-max-iter", "negative-levels",
+        "zero-levels", "convergence-max-iter"])
+def test_cli_rejects_bad_run_settings(tmp_path, capsys, argv, match):
+    out = tmp_path / "out"
+    assert main([argv[0], str(tiny_file(tmp_path)), *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(match, err) and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_convergence_passes_max_iter(tmp_path, capsys):
+    # one CG iteration cannot reach tol 1e-12 on the tiny scenario
+    argv = ["convergence", str(tiny_file(tmp_path)), "--levels", "1", "--out", str(tmp_path / "c")]
+    assert main([*argv, "--max-iter", "1"]) == 3
+    assert "after 1 iterations" in capsys.readouterr().err
+    assert main([*argv, "--max-iter", "500"]) == 0
+
+
+def test_convergence_csv_rows_end_with_crlf(tmp_path):
+    sc = get_scenario("ex51")
+    out = tmp_path / "conv"
+    result = run_convergence(sc, levels=1, out_dir=out)
+    text = (out / "convergence.csv").read_bytes().decode()
+    want = "level,ndof,l2_error,order\r\n" + "".join(
+        f"{r['level']},{r['ndof']},{r['l2_error']!r},"
+        f"{'' if r['order'] is None else repr(r['order'])}\r\n" for r in result["rows"])
+    assert text == want
+    assert result["rows"][0]["order"] is None and result["rows"][1]["order"] is not None
 
 
 def test_convergence_requires_exact():

@@ -10,16 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxdfm.solution
 from boxdfm.benchmarks import analytic_barrier_scenario, get_scenario, scenario_names
 from boxdfm.dofspace import POLICIES, build_dof_map
 from boxdfm.driver import run_scenario
 from boxdfm.errors import MissingDataError, ValidationError
 from boxdfm.generators import crossed_square_mesh
 from boxdfm.mesh import FacetKind
-from boxdfm.solution import (_SIDE_EPS_REL, SolutionField, _apply_side_rule,
-                             _canonical_barrier_normals, convergence_order,
-                             l2_error, sample_slice, simplex_quadrature,
-                             write_profile_csv)
+from boxdfm.solution import (_LOCATE_TOL, _SIDE_EPS_REL, SolutionField,
+                             _apply_side_rule, _canonical_barrier_normals,
+                             convergence_order, l2_error, sample_slice,
+                             simplex_quadrature, write_profile_csv)
 from conftest import barrier_square
 
 TAGS = {1: "dirichlet", 2: "dirichlet", 3: "neumann", 4: "neumann"}
@@ -40,13 +41,47 @@ def random_field(mesh, policy="barrier_cuts", seed=0):
     return SolutionField(mesh, dm.cell_dofs, dm.dof_vertex, values)
 
 
+def reference_barycentric(field, cell, p):
+    """Barycentric coordinates of p in one cell, one small solve."""
+    verts = field.mesh.vertices[field.mesh.cells[cell]]
+    T = (verts[1:] - verts[0]).T
+    lam = np.linalg.solve(T, p - verts[0])
+    return np.concatenate([[1.0 - lam.sum()], lam])
+
+
+def reference_find(field, p):
+    """Per-point walk, returning (cell, barycentric coordinates of p): the
+    locator the batched walk replaced.
+
+    The walk is deterministic, so it stops when it re-enters a cell it has
+    visited (it would cycle) or leaves the mesh; _locate_brute takes over
+    from there.
+    """
+    field._prepare()
+    _, v = field._tree.query(p)
+    cell = int(field._vertex_cell[v])
+    max_steps = 4 * int(np.sqrt(field.mesh.n_cells)) + 50
+    visited = set()
+    while len(visited) < max_steps and cell not in visited:
+        visited.add(cell)
+        lam = reference_barycentric(field, cell, p)
+        worst = int(np.argmin(lam))
+        if lam[worst] >= _LOCATE_TOL:
+            return cell, lam
+        cell = int(field.mesh.cell_neighbors[cell, worst])
+        if cell < 0:
+            break
+    cell = field._locate_brute(p)
+    return cell, reference_barycentric(field, cell, p)
+
+
 def reference_evaluate(field, points):
     """Point by point through the per-point walk: the evaluation loop the
     batched walk replaced."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     out = np.empty(points.shape[0])
     for i, p in enumerate(points):
-        c, lam = field._find(p)
+        c, lam = reference_find(field, p)
         out[i] = float(lam @ field.values[field.cell_dofs[c]])
     return out
 
@@ -118,7 +153,7 @@ def test_locate_returns_containing_cell():
     rng = np.random.default_rng(1)
     for p in rng.uniform(0.02, 0.98, size=(25, 2)):
         c = field.locate(p)
-        lam = field._barycentric(c, p)
+        lam = reference_barycentric(field, c, p)
         assert lam.min() >= -1e-12
 
 
@@ -136,7 +171,7 @@ def test_walk_cycle_falls_back_to_containing_cell(monkeypatch):
     p = np.array([0.015, 0.645])
     c = field.locate(p)
     assert len(routed) == 1
-    assert field._barycentric(c, p).min() >= -1e-12
+    assert reference_barycentric(field, c, p).min() >= -1e-12
     assert field.evaluate(p[None])[0] == 0.0
 
 
@@ -144,11 +179,11 @@ def test_locate_brute_scans_every_cell():
     mesh, field = linear_field()
     rng = np.random.default_rng(2)
     for p in rng.uniform(0.02, 0.98, size=(10, 2)):
-        assert field._barycentric(field._locate_brute(p), p).min() >= -1e-12
+        assert reference_barycentric(field, field._locate_brute(p), p).min() >= -1e-12
     # just past the hull: no nearby cell contains it, the full scan
     # admits it within the side-rule slack
     p = np.array([1.0 + 1e-9, 0.5])
-    assert field._barycentric(field._locate_brute(p), p).min() >= -1e-6
+    assert reference_barycentric(field, field._locate_brute(p), p).min() >= -1e-6
 
 
 def test_point_outside_the_mesh_rejected():
@@ -274,8 +309,49 @@ def test_batched_walk_matches_per_point_walk(case):
         pts[0] = (0.015, 0.645)  # the walk cycles here
     cells, lam = field._locate_all(pts)
     for i in range(0, len(pts), 97):
-        c, ref_lam = field._find(pts[i])
+        c, ref_lam = reference_find(field, pts[i])
         assert cells[i] == c and lam[i].tobytes() == ref_lam.tobytes()
+    assert field.evaluate(pts).tobytes() == reference_evaluate(field, pts).tobytes()
+
+
+@pytest.mark.parametrize("case", ["ex57a", "ex56", "crossed"])
+def test_single_point_evaluate_matches_reference(case):
+    mesh = _oracle_mesh(case)
+    field = random_field(mesh)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([rng.uniform(lo, hi, size=(150, mesh.dim)),
+                          mesh.vertices[rng.choice(mesh.n_vertices, 50, replace=False)]])
+    if case == "ex57a":
+        pts[0] = (0.015, 0.645)  # the walk cycles here
+    for p in pts:
+        c, _ = reference_find(field, p)
+        assert field.locate(p) == c
+        assert field.evaluate(p[None]).tobytes() == reference_evaluate(field, p).tobytes()
+
+
+@pytest.mark.parametrize("case", ["ex57a", "ex56"])
+def test_short_walk_budget_settles_points_by_brute_force(case, monkeypatch):
+    mesh = _oracle_mesh(case)
+    field = random_field(mesh)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pts = np.random.default_rng(5).uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo),
+                                           size=(400, mesh.dim))
+    ref = [reference_find(field, p) for p in pts]
+    # with one step, only the points lying in their start cell settle in the walk
+    field._prepare()
+    start = field._vertex_cell[field._tree.query(pts)[1]]
+    in_start = np.array([reference_barycentric(field, c, p).min() >= _LOCATE_TOL
+                         for c, p in zip(start, pts)])
+    assert 0 < in_start.sum() < len(pts)
+    routed = []
+    brute = field._locate_brute
+    monkeypatch.setattr(field, "_locate_brute", lambda p: routed.append(p) or brute(p))
+    monkeypatch.setattr(boxdfm.solution, "_WALK_STEPS", 1)
+    cells, lam = field._locate_all(pts)
+    assert np.array_equal(np.array(routed), pts[~in_start])
+    assert cells.tolist() == [c for c, _ in ref]
+    assert lam.tobytes() == np.array([r for _, r in ref]).tobytes()
     assert field.evaluate(pts).tobytes() == reference_evaluate(field, pts).tobytes()
 
 
