@@ -205,6 +205,11 @@ def load_solution(run_dir) -> SolutionField:
     mesh = build_mesh(a["vertices"], a["cells"], facets=a["facets"],
                       facet_tags=a["facet_tags"], facet_kinds=a["facet_kinds"],
                       cell_region=a["cell_region"])
+    # build_mesh swaps the first two corners of a negatively oriented cell
+    flipped = np.flatnonzero(mesh.cells[:, 0] != a["cells"][:, 0])
+    if len(flipped):
+        raise ValidationError(f"{path}: cell {flipped[0]} is negatively oriented; "
+                              "bundles store positively oriented cells")
     cell_dofs, dof_vertex, values = a["cell_dofs"], a["dof_vertex"], a["values"]
     if cell_dofs.shape != mesh.cells.shape:
         raise ValidationError(f"{path}: cell_dofs has shape {cell_dofs.shape}, "

@@ -10,11 +10,11 @@ rounding (affine invariance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, _edge_volumes
 
 __all__ = [
     "DualBoxGeometry",
@@ -40,14 +40,6 @@ _PAIRS = {
 }
 
 
-@dataclass
-class DualBoxGeometry:
-    subvol: np.ndarray           # (nc, dim+1) piece volume, |T|/(dim+1) each
-    piece_centroids: np.ndarray  # (nc, dim+1, dim)
-    pairs: np.ndarray            # (npairs, 2) local vertex pairs, i < j
-    subface_vectors: np.ndarray  # (nc, npairs, dim) area vectors oriented i -> j
-
-
 def _centroid_weights(d: int) -> np.ndarray:
     w0 = _PIECE_CENTROID_W[d]
     nloc = d + 1
@@ -56,19 +48,41 @@ def _centroid_weights(d: int) -> np.ndarray:
     return W
 
 
+class DualBoxGeometry:
+    """Box pieces of every cell. Each array is built on first access from one
+    shared gather of the cell corners, so a run pays only for what it reads."""
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self.pairs = _PAIRS[mesh.dim]  # (npairs, 2) local vertex pairs, i < j
+
+    @cached_property
+    def _corners(self) -> np.ndarray:  # (nc, dim+1, dim)
+        return self.mesh.vertices[self.mesh.cells]
+
+    @cached_property
+    def subvol(self) -> np.ndarray:  # (nc, dim+1) piece volume, |T|/(dim+1) each
+        p, nloc = self._corners, self.mesh.dim + 1
+        vol = _edge_volumes(p[:, 1:, :] - p[:, :1, :])
+        return np.repeat(vol[:, None] / nloc, nloc, axis=1)
+
+    @cached_property
+    def piece_centroids(self) -> np.ndarray:  # (nc, dim+1, dim)
+        return np.einsum("ij,cjd->cid", _centroid_weights(self.mesh.dim), self._corners)
+
+    @cached_property
+    def subface_vectors(self) -> np.ndarray:  # (nc, npairs, dim) area vectors oriented i -> j
+        return _subface_vectors(self._corners, self.pairs)
+
+
 def dual_geometry(mesh: Mesh) -> DualBoxGeometry:
-    dim = mesh.dim
-    nloc = dim + 1
-    vol = mesh.cell_volumes()
-    subvol = np.repeat(vol[:, None] / nloc, nloc, axis=1)
+    return DualBoxGeometry(mesh)
 
-    W = _centroid_weights(dim)  # (nloc, nloc) barycentric weights per local vertex
-    p = mesh.vertices[mesh.cells]  # (nc, nloc, dim)
-    piece_centroids = np.einsum("ij,cjd->cid", W, p)
 
-    pairs = _PAIRS[dim]
+def _subface_vectors(p: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    nc, nloc, dim = p.shape
     centroid = p.mean(axis=1)
-    vecs = np.empty((mesh.n_cells, len(pairs), dim))
+    vecs = np.empty((nc, len(pairs), dim))
     for k, (i, j) in enumerate(pairs):
         mid = 0.5 * (p[:, i] + p[:, j])
         if dim == 2:
@@ -85,8 +99,7 @@ def dual_geometry(mesh: Mesh) -> DualBoxGeometry:
             )
         sign = np.sign(np.einsum("cd,cd->c", n, p[:, j] - p[:, i]))
         vecs[:, k, :] = n * sign[:, None]
-    return DualBoxGeometry(subvol=subvol, piece_centroids=piece_centroids,
-                           pairs=pairs, subface_vectors=vecs)
+    return vecs
 
 
 def p1_gradients(mesh: Mesh):
@@ -102,7 +115,7 @@ def p1_gradients(mesh: Mesh):
     g = np.transpose(inv, (0, 2, 1))
     g0 = -g.sum(axis=1, keepdims=True)
     grads = np.concatenate([g0, g], axis=1)
-    return grads, mesh.cell_volumes()
+    return grads, _edge_volumes(edges)
 
 
 def boundary_subfaces(mesh: Mesh, facet_idx: np.ndarray):

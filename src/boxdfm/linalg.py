@@ -298,6 +298,7 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
         return done(True, 0, relres)
     z = M.apply(r)
     p = z.copy()
+    tmp = np.empty(n)
     rz = float(r @ z)
     it = 0
     for it in range(1, max_iter + 1):
@@ -311,8 +312,10 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
                 "operator is not positive definite"
             )
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        np.multiply(p, alpha, out=tmp)
+        x += tmp
+        np.multiply(Ap, alpha, out=tmp)
+        r -= tmp
         relres = float(np.linalg.norm(r)) / bnorm
         if relres <= tol:
             return done(True, it, relres)
@@ -321,7 +324,8 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
         if rz_new <= 0.0:
             # SPD preconditioner forces r'z > 0 unless r is numerically zero
             return done(relres <= tol, it, relres)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz  # p = z + beta * p, in place
+        p += z
         rz = rz_new
     return done(False, it, relres)
 

@@ -103,8 +103,12 @@ class Mesh:
 
 def _signed_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     p = vertices[cells]
-    edges = p[:, 1:, :] - p[:, :1, :]
-    if vertices.shape[1] == 2:
+    return _edge_volumes(p[:, 1:, :] - p[:, :1, :])
+
+
+def _edge_volumes(edges: np.ndarray) -> np.ndarray:
+    """Signed simplex volumes from the (n, dim, dim) edges off corner 0."""
+    if edges.shape[2] == 2:
         det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
         return det / 2.0
     det = np.linalg.det(edges)

@@ -26,6 +26,7 @@ from .materials import BarrierLaw, FractureLaw, MaterialModel
 from .mesh import FacetKind, Mesh, parse_kind
 from .msh_io import load_msh
 from .refine import uniform_refine
+from .solution import _check_slice
 
 __all__ = [
     "Scenario",
@@ -322,6 +323,21 @@ def _entry(raw: dict, key: str, parse: Callable, default):
         raise ValidationError(f"scenario entry {key!r} is malformed: {e}") from None
 
 
+def _parse_slice(s: dict, default_name: str, dim: int) -> SliceSpec:
+    """SliceSpec from a JSON row, checked here so a bad one fails before the solve."""
+    spec = SliceSpec(name=str(s.get("name", default_name)), start=tuple(map(float, s["from"])),
+                     end=tuple(map(float, s["to"])), n=s.get("n", 200), side=s.get("side", "plus"))
+    if isinstance(spec.n, float) and spec.n.is_integer():
+        spec.n = int(spec.n)
+    try:
+        if not len(spec.start) == len(spec.end) == dim:
+            raise ValidationError(f"from and to need {dim} coordinates each")
+        _check_slice(np.array(spec.start), np.array(spec.end), spec.n, spec.side)
+    except ValidationError as e:
+        raise ValidationError(f"slice {spec.name!r}: {e}") from None
+    return spec
+
+
 def scenario_from_dict(raw: dict, base_dir: Path | None = None,
                        default_name: str = "scenario") -> Scenario:
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
@@ -343,15 +359,7 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
         preconditioner=str(sv.get("preconditioner", "ic0")),
     ), {})
     slices = _entry(raw, "slices", lambda rows: tuple(
-        SliceSpec(
-            name=str(s.get("name", f"slice{i}")),
-            start=tuple(map(float, s["from"])),
-            end=tuple(map(float, s["to"])),
-            n=int(s.get("n", 200)),
-            side=str(s.get("side", "plus")),
-        )
-        for i, s in enumerate(rows)
-    ), [])
+        _parse_slice(s, f"slice{i}", dim) for i, s in enumerate(rows)), [])
     return Scenario(
         name=str(raw.get("name", default_name)),
         dim=dim,

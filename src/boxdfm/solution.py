@@ -23,7 +23,7 @@ from scipy.special import roots_jacobi
 
 from ._rows import rows
 from .errors import ValidationError
-from .mesh import Mesh
+from .mesh import Mesh, _edge_volumes
 
 __all__ = ["SolutionField", "sample_slice", "write_profile_csv", "l2_error",
            "convergence_order", "simplex_quadrature"]
@@ -244,6 +244,15 @@ def sample_slice(fieldobj: SolutionField, p0, p1, n: int, side: str = "plus"):
     """
     p0 = np.asarray(p0, dtype=np.float64)
     p1 = np.asarray(p1, dtype=np.float64)
+    _check_slice(p0, p1, n, side)
+    s = np.linspace(0.0, 1.0, n)
+    pts = p0 + np.outer(s, p1 - p0)
+    eval_pts = _apply_side_rule(fieldobj, pts, side)
+    vals = fieldobj.evaluate(eval_pts)
+    return {"s": s, "points": pts, "values": vals}
+
+
+def _check_slice(p0: np.ndarray, p1: np.ndarray, n, side) -> None:
     if side not in ("plus", "minus"):
         raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
@@ -254,11 +263,6 @@ def sample_slice(fieldobj: SolutionField, p0, p1, n: int, side: str = "plus"):
         )
     if not np.linalg.norm(p1 - p0) > 0:
         raise ValidationError("slice segment is degenerate")
-    s = np.linspace(0.0, 1.0, n)
-    pts = p0 + np.outer(s, p1 - p0)
-    eval_pts = _apply_side_rule(fieldobj, pts, side)
-    vals = fieldobj.evaluate(eval_pts)
-    return {"s": s, "points": pts, "values": vals}
 
 
 def write_profile_csv(path, sample: dict) -> None:
@@ -293,7 +297,7 @@ def l2_error(fieldobj: SolutionField, exact, quad_n: int = 3) -> float:
     flat = pts.reshape(-1, mesh.dim)
     regs = np.repeat(mesh.cell_region, nq)
     pe = np.asarray(exact(flat, regs), dtype=np.float64).reshape(mesh.n_cells, nq)
-    vol = np.abs(mesh.cell_volumes())
+    vol = np.abs(_edge_volumes(verts[:, 1:, :] - verts[:, :1, :]))
     err2 = np.einsum("cq,q,c->", (ph - pe) ** 2, w, vol)
     return float(np.sqrt(err2))
 

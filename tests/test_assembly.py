@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import boxdfm.assembly as assembly_module
+import boxdfm.dual as dual_module
 from boxdfm.assembly import (apply_dirichlet, assemble_operator, assemble_rhs,
                              assemble_system, collect_dirichlet, flux_balance,
                              local_barrier_coupling, local_cell_matrices,
@@ -40,6 +42,31 @@ def test_routes_agree_with_barriers():
     A2 = assemble_operator(mesh, dm, mats, route="subfaces")
     scale = np.abs(A1.toarray()).max()
     assert np.abs((A1 - A2).toarray()).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", ["ex56", "ex51"])
+def test_solve_builds_only_the_dual_geometry_it_reads(monkeypatch, name):
+    # the gradient route reads no sub-face vectors; only a source term
+    # (ex51 has one, the 3d ex56 none) reads piece volumes and centroids
+    def refuse(*args):
+        raise AssertionError("sub-face vectors built")
+
+    monkeypatch.setattr(dual_module, "_subface_vectors", refuse)
+    built = []
+    monkeypatch.setattr(assembly_module, "dual_geometry",
+                        lambda mesh: built.append(dual_geometry(mesh)) or built[-1])
+    sc = get_scenario(name)
+    mesh = sc.mesh_factory(sc.default_refine)
+    dm = build_dof_map(mesh, sc.policy)
+    system = assemble_system(mesh, dm, sc.materials, source=sc.source,
+                             neumann=sc.neumann, dirichlet=sc.dirichlet)
+    assert system.A.shape == (dm.n_dofs, dm.n_dofs)
+    (dual,) = built
+    expect = {"subvol", "piece_centroids"} if sc.source is not None else set()
+    assert set(vars(dual)) & {"subvol", "piece_centroids", "subface_vectors"} == expect
+    # the patched function is the one the sub-face route calls
+    with pytest.raises(AssertionError, match="sub-face vectors built"):
+        assemble_operator(mesh, dm, sc.materials, route="subfaces")
 
 
 def test_fracture_assembly_is_stiffness_plus_fracture_terms():

@@ -57,6 +57,36 @@ def test_preconditioners_agree():
     assert np.abs(sols["none"] - sols["ic0"]).max() <= 1e-9
 
 
+def reference_cg(A, b, tol, M):
+    """Textbook PCG with out-of-place updates, stopped as cg_solve stops."""
+    x = np.zeros(len(b))
+    r = b - A @ x
+    z = M.apply(r)
+    p = z.copy()
+    rz = float(r @ z)
+    for it in range(1, 5 * len(b)):
+        Ap = A @ p
+        alpha = rz / float(p @ Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        if np.linalg.norm(r) / np.linalg.norm(b) <= tol:
+            return x, it
+        z = M.apply(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("reference CG did not converge")
+
+
+@pytest.mark.parametrize("name", ["none", "jacobi", "ic0"])
+def test_cg_in_place_updates_keep_the_iterates(name):
+    system = assembled_system()
+    x, report = cg_solve(system.A, system.b, tol=1e-12, preconditioner=name)
+    ref, it = reference_cg(system.A, system.b, 1e-12, make_preconditioner(system.A, name))
+    assert report.iterations == it
+    assert np.array_equal(x, ref)
+
+
 def test_unknown_preconditioner_rejected():
     system = assembled_system(n=4)
     with pytest.raises(ValidationError):

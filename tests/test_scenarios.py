@@ -112,6 +112,11 @@ def _with(**changes):
     return {**TINY, **changes}
 
 
+def _slice(**changes):
+    """TINY with entries of its one slice replaced."""
+    return _with(slices=[{**TINY["slices"][0], **changes}])
+
+
 @pytest.mark.parametrize("raw, match", [
     (5, r"a scenario must be a JSON object with a 'mesh' entry"),
     (_with(mesh="oops"), r"mesh spec must be an object, got 'oops'"),
@@ -127,9 +132,18 @@ def _with(**changes):
     (_with(solver={"tol": "nan"}), r"solver tolerance must be finite and > 0, got nan"),
     (_with(solver={"max_iter": 0}), r"solver max_iter must be an integer >= 1, got 0"),
     (_with(solver={"max_iter": 2.5}), r"solver max_iter must be an integer >= 1, got 2\.5"),
+    (_slice(n=0), r"slice 'mid': number of samples must be an integer >= 1, got 0"),
+    (_slice(n=2.7), r"slice 'mid': number of samples must be an integer >= 1, got 2\.7"),
+    (_slice(n=True), r"slice 'mid': number of samples must be an integer >= 1, got True"),
+    (_slice(side="left"), r"slice 'mid': side must be 'plus' or 'minus', got 'left'"),
+    (_slice(to=[1.0, 0.25, 0.0]), r"slice 'mid': from and to need 2 coordinates each"),
+    (_slice(to=[1.0, float("inf")]), r"slice 'mid': slice endpoints must be finite"),
+    (_slice(to=[0.0, 0.25]), r"slice 'mid': slice segment is degenerate"),
 ], ids=["not-an-object", "mesh-not-an-object", "barrier-without-aperture", "non-numeric-n",
         "boundary-div-of-three", "boundary-div-zero", "unknown-preconditioner",
-        "negative-tol", "nan-tol", "zero-max-iter", "fractional-max-iter"])
+        "negative-tol", "nan-tol", "zero-max-iter", "fractional-max-iter",
+        "slice-zero-n", "slice-fractional-n", "slice-bool-n", "slice-bad-side",
+        "slice-3d-endpoint", "slice-infinite-endpoint", "slice-degenerate"])
 def test_scenario_of_the_wrong_shape_fails_on_load(tmp_path, capsys, raw, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
@@ -138,6 +152,12 @@ def test_scenario_of_the_wrong_shape_fails_on_load(tmp_path, capsys, raw, match)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert re.search(match, err) and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_slice_count_loads_as_int():
+    (sl,) = scenario_from_dict(_slice(n=9.0)).slices
+    assert sl.n == 9 and isinstance(sl.n, int)
 
 
 @pytest.mark.parametrize("spec, direct", [
@@ -287,11 +307,16 @@ def test_load_solution_rejects_broken_bundles(tmp_path, capsys):
     no_values = bundle("no_values", **{k: v for k, v in arrays.items() if k != "values"})
     short = bundle("short", **{**arrays, "values": arrays["values"][:-1]})
     cells_off = bundle("cells_off", **{**arrays, "cell_dofs": arrays["cell_dofs"][1:]})
+    # the same field with every cell stored negatively oriented: build_mesh
+    # would reorient the cells but not cell_dofs
+    swapped = bundle("swapped", **{**arrays, "cells": arrays["cells"][:, [1, 0, 2]],
+                                   "cell_dofs": arrays["cell_dofs"][:, [1, 0, 2]]})
     not_npz = tmp_path / "not_npz"
     not_npz.mkdir()
     (not_npz / "solution.npz").write_text("not an archive\n")
     for d, msg in ((no_values, "lacks the array(s) values"), (short, "values has shape"),
                    (cells_off, "cell_dofs has shape"),
+                   (swapped, "cell 0 is negatively oriented"),
                    (not_npz, "not a readable solution bundle")):
         with pytest.raises(ValidationError, match=re.escape(msg)):
             load_solution(d)
