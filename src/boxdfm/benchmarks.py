@@ -43,9 +43,6 @@ __all__ = [
     "analytic_barrier_scenario",
 ]
 
-_SOLVE = dict(tol=1e-11, preconditioner="ic0")
-
-
 def ex51_scenario() -> Scenario:
     """Convergence study: smooth two-sided solution with a unit-coupling
     jump across the barrier x = 0.5, Dirichlet data on all sides."""
@@ -81,19 +78,19 @@ def ex51_scenario() -> Scenario:
         dirichlet={1: g, 2: g, 3: g, 4: g},
         source=scalar_field(source, 2),
         exact=scalar_field(exact, 2),
-        order_window=(1.9, 2.1),
-        solver=SolverSettings(tol=1e-12, preconditioner="ic0"),
+        solver=SolverSettings(tol=1e-12),
     )
 
 
-def ex52_scenario(orientation: str = "vertical", k_b: float = 1e-7,
-                  aperture: float = 1e-2) -> Scenario:
+def ex52_scenario(orientation: str = "vertical", k_b: float = 1e-7) -> Scenario:
     """Single partial barrier in a left-to-right pressure drop.
 
     The shipped grids reproduce the published vertex/triangle counts
-    (253/450 vertical, 229/404 slanted). Defaults give k_b/a = 1e-5;
-    passing other k_b values covers the permeable and sealed limits.
+    (253/450 vertical, 229/404 slanted). The aperture is 1e-2, so the
+    default k_b gives k_b/a = 1e-5; passing other k_b values covers the
+    permeable and sealed limits.
     """
+    aperture = 1e-2
     if orientation not in ("vertical", "slanted"):
         raise ValueError(f"unknown orientation {orientation!r}")
     tag_map = {1: "dirichlet", 2: "dirichlet", 3: "neumann", 4: "neumann",
@@ -115,7 +112,7 @@ def ex52_scenario(orientation: str = "vertical", k_b: float = 1e-7,
         dirichlet={1: scalar_field("0", 2), 2: scalar_field("1", 2)},
         neumann={3: boundary_flux("0", 2), 4: boundary_flux("0", 2)},
         slices=(SliceSpec("profile", (0.0, slice_y), (1.0, slice_y), n=400),),
-        solver=SolverSettings(**_SOLVE),
+        solver=SolverSettings(tol=1e-11),
     )
 
 
@@ -147,7 +144,7 @@ def ex53_scenario() -> Scenario:
         neumann={1: boundary_flux("-1", 2), 3: boundary_flux("0", 2),
                  4: boundary_flux("0", 2)},
         slices=(SliceSpec("diag", (0.0, 0.1), (0.9, 1.0), n=600),),
-        solver=SolverSettings(**_SOLVE),
+        solver=SolverSettings(tol=1e-11),
     )
 
 
@@ -194,7 +191,7 @@ def ex54_scenario(sub: str = "a") -> Scenario:
         dirichlet=dirichlet,
         neumann=neumann,
         slices=(SliceSpec("diag", (0.0, 0.5), (1.0, 0.9), n=600),),
-        solver=SolverSettings(**_SOLVE),
+        solver=SolverSettings(tol=1e-11),
     )
 
 
@@ -230,23 +227,21 @@ def ex55_scenario() -> Scenario:
         neumann={3: boundary_flux("0", 2), 4: boundary_flux("0", 2)},
         slices=(SliceSpec("diag", (0.0, 0.0), (700.0, 600.0), n=600),
                 SliceSpec("x625", (625.0, 0.0), (625.0, 600.0), n=600)),
-        solver=SolverSettings(**_SOLVE),
+        solver=SolverSettings(tol=1e-11),
     )
 
 
-def ex56_scenario(n: int = 8) -> Scenario:
+def ex56_scenario() -> Scenario:
     """Nine axis-aligned barriers in the unit cube with two matrix blocks.
 
     Dirichlet 1 on the corner patch x,y,z > 0.875, inflow of magnitude 1
     on the corner patch x,y,z < 0.25 (stored as g_N = -1), no-flow
-    elsewhere. n must be a multiple of 8 so the structured grid resolves
-    every plane and patch bound.
+    elsewhere. The base grid has 8 cells per side, which resolves every
+    plane and patch bound.
     """
-    if n % 8:
-        raise ValueError("n must be a multiple of 8 to resolve the geometry")
     geo = load_geometry("ex56_geometry.json")
     planes = parse_planes(geo["planes"])
-    region_fn = box_region_fn(geo["low_k_regions"], default=1)
+    region_fn = box_region_fn(geo["low_k_regions"])
     boundary_fn = box_boundary_fn(geo["boundary_boxes"])
     barrier_tags = sorted(p[4] for p in planes)
     tag_map = {i: "neumann" for i in range(1, 7)}
@@ -254,7 +249,7 @@ def ex56_scenario(n: int = 8) -> Scenario:
     tag_map.update({t: "barrier" for t in barrier_tags})
 
     def factory(level: int) -> Mesh:
-        base = kuhn_cube_mesh(n, planes=planes, region_fn=region_fn,
+        base = kuhn_cube_mesh(8, planes=planes, region_fn=region_fn,
                               boundary_tag_fn=boundary_fn, tag_map=tag_map)
         return uniform_refine(base, level)
 
@@ -272,7 +267,7 @@ def ex56_scenario(n: int = 8) -> Scenario:
         dirichlet={7: scalar_field("1", 3)},
         neumann=neumann,
         slices=(SliceSpec("diag", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), n=300),),
-        solver=SolverSettings(**_SOLVE),
+        solver=SolverSettings(tol=1e-11),
     )
 
 
@@ -301,8 +296,7 @@ def _ex57_bcs(sub: str):
     return side_map, dirichlet, neumann
 
 
-def ex57_scenario(sub: str = "a", k_tau: float = 1e-3, n: int = 70,
-                  jitter: float = 0.3, seed: int = 11) -> Scenario:
+def ex57_scenario(sub: str = "a", k_tau: float = 1e-3) -> Scenario:
     """Validity study: four barriers with varying tangential permeability.
 
     k_tau applies to the two right-anchored barriers and is recorded on
@@ -316,7 +310,7 @@ def ex57_scenario(sub: str = "a", k_tau: float = 1e-3, n: int = 70,
 
     def factory(level: int) -> Mesh:
         base = crossed_square_mesh(
-            n, jitter=jitter, seed=seed,
+            70, jitter=0.3, seed=11,
             keep_x=(0.3, 0.7), keep_y=(0.2, 0.4, 0.6, 0.8),
             segments=list(_EX57_BARRIERS), tag_map=tag_map,
         )
@@ -340,12 +334,11 @@ def ex57_scenario(sub: str = "a", k_tau: float = 1e-3, n: int = 70,
         dirichlet=dirichlet,
         neumann=neumann,
         slices=(SliceSpec("x065", (0.65, 0.0), (0.65, 1.0), n=400),),
-        solver=SolverSettings(**_SOLVE),
+        solver=SolverSettings(tol=1e-11),
     )
 
 
-def ex57_equidim_scenario(sub: str = "a", k_tau: float = 1e-3,
-                          nx: int = 160, ny: int = 320) -> Scenario:
+def ex57_equidim_scenario(sub: str = "a", k_tau: float = 1e-3) -> Scenario:
     """Equi-dimensional reference for ex57: barriers as meshed strips.
 
     Each barrier becomes a strip of width a around its axis, carrying the
@@ -364,8 +357,8 @@ def ex57_equidim_scenario(sub: str = "a", k_tau: float = 1e-3,
         keep[1:] = np.diff(vals) > tol
         return vals[keep]
 
-    xs = merged(np.concatenate([np.linspace(0.0, 1.0, nx + 1), [0.3, 0.7]]))
-    base_y = np.linspace(0.0, 1.0, ny + 1)
+    xs = merged(np.concatenate([np.linspace(0.0, 1.0, 161), [0.3, 0.7]]))
+    base_y = np.linspace(0.0, 1.0, 321)
     centers = np.array([0.2, 0.4, 0.6, 0.8])
     keep = np.all(np.abs(base_y[:, None] - centers[None, :]) > a, axis=1)
     ys = merged(np.concatenate([base_y[keep], centers - half, centers + half]))
@@ -395,12 +388,12 @@ def ex57_equidim_scenario(sub: str = "a", k_tau: float = 1e-3,
         dirichlet=dirichlet,
         neumann=neumann,
         slices=(SliceSpec("x065", (0.65, 0.0), (0.65, 1.0), n=400),),
-        solver=SolverSettings(**_SOLVE),
+        solver=SolverSettings(tol=1e-11),
     )
 
 
 def analytic_barrier_scenario(beta: float = 1e-5, h: float = 0.11,
-                              seed: int = 1, aperture: float = 1e-2) -> Scenario:
+                              seed: int = 1) -> Scenario:
     """Full-height vertical barrier with the series-resistance solution.
 
     The exact solution is piecewise linear (slope s = 1/(1 + 1/beta), jump
@@ -431,13 +424,13 @@ def analytic_barrier_scenario(beta: float = 1e-5, h: float = 0.11,
         dim=2,
         mesh_factory=factory,
         materials=MaterialModel(matrix={1: 1.0, 2: 1.0}, fractures={},
-                                barriers={10: BarrierLaw(aperture, beta * aperture)},
+                                barriers={10: BarrierLaw(1e-2, beta * 1e-2)},
                                 dim=2),
         dirichlet={1: scalar_field("0", 2), 2: scalar_field("1", 2)},
         neumann={3: boundary_flux("0", 2), 4: boundary_flux("0", 2)},
         exact=scalar_field(exact, 2),
         slices=(SliceSpec("profile", (0.0, 0.75), (1.0, 0.75), n=400),),
-        solver=SolverSettings(tol=1e-13, preconditioner="ic0"),
+        solver=SolverSettings(tol=1e-13),
     )
 
 

@@ -13,10 +13,11 @@ import sys
 from pathlib import Path
 
 from .benchmarks import builtin_scenarios
+from .dofspace import POLICIES
 from .driver import load_solution, run_convergence, run_scenario
 from .errors import MissingDataError, SolverError, ValidationError
 from .linalg import PRECONDITIONERS
-from .scenario import Scenario, load_scenario_file
+from .scenario import Scenario, SliceSpec, load_scenario_file
 from .solution import sample_slice, write_profile_csv
 
 __all__ = ["main", "build_parser"]
@@ -41,7 +42,7 @@ def _add_solver_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--refine", type=int, default=0, metavar="N",
                    help="extra uniform refinement levels")
     p.add_argument("--policy", default=None,
-                   choices=["fracture-penetrates", "barrier-cuts"],
+                   choices=[name.replace("_", "-") for name in POLICIES],
                    help="intersection policy override (default: scenario "
                         "setting, barrier-cuts unless stated)")
     p.add_argument("--tol", type=float, default=None, metavar="T",
@@ -84,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="segment start")
     sl.add_argument("--to", dest="end", required=True, metavar="X,Y[,Z]",
                     help="segment end")
-    sl.add_argument("-n", type=int, default=200, help="number of samples")
-    sl.add_argument("--side", choices=["plus", "minus"], default="plus",
+    sl.add_argument("-n", type=int, default=SliceSpec.n, help="number of samples")
+    sl.add_argument("--side", choices=["plus", "minus"], default=SliceSpec.side,
                     help="trace to report on points lying on a barrier")
     sl.add_argument("--out", default=None, metavar="FILE",
                     help="CSV output file (default: stdout)")

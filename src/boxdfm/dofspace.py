@@ -79,10 +79,16 @@ def _corner_nodes(cells: np.ndarray, cell_ids: np.ndarray,
     return cell_ids[:, None] * cells.shape[1] + np.argmax(eq, axis=2)
 
 
+def _policy_key(policy: str) -> str:
+    """The POLICIES entry that policy names, hyphens read as underscores."""
+    key = policy.replace("-", "_")
+    if key not in POLICIES:
+        raise ValidationError(f"unknown intersection policy {key!r}; expected one of {POLICIES}")
+    return key
+
+
 def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
-    policy = policy.replace("-", "_")
-    if policy not in POLICIES:
-        raise ValidationError(f"unknown intersection policy {policy!r}; expected one of {POLICIES}")
+    policy = _policy_key(policy)
     nloc = mesh.dim + 1
     nc = mesh.n_cells
     nv = mesh.n_vertices

@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 
 from ._rows import rows
 from .assembly import SparseSystem, assemble_system, flux_balance
-from .dofspace import DofMap, build_dof_map, write_vertex_report
+from .dofspace import DofMap, _policy_key, build_dof_map, write_vertex_report
 from .errors import SolverError, ValidationError
 from .linalg import cg_solve
 from .materials import MaterialModel
@@ -92,9 +92,10 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
     """Solve one scenario at the given extra refinement level.
 
     CLI-style overrides (policy, tol, preconditioner, max_iter) fall back
-    to the scenario's own settings when None. A refinement level below 0
-    or bad solver settings raise ValidationError before the mesh is built;
-    SolverError if the iteration does not reach the requested tolerance.
+    to the scenario's own settings when None. A refinement level below 0,
+    an unknown policy or bad solver settings raise ValidationError before
+    the mesh is built; SolverError if the iteration does not reach the
+    requested tolerance.
     """
     t0 = time.perf_counter()
     level = scenario.default_refine + int(refine)
@@ -108,9 +109,10 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
                        max_iter=base.max_iter if max_iter is None else max_iter,
                        preconditioner=base.preconditioner if preconditioner is None
                        else preconditioner)
+    pol = policy if policy is not None else scenario.policy
+    _policy_key(pol)
     mesh = scenario.mesh_factory(level)
     validate_against_mesh(scenario, mesh)
-    pol = policy if policy is not None else scenario.policy
     dofmap = build_dof_map(mesh, pol)
     system = assemble_system(
         mesh, dofmap, scenario.materials,

@@ -169,20 +169,20 @@ def _finish_mesh(vertices, cells, facets, tags, n_boundary, region_fn, tag_map):
     return build_mesh(vertices, cells, facets, tags, facet_kinds=kinds, cell_region=region)
 
 
-def split_segments_at_intersections(segments, tol=1e-12):
+def split_segments_at_intersections(segments):
     """Split 2D segments at mutual intersections and touching endpoints.
 
     segments: iterable of (p0, p1, tag). Returns a list of (points, tag)
     chains: each original segment becomes the ordered list of its endpoints
     and every point where another segment crosses or touches it. Shared
-    points are snapped to identical coordinates.
+    points (equal to within 1e-12) are snapped to identical coordinates.
     """
     segs = [(np.asarray(p0, float), np.asarray(p1, float), tag) for p0, p1, tag in segments]
     cuts = [[0.0, 1.0] for _ in segs]
     registry: dict = {}
 
     def canon(p):
-        key = (round(p[0] / tol) if tol else p[0], round(p[1] / tol))
+        key = (round(p[0] / 1e-12), round(p[1] / 1e-12))
         return registry.setdefault(key, p.copy())
 
     for i in range(len(segs)):
@@ -229,15 +229,15 @@ def _chain_points(chain, h):
 
 
 def delaunay_rect_mesh(domain, h, segments=(), seed=0, boundary_div=None,
-                       fill_target=None, clear_factor=0.75, jitter=0.35,
-                       fill_h=None, region_fn=None, boundary_tag_fn=None,
+                       fill_target=None, fill_h=None, region_fn=None, boundary_tag_fn=None,
                        tag_map=None) -> Mesh:
     """Unstructured triangulation of a rectangle conforming to segments.
 
     Feature segments (p0, p1, tag) are split at mutual intersections,
     sampled with spacing <= h, and their sub-edges are required to appear
     in the Delaunay triangulation of the final point set. Interior fill is
-    a jittered lattice cleared away from features and sides. boundary_div
+    a lattice jittered by up to 0.35 pitch, cleared to 0.75 h away from
+    features and sides. boundary_div
     fixes the number of intervals per side (left, right, bottom, top);
     fill_target fixes the exact number of fill points (a deterministic
     evenly-strided subset is kept); fill_h sets the fill lattice pitch
@@ -296,14 +296,14 @@ def delaunay_rect_mesh(domain, h, segments=(), seed=0, boundary_div=None,
     fixed = np.array(points)
 
     # jittered lattice fill, cleared around features and sides
-    clear = clear_factor * h
+    clear = 0.75 * h
     hf = h if fill_h is None else float(fill_h)
     nx = max(1, int(round(size[0] / hf)))
     ny = max(1, int(round(size[1] / hf)))
     ix, iy = np.meshgrid(np.arange(1, nx), np.arange(1, ny), indexing="ij")
     base = np.stack([lo[0] + ix.ravel() * size[0] / nx,
                      lo[1] + iy.ravel() * size[1] / ny], axis=1)
-    cand = base + rng.uniform(-jitter, jitter, size=base.shape) * (size / (nx, ny))
+    cand = base + rng.uniform(-0.35, 0.35, size=base.shape) * (size / (nx, ny))
 
     keep = (
         (cand[:, 0] > lo[0] + clear) & (cand[:, 0] < hi[0] - clear)

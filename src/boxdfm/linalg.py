@@ -20,17 +20,16 @@ from .errors import NotPositiveDefiniteError, SolverError, ValidationError
 __all__ = ["SolverReport", "check_symmetric", "cg_solve", "dense_spd_check",
            "PRECONDITIONERS"]
 
-PRECONDITIONERS = ("none", "jacobi", "ic0")
 
-
-def check_symmetric(A: sp.csr_matrix, tol: float = 1e-12) -> None:
-    """Raise ValidationError unless A is numerically symmetric (relative to
-    its largest entry) and its stored pattern is structurally symmetric."""
+def check_symmetric(A: sp.csr_matrix) -> None:
+    """Raise ValidationError unless A is numerically symmetric (to 1e-12
+    relative to its largest entry) and its stored pattern is structurally
+    symmetric."""
     m = sp.csr_matrix(A, copy=True)
     m.sum_duplicates()  # also sorts the column indices
     d = (m - m.T).tocoo()
     scale = float(np.abs(m.data).max()) if m.nnz else 0.0
-    if d.nnz and np.abs(d.data).max() > tol * max(scale, 1e-300):
+    if d.nnz and np.abs(d.data).max() > 1e-12 * max(scale, 1e-300):
         raise ValidationError(
             f"matrix is not symmetric: max asymmetry {np.abs(d.data).max():.3e} "
             f"(scale {scale:.3e})"
@@ -55,7 +54,6 @@ class SolverReport:
 
 
 class _Jacobi:
-    name = "jacobi"
     shift = 0.0
 
     def __init__(self, A: sp.csr_matrix):
@@ -71,17 +69,6 @@ class _Jacobi:
         return self._inv * r
 
 
-class _Identity:
-    name = "none"
-    shift = 0.0
-
-    def __init__(self, A):
-        pass
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return r
-
-
 class _IncompleteCholesky:
     """IC(0): lower factor on the pattern of tril(A), with diagonal-shift
     retries when a pivot fails (the factorization, unlike A, need not exist).
@@ -94,8 +81,6 @@ class _IncompleteCholesky:
     column order. The factor is applied through a SuperLU object built once
     on L with natural ordering and no pivoting, so it holds L itself.
     """
-
-    name = "ic0"
 
     def __init__(self, A: sp.csr_matrix):
         base = sp.tril(A, format="csr")
@@ -249,23 +234,23 @@ def _ic0_numeric(vals: np.ndarray, steps: list) -> bool:
     return True
 
 
-_PRECONDITIONER_CLASSES = {"none": _Identity, "jacobi": _Jacobi, "ic0": _IncompleteCholesky}
+_PRECONDITIONER_CLASSES = {"jacobi": _Jacobi, "ic0": _IncompleteCholesky}
+PRECONDITIONERS = tuple(_PRECONDITIONER_CLASSES)
+
+
+def _check_preconditioner(name: str) -> None:
+    if name not in PRECONDITIONERS:
+        raise ValidationError(f"unknown preconditioner {name!r}; expected one of {PRECONDITIONERS}")
 
 
 def make_preconditioner(A: sp.csr_matrix, name: str):
-    try:
-        cls = _PRECONDITIONER_CLASSES[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown preconditioner {name!r}; expected one of {PRECONDITIONERS}"
-        ) from None
-    return cls(A)
+    _check_preconditioner(name)
+    return _PRECONDITIONER_CLASSES[name](A)
 
 
-def cg_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
-             max_iter: int | None = None, preconditioner: str = "jacobi",
-             x0: np.ndarray | None = None):
-    """Preconditioned CG. Returns (x, SolverReport).
+def cg_solve(A: sp.csr_matrix, b: np.ndarray, *, tol: float, preconditioner: str,
+             max_iter: int | None = None):
+    """Preconditioned CG from x = 0. Returns (x, SolverReport).
 
     Convergence means ||b - Ax|| <= tol * ||b||. Hitting max_iter returns
     the best iterate with converged=False; a nonpositive curvature
@@ -291,7 +276,7 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-10,
         return x, SolverReport(converged, it, relres, preconditioner, M.shift,
                                setup_s=t1 - t0, iterate_s=time.perf_counter() - t1)
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros(n)
     r = b - A @ x
     relres = float(np.linalg.norm(r)) / bnorm
     if relres <= tol:
@@ -338,12 +323,12 @@ class SpdCheckResult:
     min_eigenvalue: float | None
 
 
-def dense_spd_check(A: sp.csr_matrix, max_n: int = 500,
-                    eig_max_n: int = 200) -> SpdCheckResult:
-    """Densify and verify SPD-ness; small systems only by design."""
+def dense_spd_check(A: sp.csr_matrix) -> SpdCheckResult:
+    """Densify and verify SPD-ness; small systems only by design (n <= 500,
+    the smallest eigenvalue for n <= 200)."""
     n = A.shape[0]
-    if n > max_n:
-        raise ValidationError(f"dense SPD check limited to n <= {max_n}, got {n}")
+    if n > 500:
+        raise ValidationError(f"dense SPD check limited to n <= 500, got {n}")
     D = A.toarray()
     scale = max(float(np.abs(D).max()), 1e-300)
     symmetric = bool(np.abs(D - D.T).max() <= 1e-12 * scale)
@@ -352,5 +337,5 @@ def dense_spd_check(A: sp.csr_matrix, max_n: int = 500,
         chol = True
     except np.linalg.LinAlgError:
         chol = False
-    mineig = float(np.linalg.eigvalsh(D).min()) if n <= eig_max_n else None
+    mineig = float(np.linalg.eigvalsh(D).min()) if n <= 200 else None
     return SpdCheckResult(n=n, symmetric=symmetric, cholesky_ok=chol, min_eigenvalue=mineig)

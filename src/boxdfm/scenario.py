@@ -18,10 +18,11 @@ from typing import Callable
 
 import numpy as np
 
+from .dofspace import _policy_key
 from .errors import MissingDataError, ValidationError
 from .expressions import compile_expression
 from .generators import crossed_square_mesh, delaunay_rect_mesh, kuhn_cube_mesh
-from .linalg import PRECONDITIONERS
+from .linalg import _check_preconditioner
 from .materials import BarrierLaw, FractureLaw, MaterialModel
 from .mesh import FacetKind, Mesh, parse_kind
 from .msh_io import load_msh
@@ -56,9 +57,7 @@ class SolverSettings:
         m = self.max_iter
         if m is not None and (isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1):
             raise ValidationError(f"solver max_iter must be an integer >= 1, got {m!r}")
-        if self.preconditioner not in PRECONDITIONERS:
-            raise ValidationError(f"unknown preconditioner {self.preconditioner!r}; "
-                                  f"expected one of {PRECONDITIONERS}")
+        _check_preconditioner(self.preconditioner)
 
 
 @dataclass
@@ -179,17 +178,17 @@ def parse_planes(rows) -> list:
     return out
 
 
-def box_region_fn(boxes, default: int = 1):
+def box_region_fn(boxes):
     """Cell-region classifier from [{box: [lo, hi], region: id}] rows.
 
-    Later boxes override earlier ones; centroids outside every box get the
-    default region.
+    Later boxes override earlier ones; centroids outside every box get
+    region 1.
     """
     parsed = [(np.asarray(b["box"][0], float), np.asarray(b["box"][1], float),
                int(b["region"])) for b in boxes]
 
     def fn(centroids):
-        out = np.full(len(centroids), default, dtype=np.int64)
+        out = np.full(len(centroids), 1, dtype=np.int64)
         for lo, hi, reg in parsed:
             inside = np.all((centroids >= lo) & (centroids <= hi), axis=1)
             out[inside] = reg
@@ -198,15 +197,16 @@ def box_region_fn(boxes, default: int = 1):
     return fn
 
 
-def box_boundary_fn(boxes, tol: float = 1e-9):
-    """Boundary-tag override from [{box: [lo, hi], tag: id}] rows."""
+def box_boundary_fn(boxes):
+    """Boundary-tag override from [{box: [lo, hi], tag: id}] rows, each box
+    widened by 1e-9."""
     parsed = [(np.asarray(b["box"][0], float), np.asarray(b["box"][1], float),
                int(b["tag"])) for b in boxes]
 
     def fn(mids, tags):
         out = np.array(tags, dtype=np.int64)
         for lo, hi, tag in parsed:
-            inside = np.all((mids >= lo - tol) & (mids <= hi + tol), axis=1)
+            inside = np.all((mids >= lo - 1e-9) & (mids <= hi + 1e-9), axis=1)
             out[inside] = tag
         return out
 
@@ -312,7 +312,7 @@ def load_scenario_file(path) -> Scenario:
                               default_name=path.stem)
 
 
-def _entry(raw: dict, key: str, parse: Callable, default):
+def _entry(raw: dict, key: str, parse: Callable, default=None):
     """parse(raw.get(key, default)); a value of the wrong shape raises
     ValidationError naming the entry."""
     try:
@@ -323,10 +323,31 @@ def _entry(raw: dict, key: str, parse: Callable, default):
         raise ValidationError(f"scenario entry {key!r} is malformed: {e}") from None
 
 
+def _known_keys(raw: dict, where: str, known: tuple) -> None:
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValidationError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                              f"known keys are {', '.join(map(repr, known))}")
+
+
+def _parse_solver(sv: dict) -> SolverSettings:
+    coerce = {"tol": float, "max_iter": lambda m: m, "preconditioner": str}
+    _known_keys(sv, "scenario entry 'solver'", tuple(coerce))
+    return SolverSettings(**{k: coerce[k](v) for k, v in sv.items()})
+
+
+def _parse_policy(policy) -> str:
+    """The policy as written, once it names a known one."""
+    _policy_key(str(policy))
+    return str(policy)
+
+
 def _parse_slice(s: dict, default_name: str, dim: int) -> SliceSpec:
     """SliceSpec from a JSON row, checked here so a bad one fails before the solve."""
-    spec = SliceSpec(name=str(s.get("name", default_name)), start=tuple(map(float, s["from"])),
-                     end=tuple(map(float, s["to"])), n=s.get("n", 200), side=s.get("side", "plus"))
+    name = str(s.get("name", default_name))
+    _known_keys(s, f"slice {name!r}", ("name", "from", "to", "n", "side"))
+    spec = SliceSpec(name=name, start=tuple(map(float, s["from"])),
+                     end=tuple(map(float, s["to"])), **{k: s[k] for k in ("n", "side") if k in s})
     if isinstance(spec.n, float) and spec.n.is_integer():
         spec.n = int(spec.n)
     try:
@@ -345,38 +366,27 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
         raise ValidationError("a scenario must be a JSON object with a 'mesh' entry")
     dim = _entry(raw, "dim", int, 2)
     tag_map = _entry(raw, "tag_map", _parse_tag_map, {})
-    factory = _entry(raw, "mesh", lambda m: _mesh_factory_from_spec(m, tag_map, base_dir), None)
+    factory = _entry(raw, "mesh", lambda m: _mesh_factory_from_spec(m, tag_map, base_dir))
     materials = _entry(raw, "materials", lambda m: _parse_materials(m, dim), {})
-    dirichlet = _entry(raw, "dirichlet",
-                       lambda d: {int(t): scalar_field(e, dim) for t, e in d.items()}, {})
-    neumann = _entry(raw, "neumann",
-                     lambda d: {int(t): boundary_flux(e, dim) for t, e in d.items()}, {})
-    source = _entry(raw, "source", lambda e: scalar_field(e, dim), None) if "source" in raw else None
-    exact = _entry(raw, "exact", lambda e: scalar_field(e, dim), None) if "exact" in raw else None
-    solver = _entry(raw, "solver", lambda sv: SolverSettings(
-        tol=float(sv.get("tol", 1e-10)),
-        max_iter=sv.get("max_iter"),
-        preconditioner=str(sv.get("preconditioner", "ic0")),
-    ), {})
-    slices = _entry(raw, "slices", lambda rows: tuple(
-        _parse_slice(s, f"slice{i}", dim) for i, s in enumerate(rows)), [])
-    return Scenario(
-        name=str(raw.get("name", default_name)),
-        dim=dim,
-        mesh_factory=factory,
-        materials=materials,
-        description=str(raw.get("description", "")),
-        dirichlet=dirichlet,
-        neumann=neumann,
-        source=source,
-        policy=str(raw.get("policy", "barrier-cuts")),
-        solver=solver,
-        slices=slices,
-        exact=exact,
-        order_window=_entry(raw, "order_window", tuple, (1.9, 2.1)),
-        allow_pure_neumann=bool(raw.get("allow_pure_neumann", False)),
-        default_refine=_entry(raw, "refine", int, 0),
-    )
+    # the other entries are passed on only when given, so the Scenario,
+    # SolverSettings and SliceSpec defaults apply
+    parsers = {
+        "description": str,
+        "dirichlet": lambda d: {int(t): scalar_field(e, dim) for t, e in d.items()},
+        "neumann": lambda d: {int(t): boundary_flux(e, dim) for t, e in d.items()},
+        "source": lambda e: scalar_field(e, dim),
+        "exact": lambda e: scalar_field(e, dim),
+        "policy": _parse_policy,
+        "solver": _parse_solver,
+        "slices": lambda rows: tuple(_parse_slice(s, f"slice{i}", dim) for i, s in enumerate(rows)),
+        "order_window": tuple,
+        "allow_pure_neumann": bool,
+        "refine": int,
+    }
+    given = {"default_refine" if key == "refine" else key: _entry(raw, key, parse)
+             for key, parse in parsers.items() if key in raw}
+    return Scenario(name=str(raw.get("name", default_name)), dim=dim,
+                    mesh_factory=factory, materials=materials, **given)
 
 
 def validate_against_mesh(scenario: Scenario, mesh: Mesh) -> None:

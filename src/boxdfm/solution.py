@@ -279,7 +279,7 @@ def write_profile_csv(path, sample: dict) -> None:
         Path(path).write_text(text, newline="")
 
 
-def l2_error(fieldobj: SolutionField, exact, quad_n: int = 3) -> float:
+def l2_error(fieldobj: SolutionField, exact) -> float:
     """L2 distance between the field and exact(points, regions).
 
     Integrated cell by cell with the conical-product rule (degree 5), so
@@ -288,7 +288,7 @@ def l2_error(fieldobj: SolutionField, exact, quad_n: int = 3) -> float:
     otherwise.
     """
     mesh = fieldobj.mesh
-    bary, w = simplex_quadrature(mesh.dim, quad_n)
+    bary, w = simplex_quadrature(mesh.dim, 3)
     verts = mesh.vertices[mesh.cells]          # (nc, nloc, dim)
     pts = np.einsum("qj,cjd->cqd", bary, verts)
     dofvals = fieldobj.values[fieldobj.cell_dofs]  # (nc, nloc)

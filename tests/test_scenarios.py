@@ -1,5 +1,7 @@
 """Scenario registry, JSON scenarios, driver plumbing, CLI exit codes."""
 
+import argparse
+import dataclasses
 import json
 import re
 
@@ -8,16 +10,17 @@ import pytest
 
 from boxdfm.assembly import collect_dirichlet
 from boxdfm.benchmarks import builtin_scenarios, get_scenario, scenario_names
-from boxdfm.cli import main
-from boxdfm.dofspace import build_dof_map
+from boxdfm.cli import build_parser, main
+from boxdfm.dofspace import POLICIES, build_dof_map
 from boxdfm.driver import (load_solution, run_convergence, run_scenario,
                            scenario_warnings)
 from boxdfm.errors import MissingDataError, ValidationError
 from boxdfm.generators import crossed_square_mesh, delaunay_rect_mesh, kuhn_cube_mesh
+from boxdfm.linalg import PRECONDITIONERS
 from boxdfm.materials import BarrierLaw, MaterialModel
 from boxdfm.refine import uniform_refine
-from boxdfm.scenario import (Scenario, load_scenario_file, scenario_from_dict,
-                             validate_against_mesh)
+from boxdfm.scenario import (Scenario, SliceSpec, SolverSettings, load_scenario_file,
+                             scenario_from_dict, validate_against_mesh)
 from conftest import barrier_square
 
 EXPECTED_NAMES = {
@@ -128,6 +131,11 @@ def _slice(**changes):
     (_with(mesh={"generator": "delaunay_rect", "h": 0.2, "boundary_div": [3, 0, 3, 3]}),
      r"boundary_div needs four positive integers .*got \[3, 0, 3, 3\]"),
     (_with(solver={"preconditioner": "ilu"}), r"unknown preconditioner 'ilu'"),
+    (_with(solver={"preconditioner": "none"}), r"unknown preconditioner 'none'"),
+    (_with(solver={"precond": "jacobi"}),
+     r"scenario entry 'solver': unknown key\(s\) 'precond'; "
+     r"known keys are 'tol', 'max_iter', 'preconditioner'"),
+    (_with(policy="bogus"), r"unknown intersection policy 'bogus'"),
     (_with(solver={"tol": -1}), r"solver tolerance must be finite and > 0, got -1\.0"),
     (_with(solver={"tol": "nan"}), r"solver tolerance must be finite and > 0, got nan"),
     (_with(solver={"max_iter": 0}), r"solver max_iter must be an integer >= 1, got 0"),
@@ -139,11 +147,15 @@ def _slice(**changes):
     (_slice(to=[1.0, 0.25, 0.0]), r"slice 'mid': from and to need 2 coordinates each"),
     (_slice(to=[1.0, float("inf")]), r"slice 'mid': slice endpoints must be finite"),
     (_slice(to=[0.0, 0.25]), r"slice 'mid': slice segment is degenerate"),
+    (_slice(samples=5),
+     r"slice 'mid': unknown key\(s\) 'samples'; known keys are 'name', 'from', 'to', 'n', 'side'"),
 ], ids=["not-an-object", "mesh-not-an-object", "barrier-without-aperture", "non-numeric-n",
         "boundary-div-of-three", "boundary-div-zero", "unknown-preconditioner",
+        "none-preconditioner", "unknown-solver-key", "unknown-policy",
         "negative-tol", "nan-tol", "zero-max-iter", "fractional-max-iter",
         "slice-zero-n", "slice-fractional-n", "slice-bool-n", "slice-bad-side",
-        "slice-3d-endpoint", "slice-infinite-endpoint", "slice-degenerate"])
+        "slice-3d-endpoint", "slice-infinite-endpoint", "slice-degenerate",
+        "slice-unknown-key"])
 def test_scenario_of_the_wrong_shape_fails_on_load(tmp_path, capsys, raw, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
@@ -158,6 +170,21 @@ def test_scenario_of_the_wrong_shape_fails_on_load(tmp_path, capsys, raw, match)
 def test_integral_float_slice_count_loads_as_int():
     (sl,) = scenario_from_dict(_slice(n=9.0)).slices
     assert sl.n == 9 and isinstance(sl.n, int)
+
+
+def test_absent_entries_take_the_dataclass_defaults():
+    sc = scenario_from_dict({"mesh": TINY["mesh"],
+                             "slices": [{"from": [0.0, 0.5], "to": [1.0, 0.5]}]})
+    (sl,) = sc.slices
+    assert sl == SliceSpec("slice0", (0.0, 0.5), (1.0, 0.5))
+    assert sc.solver == SolverSettings()
+    default = Scenario(name="d", dim=2, mesh_factory=None, materials=None)
+    for f in dataclasses.fields(Scenario):
+        if f.name not in ("name", "mesh_factory", "materials", "slices"):
+            assert getattr(sc, f.name) == getattr(default, f.name), f.name
+    # the string coercions of the file format stay
+    solver = scenario_from_dict(_with(solver={"tol": "1e-6", "preconditioner": "jacobi"})).solver
+    assert solver == SolverSettings(tol=1e-6, preconditioner="jacobi")
 
 
 @pytest.mark.parametrize("spec, direct", [
@@ -214,8 +241,9 @@ def _unbuildable(tmp_path, **changes):
     ({}, {"tol": float("inf")}, r"tolerance must be finite and > 0, got inf"),
     ({}, {"max_iter": -5}, r"max_iter must be an integer >= 1, got -5"),
     ({}, {"preconditioner": "ilu"}, r"unknown preconditioner 'ilu'"),
+    ({}, {"policy": "bogus"}, r"unknown intersection policy 'bogus'"),
 ], ids=["refine-override", "refine-entry", "negative-tol", "infinite-tol", "negative-max-iter",
-        "unknown-preconditioner"])
+        "unknown-preconditioner", "unknown-policy"])
 def test_run_settings_fail_before_the_mesh_is_built(tmp_path, changes, kw, match):
     with pytest.raises(ValidationError, match=match):
         run_scenario(_unbuildable(tmp_path, **changes), **kw)
@@ -242,6 +270,21 @@ def test_cli_rejects_bad_run_settings(tmp_path, capsys, argv, match):
     assert main([argv[0], str(tiny_file(tmp_path)), *argv[1:], "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert re.search(match, err) and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_choices_are_the_registries(tmp_path, capsys):
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("run", "convergence"):
+        choices = {a.dest: a.choices for a in sub.choices[command]._actions}
+        assert tuple(choices["precond"]) == PRECONDITIONERS
+        assert tuple(choices["policy"]) == tuple(p.replace("_", "-") for p in POLICIES)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        main(["run", str(tiny_file(tmp_path)), "--precond", "none", "--out", str(out)])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'none'" in err and "Traceback" not in err
     assert not out.exists()
 
 
