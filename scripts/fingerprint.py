@@ -6,10 +6,11 @@ Imports boxdfm from SRC (default: this checkout's src/) and runs every
 builtin scenario except ex55 at its default level under both intersection
 policies, plus ex51 r4, ex54a r2 and ex56 r2 with Jacobi. Each digest covers
 the Mesh and DofMap arrays, A0, b0, A, the solution and the CG iteration
-count, every bundle file except report.json (which carries timings), and the
+count, every bundle file except report.json (which carries timings), the
 arrays of solution.npz, compared as arrays because its zip headers carry
-timestamps. Run it on two source trees and diff the outputs to show that a
-change keeps the numbers bit for bit.
+timestamps, and the Mesh that load_solution reads back from the bundle.
+Run it on two source trees and diff the outputs to show that a change keeps
+the numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ sys.path.insert(0, str(SRC.resolve()))
 
 from boxdfm.benchmarks import get_scenario, scenario_names  # noqa: E402
 from boxdfm.dofspace import POLICIES  # noqa: E402
-from boxdfm.driver import run_scenario  # noqa: E402
+from boxdfm.driver import load_solution, run_scenario  # noqa: E402
 
 LADDER = (("ex51", 4, None), ("ex54a", 2, None), ("ex56", 2, "jacobi"))
 
@@ -66,6 +67,9 @@ def fingerprint(name: str, refine: int, policy: str | None, preconditioner: str 
                         _feed(h, f"npz.{key}", z[key])
             elif path.name != "report.json":
                 _feed(h, path.name, path.read_bytes())
+        loaded = load_solution(out).mesh
+        for f in dataclasses.fields(loaded):
+            _feed(h, f"loaded.Mesh.{f.name}", getattr(loaded, f.name))
     return h.hexdigest()
 
 

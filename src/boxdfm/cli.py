@@ -18,7 +18,7 @@ from .driver import load_solution, run_convergence, run_scenario
 from .errors import MissingDataError, SolverError, ValidationError
 from .linalg import PRECONDITIONERS
 from .scenario import Scenario, SliceSpec, load_scenario_file
-from .solution import sample_slice, write_profile_csv
+from .solution import SIDES, sample_slice, write_profile_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--to", dest="end", required=True, metavar="X,Y[,Z]",
                     help="segment end")
     sl.add_argument("-n", type=int, default=SliceSpec.n, help="number of samples")
-    sl.add_argument("--side", choices=["plus", "minus"], default=SliceSpec.side,
+    sl.add_argument("--side", choices=SIDES, default=SliceSpec.side,
                     help="trace to report on points lying on a barrier")
     sl.add_argument("--out", default=None, metavar="FILE",
                     help="CSV output file (default: stdout)")

@@ -4,7 +4,9 @@ run_scenario does one solve and optionally writes the output bundle
 (solution.vtk, facets.vtk, profile CSVs, vertices.csv, solution.npz,
 report.json). run_convergence repeats it over refinement levels and
 tabulates L2 errors and observed orders. load_solution rebuilds a
-SolutionField from a bundle for later slicing.
+SolutionField from a bundle for later slicing; solution.npz stores the
+mesh topology next to the mesh and the field, so a load only checks it,
+and a bundle without it still loads by rebuilding the topology.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .dofspace import DofMap, _policy_key, build_dof_map, write_vertex_report
 from .errors import SolverError, ValidationError
 from .linalg import cg_solve
 from .materials import MaterialModel
-from .mesh import Mesh, build_mesh
+from .mesh import TOPOLOGY, Mesh, build_mesh, restore_mesh
 from .scenario import Scenario, SolverSettings, validate_against_mesh
 from .solution import (SolutionField, l2_error, sample_slice,
                        write_profile_csv)
@@ -177,19 +179,27 @@ def write_bundle(out: Path, scenario: Scenario, mesh: Mesh, dofmap: DofMap,
         facet_tags=mesh.facet_tags, facet_kinds=mesh.facet_kinds,
         cell_region=mesh.cell_region, cell_dofs=field.cell_dofs,
         dof_vertex=field.dof_vertex, values=field.values,
-        policy=np.array(policy),
+        policy=np.array(policy), **{k: getattr(mesh, k) for k in TOPOLOGY},
     )
     with open(out / "report.json", "w", newline="\n") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-_SOLUTION_ARRAYS = ("vertices", "cells", "facets", "facet_tags", "facet_kinds",
-                    "cell_region", "cell_dofs", "dof_vertex", "values")
+_MESH_ARRAYS = ("vertices", "cells", "facets", "facet_tags", "facet_kinds", "cell_region")
+_SOLUTION_ARRAYS = _MESH_ARRAYS + ("cell_dofs", "dof_vertex", "values")
 
 
 def load_solution(run_dir) -> SolutionField:
-    """Rebuild the solved field from a run directory's solution.npz."""
+    """Rebuild the solved field from a run directory's solution.npz.
+
+    The mesh comes from the stored arrays through restore_mesh, which
+    checks the stored topology instead of deriving it again. A bundle that
+    stores no topology (the nine arrays of earlier versions) loads through
+    build_mesh, more slowly. Either way the cells must be stored
+    positively oriented, and a broken bundle raises ValidationError naming
+    solution.npz.
+    """
     path = Path(run_dir) / "solution.npz"
     if not path.exists():
         raise ValidationError(f"no solution.npz under {run_dir}")
@@ -198,20 +208,33 @@ def load_solution(run_dir) -> SolutionField:
         if not isinstance(z, np.lib.npyio.NpzFile):
             raise ValueError("not an npz archive")
         with z:
-            missing = [k for k in _SOLUTION_ARRAYS if k not in z.files]
+            stored = any(k in z.files for k in TOPOLOGY)
+            keys = _SOLUTION_ARRAYS + TOPOLOGY if stored else _SOLUTION_ARRAYS
+            missing = [k for k in keys if k not in z.files]
             if missing:
                 raise ValidationError(f"{path} lacks the array(s) {', '.join(missing)}")
-            a = {k: z[k] for k in _SOLUTION_ARRAYS}
+            a = {k: z[k] for k in keys}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile):
         raise ValidationError(f"{path} is not a readable solution bundle") from None
-    mesh = build_mesh(a["vertices"], a["cells"], facets=a["facets"],
-                      facet_tags=a["facet_tags"], facet_kinds=a["facet_kinds"],
-                      cell_region=a["cell_region"])
-    # build_mesh swaps the first two corners of a negatively oriented cell
-    flipped = np.flatnonzero(mesh.cells[:, 0] != a["cells"][:, 0])
-    if len(flipped):
-        raise ValidationError(f"{path}: cell {flipped[0]} is negatively oriented; "
-                              "bundles store positively oriented cells")
+    for k, v in a.items():
+        floats = k in ("vertices", "values")
+        if not np.issubdtype(v.dtype, np.floating if floats else np.integer):
+            raise ValidationError(f"{path}: {k} must hold {'floats' if floats else 'integers'}, "
+                                  f"got dtype {v.dtype}")
+    try:
+        if stored:
+            mesh = restore_mesh(**{k: a[k] for k in _MESH_ARRAYS + TOPOLOGY})
+        else:
+            mesh = build_mesh(a["vertices"], a["cells"], facets=a["facets"],
+                              facet_tags=a["facet_tags"], facet_kinds=a["facet_kinds"],
+                              cell_region=a["cell_region"])
+            # build_mesh swaps the first two corners of a negatively oriented cell
+            flipped = np.flatnonzero(mesh.cells[:, 0] != a["cells"][:, 0])
+            if len(flipped):
+                raise ValidationError(f"cell {flipped[0]} is negatively oriented; "
+                                      "stored cells must be positively oriented")
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
     cell_dofs, dof_vertex, values = a["cell_dofs"], a["dof_vertex"], a["values"]
     if cell_dofs.shape != mesh.cells.shape:
         raise ValidationError(f"{path}: cell_dofs has shape {cell_dofs.shape}, "

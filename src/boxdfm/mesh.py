@@ -16,7 +16,11 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["FacetKind", "Mesh", "build_mesh", "facet_measures", "facet_normals"]
+__all__ = ["FacetKind", "Mesh", "TOPOLOGY", "build_mesh", "facet_measures",
+           "facet_normals", "restore_mesh"]
+
+# the Mesh fields build_mesh derives from the cells and tagged facets
+TOPOLOGY = ("ufacets", "ufacet_cells", "facet_to_ufacet", "cell_neighbors")
 
 
 class FacetKind(IntEnum):
@@ -49,7 +53,8 @@ class Mesh:
 
     Beyond the defining arrays, holds derived adjacency used everywhere
     downstream: the unique-facet table, facet-to-cell incidence, and
-    cell neighbor lists. Construct through :func:`build_mesh`.
+    cell neighbor lists. Construct through :func:`build_mesh`, or
+    :func:`restore_mesh` from stored arrays.
     """
 
     dim: int
@@ -135,12 +140,36 @@ def facet_normals(vertices: np.ndarray, facets: np.ndarray) -> np.ndarray:
     return n / np.linalg.norm(n, axis=1, keepdims=True)
 
 
+def _orientation_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Signed cell volumes for the orientation and degeneracy tests.
+
+    In 2d these are _signed_volumes. In 3d the triple product replaces
+    np.linalg.det: about 3x faster, with the same sign but not always the
+    same last bits, so cell_volumes() and assembly keep det.
+    """
+    if cells.shape[1] == 3:
+        return _signed_volumes(vertices, cells)
+    p0 = vertices.take(cells[:, 0], axis=0)
+    a, b, c = ((vertices.take(cells[:, j], axis=0) - p0).T for j in (1, 2, 3))
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])) / 6.0
+
+
+def _check_degenerate(vol: np.ndarray) -> None:
+    """A cell whose |volume| is at most 1e-14 of the largest is an error."""
+    vol = np.abs(vol)
+    scale = float(vol.max())
+    if np.any(vol <= 1e-14 * max(scale, 1e-300)):
+        i = int(np.argmin(vol))
+        raise ValidationError(f"cell {i} is degenerate (volume {vol[i]:.3e})")
+
+
 def _orient_cells(vertices: np.ndarray, cells: np.ndarray):
     """Cells with negative volume get their first two vertices swapped.
 
     Returns (oriented cells, signed volumes of the cells as given).
     """
-    vol = _signed_volumes(vertices, cells)
+    vol = _orientation_volumes(vertices, cells)
     flipped = cells.copy()
     neg = vol < 0
     flipped[neg, 0], flipped[neg, 1] = cells[neg, 1], cells[neg, 0]
@@ -275,11 +304,7 @@ def build_mesh(
         raise ValidationError("mesh has no cells")
 
     cells, vol = _orient_cells(vertices, cells)
-    vol = np.abs(vol)
-    scale = float(vol.max())
-    if np.any(vol <= 1e-14 * max(scale, 1e-300)):
-        i = int(np.argmin(vol))
-        raise ValidationError(f"cell {i} is degenerate (volume {vol[i]:.3e})")
+    _check_degenerate(vol)
 
     if facets is None:
         facets = np.zeros((0, dim), dtype=np.int64)
@@ -317,7 +342,27 @@ def build_mesh(
 
     ufacets, ufacet_cells, neigh = _unique_facet_table(cells, dim, nv)
     facet_to_ufacet = _locate_tagged(ufacets, facets, nv)
+    _check_tagged(facets, facet_tags, facet_kinds, ufacets, ufacet_cells, facet_to_ufacet)
 
+    return Mesh(
+        dim=dim,
+        vertices=vertices,
+        cells=cells,
+        cell_region=cell_region,
+        facets=facets,
+        facet_tags=facet_tags,
+        facet_kinds=facet_kinds,
+        ufacets=ufacets,
+        ufacet_cells=ufacet_cells,
+        facet_to_ufacet=facet_to_ufacet,
+        cell_neighbors=neigh,
+    )
+
+
+def _check_tagged(facets, facet_tags, facet_kinds, ufacets, ufacet_cells,
+                  facet_to_ufacet) -> None:
+    """Tag rules on located facets: one tag per geometric facet, fractures
+    and barriers interior, boundary conditions on the boundary."""
     # duplicate tags on one geometric facet are a modeling error
     if facet_to_ufacet.size:
         uniq, cnt = np.unique(facet_to_ufacet, return_counts=True)
@@ -342,16 +387,70 @@ def build_mesh(
             "condition but is interior"
         )
 
-    return Mesh(
-        dim=dim,
-        vertices=vertices,
-        cells=cells,
-        cell_region=cell_region,
-        facets=facets,
-        facet_tags=facet_tags,
-        facet_kinds=facet_kinds,
-        ufacets=ufacets,
-        ufacet_cells=ufacet_cells,
-        facet_to_ufacet=facet_to_ufacet,
-        cell_neighbors=neigh,
-    )
+
+def _int_array(name: str, a: np.ndarray, shape: tuple, lo: int | None = None,
+               hi: int | None = None) -> np.ndarray:
+    """A stored integer array as int64, checked for shape (None: any
+    length) and, given lo and hi, for values in lo..hi-1."""
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValidationError(f"{name} must hold integers, got dtype {a.dtype}")
+    if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
+        want = ", ".join("n" if n is None else str(n) for n in shape)
+        raise ValidationError(f"{name} has shape {a.shape}, expected ({want})")
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    if lo is not None and a.size and (a.min() < lo or a.max() >= hi):
+        raise ValidationError(f"{name} holds values outside {lo}..{hi - 1}")
+    return a
+
+
+def restore_mesh(vertices, cells, facets, facet_tags, facet_kinds, cell_region,
+                 ufacets, ufacet_cells, facet_to_ufacet, cell_neighbors) -> Mesh:
+    """The Mesh whose arrays, derived topology included, were stored.
+
+    Takes the arrays build_mesh made instead of deriving the topology
+    again. Checked: every shape, integer dtype and index range, so no
+    stored array can index out of bounds; the tag rules of build_mesh,
+    with each tagged facet equal to the unique facet it points at; and the
+    cells' orientation and degeneracy. Not checked is whether ufacets,
+    ufacet_cells and cell_neighbors are the cells' own facet table, which
+    costs about as much as deriving it.
+    """
+    vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+    if vertices.ndim != 2 or vertices.shape[1] not in (2, 3):
+        raise ValidationError(f"vertices must be (n, 2) or (n, 3), got {vertices.shape}")
+    nv, dim = vertices.shape
+    cells = _int_array("cells", cells, (None, dim + 1), 0, nv)
+    nc = cells.shape[0]
+    if nc == 0:
+        raise ValidationError("mesh has no cells")
+    vol = _orientation_volumes(vertices, cells)
+    if np.any(vol < 0):
+        raise ValidationError(f"cell {int(np.argmax(vol < 0))} is negatively oriented; "
+                              "stored cells must be positively oriented")
+    _check_degenerate(vol)
+    cell_region = _int_array("cell_region", cell_region, (nc,))
+    facets = _int_array("facets", facets, (None, dim), 0, nv)
+    nf = facets.shape[0]
+    facet_tags = _int_array("facet_tags", facet_tags, (nf,))
+    facet_kinds = _int_array("facet_kinds", facet_kinds, (nf,))
+    ufacets = _int_array("ufacets", ufacets, (None, dim), 0, nv)
+    nu = ufacets.shape[0]
+    ufacet_cells = _int_array("ufacet_cells", ufacet_cells, (nu, 2), -1, nc)
+    facet_to_ufacet = _int_array("facet_to_ufacet", facet_to_ufacet, (nf,), 0, nu)
+    # Neighbours are only range-checked: _locate_all accepts a cell only
+    # when the point's barycentric test there passes, so a wrong table can
+    # send a point to _locate_brute but never give it a wrong value. A
+    # symmetry check would cost ~30 ms on ex56 r2 (196,608 tets).
+    cell_neighbors = _int_array("cell_neighbors", cell_neighbors, (nc, dim + 1), -1, nc)
+    off = np.any(ufacets[facet_to_ufacet] != np.sort(facets, axis=1), axis=1)
+    if np.any(off):
+        i = int(np.argmax(off))
+        raise ValidationError(
+            f"tagged facet {tuple(facets[i])} is not the unique facet "
+            f"{facet_to_ufacet[i]} it points at"
+        )
+    _check_tagged(facets, facet_tags, facet_kinds, ufacets, ufacet_cells, facet_to_ufacet)
+    return Mesh(dim=dim, vertices=vertices, cells=cells, cell_region=cell_region,
+                facets=facets, facet_tags=facet_tags, facet_kinds=facet_kinds,
+                ufacets=ufacets, ufacet_cells=ufacet_cells,
+                facet_to_ufacet=facet_to_ufacet, cell_neighbors=cell_neighbors)

@@ -25,9 +25,10 @@ from ._rows import rows
 from .errors import ValidationError
 from .mesh import Mesh, _edge_volumes
 
-__all__ = ["SolutionField", "sample_slice", "write_profile_csv", "l2_error",
+__all__ = ["SIDES", "SolutionField", "sample_slice", "write_profile_csv", "l2_error",
            "convergence_order", "simplex_quadrature"]
 
+SIDES = ("plus", "minus")  # which trace a slice reports on a barrier
 _SIDE_EPS_REL = 1e-9  # side-rule offset relative to the domain diameter
 _LOCATE_TOL = -1e-12  # smallest barycentric coordinate that counts as inside
 _NEAR_VERTICES = 8    # nearest vertices whose cells are tested before a full scan
@@ -253,8 +254,8 @@ def sample_slice(fieldobj: SolutionField, p0, p1, n: int, side: str = "plus"):
 
 
 def _check_slice(p0: np.ndarray, p1: np.ndarray, n, side) -> None:
-    if side not in ("plus", "minus"):
-        raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
+    if side not in SIDES:
+        raise ValidationError(f"side must be {SIDES[0]!r} or {SIDES[1]!r}, got {side!r}")
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"number of samples must be an integer >= 1, got {n!r}")
     if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):

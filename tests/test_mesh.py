@@ -7,7 +7,8 @@ from boxdfm.benchmarks import get_scenario
 from boxdfm.dofspace import build_dof_map
 from boxdfm.errors import ValidationError
 from boxdfm.generators import crossed_square_mesh
-from boxdfm.mesh import FacetKind, _unique_facet_table, build_mesh
+from boxdfm.mesh import (FacetKind, _locate_tagged, _orientation_volumes,
+                         _unique_facet_table, build_mesh, restore_mesh)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TWO_TRIS = np.array([[0, 1, 2], [0, 2, 3]])
@@ -169,3 +170,47 @@ def test_empty_facets_take_the_mesh_dimension():
                 assert arr.shape == (0, dim)
     with pytest.raises(ValidationError, match="facets must be"):
         build_mesh(SQUARE, TWO_TRIS, np.zeros((1, 3)), [7])
+
+
+def test_closed_form_volumes_match_det_in_sign():
+    rng = np.random.default_rng(5)
+    n = 2000
+    for dim in (2, 3):
+        verts = rng.uniform(-1.0, 1.0, (n * (dim + 1), dim))
+        cells = np.arange(n * (dim + 1)).reshape(n, dim + 1)
+        p = verts[cells]
+        det = np.linalg.det(p[:, 1:] - p[:, :1]) / (2.0 if dim == 2 else 6.0)
+        got = _orientation_volumes(verts, cells)
+        assert np.array_equal(np.sign(got), np.sign(det))
+        assert np.allclose(got, det, rtol=1e-10, atol=0.0)
+    # nearly flat tets: the apex sits 1e-12..1e-4 above or below the base plane
+    base = rng.uniform(-1.0, 1.0, (n, 3, 3))
+    normal = np.cross(base[:, 1] - base[:, 0], base[:, 2] - base[:, 0])
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    w = rng.dirichlet(np.ones(3), n)
+    height = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, -4, n)
+    apex = np.einsum("nk,nkd->nd", w, base) + height[:, None] * normal
+    verts = np.concatenate([base, apex[:, None]], axis=1).reshape(-1, 3)
+    cells = np.arange(4 * n).reshape(n, 4)
+    p = verts[cells]
+    det = np.linalg.det(p[:, 1:] - p[:, :1])
+    got = _orientation_volumes(verts, cells)
+    assert np.all(np.sign(det) != 0)
+    assert np.array_equal(np.sign(got), np.sign(det))
+
+
+@pytest.mark.parametrize("facets, kinds, match", [
+    ([[0, 1], [1, 0]], [FacetKind.NEUMANN, FacetKind.DIRICHLET], "tagged more than once"),
+    ([[0, 1]], [FacetKind.BARRIER], "lies on the domain boundary"),
+    ([[0, 2]], [FacetKind.DIRICHLET], "carries a boundary condition but is interior"),
+])
+def test_restore_mesh_applies_the_tag_rules_of_build_mesh(facets, kinds, match):
+    facets, kinds = np.array(facets), np.array(kinds, dtype=np.int64)
+    tags = np.arange(len(facets))
+    with pytest.raises(ValidationError, match=match):
+        build_mesh(SQUARE, TWO_TRIS, facets, tags, facet_kinds=kinds)
+    m = build_mesh(SQUARE, TWO_TRIS)
+    with pytest.raises(ValidationError, match=match):
+        restore_mesh(m.vertices, m.cells, facets, tags, kinds, m.cell_region,
+                     m.ufacets, m.ufacet_cells, _locate_tagged(m.ufacets, facets, 4),
+                     m.cell_neighbors)

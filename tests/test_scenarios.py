@@ -18,9 +18,11 @@ from boxdfm.errors import MissingDataError, ValidationError
 from boxdfm.generators import crossed_square_mesh, delaunay_rect_mesh, kuhn_cube_mesh
 from boxdfm.linalg import PRECONDITIONERS
 from boxdfm.materials import BarrierLaw, MaterialModel
+from boxdfm.mesh import TOPOLOGY
 from boxdfm.refine import uniform_refine
 from boxdfm.scenario import (Scenario, SliceSpec, SolverSettings, load_scenario_file,
                              scenario_from_dict, validate_against_mesh)
+from boxdfm.solution import SIDES
 from conftest import barrier_square
 
 EXPECTED_NAMES = {
@@ -279,6 +281,8 @@ def test_cli_choices_are_the_registries(tmp_path, capsys):
         choices = {a.dest: a.choices for a in sub.choices[command]._actions}
         assert tuple(choices["precond"]) == PRECONDITIONERS
         assert tuple(choices["policy"]) == tuple(p.replace("_", "-") for p in POLICIES)
+    assert tuple(next(a.choices for a in sub.choices["slice"]._actions
+                      if a.dest == "side")) == SIDES
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as stop:
         main(["run", str(tiny_file(tmp_path)), "--precond", "none", "--out", str(out)])
@@ -334,6 +338,34 @@ def test_load_solution_roundtrip(tmp_path):
         load_solution(tmp_path / "nowhere")
 
 
+def test_load_solution_returns_the_mesh_the_run_wrote(tmp_path):
+    dims = set()
+    for name in scenario_names():
+        if name == "ex55":  # needs mesh files that are not shipped
+            continue
+        sc = get_scenario(name)
+        dims.add(sc.dim)
+        out = tmp_path / name
+        # the mesh does not depend on the solve; a loose tolerance is quick
+        res = run_scenario(sc, out_dir=out, tol=1e-3, preconditioner="jacobi")
+        nine = tmp_path / f"{name}-nine"
+        nine.mkdir()
+        with np.load(out / "solution.npz") as z:
+            assert set(TOPOLOGY) <= set(z.files)
+            np.savez(nine / "solution.npz",
+                     **{k: z[k] for k in z.files if k not in TOPOLOGY})
+        for bundle in (out, nine):
+            back = load_solution(bundle).mesh
+            for f in dataclasses.fields(res.mesh):
+                got, want = getattr(back, f.name), getattr(res.mesh, f.name)
+                if isinstance(want, np.ndarray):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, f.name)
+                    assert got.tobytes() == want.tobytes(), (name, f.name)
+                else:
+                    assert got == want, (name, f.name)
+    assert dims == {2, 3}
+
+
 def test_load_solution_rejects_broken_bundles(tmp_path, capsys):
     sc = load_scenario_file(tiny_file(tmp_path))
     out = tmp_path / "run"
@@ -354,15 +386,39 @@ def test_load_solution_rejects_broken_bundles(tmp_path, capsys):
     # would reorient the cells but not cell_dofs
     swapped = bundle("swapped", **{**arrays, "cells": arrays["cells"][:, [1, 0, 2]],
                                    "cell_dofs": arrays["cell_dofs"][:, [1, 0, 2]]})
+    # the nine arrays of a bundle that stores no topology: build_mesh path
+    nine = {k: v for k, v in arrays.items() if k not in TOPOLOGY}
+    swapped_nine = bundle("swapped_nine", **{**nine, "cells": arrays["cells"][:, [1, 0, 2]],
+                                             "cell_dofs": arrays["cell_dofs"][:, [1, 0, 2]]})
+    part = bundle("part", **{k: v for k, v in arrays.items() if k != "cell_neighbors"})
+    neigh = arrays["cell_neighbors"].copy()
+    neigh[3, 1] = len(neigh)
+    neigh_off = bundle("neigh_off", **{**arrays, "cell_neighbors": neigh})
+    neigh_float = bundle("neigh_float", **{**arrays, "cell_neighbors":
+                                           arrays["cell_neighbors"].astype(float)})
+    text_vertices = bundle("text_vertices", **{**nine, "vertices":
+                                               np.full(arrays["vertices"].shape, "abc")})
+    ufacets_1 = bundle("ufacets_1", **{**arrays, "ufacets": arrays["ufacets"][:, :1]})
+    f2u = arrays["facet_to_ufacet"].copy()
+    f2u[0] = (f2u[0] + 1) % len(arrays["ufacets"])
+    f2u_off = bundle("f2u_off", **{**arrays, "facet_to_ufacet": f2u})
     not_npz = tmp_path / "not_npz"
     not_npz.mkdir()
     (not_npz / "solution.npz").write_text("not an archive\n")
     for d, msg in ((no_values, "lacks the array(s) values"), (short, "values has shape"),
                    (cells_off, "cell_dofs has shape"),
                    (swapped, "cell 0 is negatively oriented"),
+                   (swapped_nine, "cell 0 is negatively oriented"),
+                   (part, "lacks the array(s) cell_neighbors"),
+                   (neigh_off, f"cell_neighbors holds values outside -1..{len(neigh) - 1}"),
+                   (neigh_float, "cell_neighbors must hold integers, got dtype float64"),
+                   (text_vertices, "vertices must hold floats, got dtype <U3"),
+                   (ufacets_1, "ufacets has shape"),
+                   (f2u_off, f"is not the unique facet {f2u[0]} it points at"),
                    (not_npz, "not a readable solution bundle")):
-        with pytest.raises(ValidationError, match=re.escape(msg)):
+        with pytest.raises(ValidationError, match=re.escape(msg)) as caught:
             load_solution(d)
+        assert "solution.npz" in str(caught.value)
         code = main(["slice", str(d), "--from", "0,0.25", "--to", "1,0.25"])
         assert code == 2
         err = capsys.readouterr().err
