@@ -12,11 +12,21 @@ through fixed sub-facet weights (3/8, 1/8 of the facet measure in 2D;
 Neumann data integrates per boundary sub-facet. Dirichlet conditions are
 eliminated symmetrically, keeping the unconstrained operator for flux
 recovery.
+
+The operator's COO triplets are written once, into row, column and value
+arrays sized up front for nc (dim+1)^2 cell, nfr dim^2 fracture and
+nb (2 dim)^2 barrier entries; indices are int32 while the dof count
+allows. Cell blocks are computed over ranges of _CELL_RANGE cells and
+written into their slice of the values, so the per-cell gradients and
+tensors never exist for the whole mesh at once. Entries keep the order
+cells, fractures, barriers, row-major within each block, so the duplicate
+sums of the COO to CSR conversion, and with them A0, do not depend on the
+range size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +56,9 @@ _TRANSFER_W = {
     2: np.array([[3.0, 1.0], [1.0, 3.0]]) / 8.0,
     3: np.array([[22.0, 7.0, 7.0], [7.0, 22.0, 7.0], [7.0, 7.0, 22.0]]) / 108.0,
 }
+
+# cells per range of the cell-block loop in assemble_operator
+_CELL_RANGE = 2 ** 15
 
 
 def local_cell_matrices(mesh: Mesh, K_cells: np.ndarray) -> np.ndarray:
@@ -124,6 +137,24 @@ def local_barrier_matrices(mesh: Mesh, facet_rows: np.ndarray,
     return np.concatenate([top, bot], axis=1)
 
 
+def _cell_range(mesh: Mesh, lo: int, hi: int) -> Mesh:
+    """Cells lo:hi of mesh on its full vertex array, for the per-cell kernels."""
+    return replace(mesh, cells=mesh.cells[lo:hi], cell_region=mesh.cell_region[lo:hi],
+                   ufacets=None, ufacet_cells=None, facet_to_ufacet=None,
+                   cell_neighbors=None)
+
+
+def _block_pattern(rows: np.ndarray, cols: np.ndarray, start: int,
+                   dofs: np.ndarray) -> int:
+    """Write the row-major (row, col) pattern of the local blocks over dofs
+    (m, k) from entry start on; returns the entry after the last block."""
+    m, k = dofs.shape
+    stop = start + m * k * k
+    rows[start:stop].reshape(m, k, k)[...] = dofs[:, :, None]
+    cols[start:stop].reshape(m, k, k)[...] = dofs[:, None, :]
+    return stop
+
+
 def assemble_operator(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
                       dual: DualBoxGeometry | None = None,
                       route: str = "gradients") -> sp.csr_matrix:
@@ -131,44 +162,39 @@ def assemble_operator(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
     if route not in ("gradients", "subfaces"):
         raise ValidationError(f"unknown assembly route {route!r}")
     n = dofmap.n_dofs
-    K = materials.cell_tensors(mesh)
+    d = mesh.dim
+    nc, nloc = mesh.n_cells, d + 1
+    fr, br = dofmap.fracture_facet_rows, dofmap.barrier_facet_rows
+    size = nc * nloc ** 2 + len(fr) * d ** 2 + len(br) * (2 * d) ** 2
+    index = np.int32 if n < 2 ** 31 else np.int64
+    rows = np.empty(size, dtype=index)
+    cols = np.empty(size, dtype=index)
+    data = np.empty(size)
+
+    end = _block_pattern(rows, cols, 0, dofmap.cell_dofs)
     if route == "gradients":
-        cellmats = local_cell_matrices(mesh, K)
+        for lo in range(0, nc, _CELL_RANGE):
+            hi = min(lo + _CELL_RANGE, nc)
+            part = _cell_range(mesh, lo, hi)
+            block = local_cell_matrices(part, materials.cell_tensors(part))
+            data[lo * nloc ** 2:hi * nloc ** 2] = block.ravel()
     else:
         if dual is None:
             dual = dual_geometry(mesh)
-        cellmats = subface_flux_matrices(mesh, dual, K)
+        data[:end] = subface_flux_matrices(mesh, dual, materials.cell_tensors(mesh)).ravel()
 
-    nloc = mesh.dim + 1
-    cd = dofmap.cell_dofs
-    rows = [np.repeat(cd, nloc, axis=1).ravel()]
-    cols = [np.tile(cd, (1, nloc)).ravel()]
-    data = [cellmats.ravel()]
-
-    fr = dofmap.fracture_facet_rows
     if len(fr):
         trans = materials.fracture_transmissivity(mesh.facet_tags[fr])
-        mats = local_fracture_matrices(mesh, fr, trans)
-        fd = dofmap.fracture_dofs
-        d = mesh.dim
-        rows.append(np.repeat(fd, d, axis=1).ravel())
-        cols.append(np.tile(fd, (1, d)).ravel())
-        data.append(mats.ravel())
+        start, end = end, _block_pattern(rows, cols, end, dofmap.fracture_dofs)
+        data[start:end] = local_fracture_matrices(mesh, fr, trans).ravel()
 
-    br = dofmap.barrier_facet_rows
     if len(br):
         beta = materials.barrier_beta(mesh.facet_tags[br])
-        mats = local_barrier_matrices(mesh, br, beta)
         bd = np.concatenate([dofmap.barrier_minus, dofmap.barrier_plus], axis=1)
-        d2 = 2 * mesh.dim
-        rows.append(np.repeat(bd, d2, axis=1).ravel())
-        cols.append(np.tile(bd, (1, d2)).ravel())
-        data.append(mats.ravel())
+        start, end = end, _block_pattern(rows, cols, end, bd)
+        data[start:end] = local_barrier_matrices(mesh, br, beta).ravel()
 
-    A0 = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    A0 = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     A0.sum_duplicates()
     A0.sort_indices()
     return A0

@@ -72,11 +72,23 @@ class DofMap:
 def _corner_nodes(cells: np.ndarray, cell_ids: np.ndarray,
                   facet_verts: np.ndarray) -> np.ndarray:
     """(n, dim) node ids cell * nloc + local of facet_verts[k] inside cell
-    cell_ids[k]; dofs are then cell_dofs.ravel()[nodes]."""
-    eq = cells[cell_ids][:, None, :] == facet_verts[:, :, None]
-    if not np.all(eq.any(axis=2)):
+    cell_ids[k]; dofs are then cell_dofs.ravel()[nodes].
+
+    Works in (dim, n) layout, so that each comparison of a local corner
+    with the facet vertices runs over contiguous rows of n entries.
+    """
+    nloc = cells.shape[1]
+    corners = np.take(cells, cell_ids, axis=0).T.copy()
+    verts = facet_verts.T.copy()
+    found = verts == corners[0]
+    local = np.zeros(verts.shape, dtype=np.int8)
+    for i in range(1, nloc):
+        hit = verts == corners[i]
+        found |= hit
+        local += hit.view(np.int8) * np.int8(i)
+    if not found.all():
         raise DofMapError("vertex not found in its supposed cell")
-    return cell_ids[:, None] * cells.shape[1] + np.argmax(eq, axis=2)
+    return np.ascontiguousarray((cell_ids * nloc + local).T)
 
 
 def _policy_key(policy: str) -> str:

@@ -51,6 +51,19 @@ class RunResult:
 def scenario_warnings(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
                       dirichlet_dofs: np.ndarray) -> list[str]:
     """Non-fatal modelling hazards worth surfacing in the report."""
+    return _check_scenario(mesh, dofmap, materials, dirichlet_dofs)
+
+
+# a sealed compartment's net supply counts as zero up to this fraction of
+# its gross supply, far above the rounding of b0 and of its sum
+_SUPPLY_RTOL = 1e-12
+
+
+def _check_scenario(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
+                    dirichlet_dofs: np.ndarray, b0: np.ndarray | None = None) -> list[str]:
+    """scenario_warnings; given the unconstrained right-hand side b0, a
+    compartment without Dirichlet data whose net supply is not zero raises
+    ValidationError instead, as no pressure field can balance it."""
     out = []
     kmax = materials.matrix_norm()
     for tag in sorted(materials.barriers):
@@ -63,27 +76,42 @@ def scenario_warnings(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
             )
     # dofs couple within a cell and across barriers with nonzero coupling;
     # a compartment this graph leaves without Dirichlet data floats
-    rows, cols = [], []
-    for i, j in combinations(range(mesh.dim + 1), 2):
-        rows.append(dofmap.cell_dofs[:, i])
-        cols.append(dofmap.cell_dofs[:, j])
-    live = materials.barrier_beta(mesh.facet_tags[dofmap.barrier_facet_rows]) > 0.0
-    rows.append(dofmap.barrier_minus[live].ravel())
-    cols.append(dofmap.barrier_plus[live].ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
     n = dofmap.n_dofs
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    index = np.int32 if n < 2 ** 31 else np.int64
+    pairs = list(combinations(range(mesh.dim + 1), 2))
+    live = materials.barrier_beta(mesh.facet_tags[dofmap.barrier_facet_rows]) > 0.0
+    rows = np.concatenate([dofmap.cell_dofs[:, i] for i, _ in pairs]
+                          + [dofmap.barrier_minus[live].ravel()], dtype=index)
+    cols = np.concatenate([dofmap.cell_dofs[:, j] for _, j in pairs]
+                          + [dofmap.barrier_plus[live].ravel()], dtype=index)
+    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
     ncomp, labels = connected_components(graph, directed=False)
-    if ncomp > 1:
-        anchored = np.zeros(ncomp, dtype=bool)
-        anchored[labels[dirichlet_dofs]] = True
-        sizes = np.bincount(labels, minlength=ncomp)
-        for c in np.nonzero(~anchored)[0]:
-            out.append(
-                f"compartment with {int(sizes[c])} dofs is sealed off from "
-                "every Dirichlet boundary; its pressure level is not fixed"
+    if ncomp == 1:
+        return out
+    anchored = np.zeros(ncomp, dtype=bool)
+    anchored[labels[dirichlet_dofs]] = True
+    sizes = np.bincount(labels, minlength=ncomp)
+    if b0 is not None:
+        net = np.bincount(labels, weights=b0, minlength=ncomp)
+        gross = np.bincount(labels, weights=np.abs(b0), minlength=ncomp)
+        bad = ~anchored & (np.abs(net) > _SUPPLY_RTOL * gross)
+        if bad.any():
+            c = int(np.argmax(bad))
+            # name a vertex inside the compartment, not one on its barrier
+            dofs = np.flatnonzero(labels == c)
+            inside = dofmap.vertex_ndofs[dofmap.dof_vertex[dofs]] == 1
+            v = int(dofmap.dof_vertex[dofs[np.argmax(inside)]])
+            at = ", ".join(f"{x:g}" for x in mesh.vertices[v])
+            raise ValidationError(
+                f"compartment with {int(sizes[c])} dofs around vertex {v} ({at}) is "
+                "sealed off from every Dirichlet boundary but has net supply "
+                f"{net[c]:.6g}; no pressure field balances it"
             )
+    for c in np.nonzero(~anchored)[0]:
+        out.append(
+            f"compartment with {int(sizes[c])} dofs is sealed off from "
+            "every Dirichlet boundary; its pressure level is not fixed"
+        )
     return out
 
 
@@ -122,8 +150,8 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
         dirichlet=scenario.dirichlet,
         allow_pure_neumann=scenario.allow_pure_neumann,
     )
-    warn = scenario_warnings(mesh, dofmap, scenario.materials,
-                             system.dirichlet_dofs)
+    warn = _check_scenario(mesh, dofmap, scenario.materials,
+                           system.dirichlet_dofs, system.b0)
     x, solver_report = cg_solve(system.A, system.b, tol=s.tol,
                                 max_iter=s.max_iter, preconditioner=s.preconditioner)
     if not solver_report.converged:

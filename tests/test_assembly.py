@@ -1,5 +1,7 @@
 """Operator assembly, boundary data, and conservation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -409,3 +411,103 @@ def test_facet_laws_resolved_per_tag():
         mats.barrier_beta(np.array([10, 12]))
     with pytest.raises(ValidationError, match="no fracture law for tag 10"):
         mats.fracture_transmissivity(tags)
+
+
+def reference_assemble_operator(mesh, dofmap, materials, dual=None, route="gradients"):
+    """A0 as the list-and-concatenate route built it: whole-mesh cell
+    blocks, int64 index lists per block kind, then one concatenation."""
+    K = materials.cell_tensors(mesh)
+    if route == "gradients":
+        cellmats = local_cell_matrices(mesh, K)
+    else:
+        cellmats = dual_module.subface_flux_matrices(mesh, dual or dual_geometry(mesh), K)
+    nloc = mesh.dim + 1
+    cd = dofmap.cell_dofs
+    rows = [np.repeat(cd, nloc, axis=1).ravel()]
+    cols = [np.tile(cd, (1, nloc)).ravel()]
+    data = [cellmats.ravel()]
+    fr = dofmap.fracture_facet_rows
+    if len(fr):
+        trans = materials.fracture_transmissivity(mesh.facet_tags[fr])
+        fd, d = dofmap.fracture_dofs, mesh.dim
+        rows.append(np.repeat(fd, d, axis=1).ravel())
+        cols.append(np.tile(fd, (1, d)).ravel())
+        data.append(local_fracture_matrices(mesh, fr, trans).ravel())
+    br = dofmap.barrier_facet_rows
+    if len(br):
+        beta = materials.barrier_beta(mesh.facet_tags[br])
+        bd = np.concatenate([dofmap.barrier_minus, dofmap.barrier_plus], axis=1)
+        d2 = 2 * mesh.dim
+        rows.append(np.repeat(bd, d2, axis=1).ravel())
+        cols.append(np.tile(bd, (1, d2)).ravel())
+        data.append(assembly_module.local_barrier_matrices(mesh, br, beta).ravel())
+    n = dofmap.n_dofs
+    A0 = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+    A0.sum_duplicates()
+    A0.sort_indices()
+    return A0
+
+
+def builtin_pieces(name, refine):
+    sc = get_scenario(name)
+    mesh = sc.mesh_factory(sc.default_refine + refine)
+    return mesh, build_dof_map(mesh, sc.policy), sc.materials
+
+
+def crossed_pieces(policy):
+    # a fracture crossing a barrier, jittered, two anisotropic regions
+    tags = dict(TAGS_BARRIER)
+    tags[20] = "fracture"
+    mesh = crossed_square_mesh(
+        6, jitter=0.2, seed=4, keep_x=(0.5,), keep_y=(0.5,),
+        segments=[((0.5, 0.0), (0.5, 1.0), 10), ((0.0, 0.5), (1.0, 0.5), 20)],
+        region_fn=lambda c: np.where(c[:, 0] < 0.5, 1, 2), tag_map=tags,
+    )
+    mats = MaterialModel(matrix={1: 2.0, 2: np.diag([3.0, 0.5])},
+                         fractures={20: FractureLaw(1e-3, 1e3)},
+                         barriers={10: BarrierLaw(1e-2, 1e-4)}, dim=2)
+    return mesh, build_dof_map(mesh, policy), mats
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builtin_pieces("ex51", 1),
+    lambda: builtin_pieces("ex54a", 0),
+    lambda: builtin_pieces("ex56", 0),
+    lambda: builtin_pieces("ex57a", 0),
+    lambda: crossed_pieces("barrier_cuts"),
+    lambda: crossed_pieces("fracture_penetrates"),
+], ids=["ex51-r1", "ex54a-r0", "ex56-r0", "ex57a-r0", "crossed-cuts", "crossed-penetrates"])
+def test_preallocated_assembly_matches_reference_bitwise(monkeypatch, build):
+    # an odd range size gives many cell ranges and a ragged last one
+    monkeypatch.setattr(assembly_module, "_CELL_RANGE", 37)
+    mesh, dm, mats = build()
+    assert mesh.n_cells > 2 * 37 and mesh.n_cells % 37
+    for route in ("gradients", "subfaces"):
+        got = assemble_operator(mesh, dm, mats, route=route)
+        want = reference_assemble_operator(mesh, dm, mats, route=route)
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (route, part)
+
+
+def test_assembly_peak_memory_stays_near_its_triplets(monkeypatch):
+    # 3d Kuhn mesh of 24,576 cells in 12 ranges; the bound is on the peak
+    # of traced allocations over the bytes of the int32/float64 triplets
+    monkeypatch.setattr(assembly_module, "_CELL_RANGE", 2048)
+    mesh, dm, mats = builtin_pieces("ex56", 1)
+    d = mesh.dim
+    entries = (mesh.n_cells * (d + 1) ** 2 + len(dm.fracture_facet_rows) * d ** 2
+               + len(dm.barrier_facet_rows) * (2 * d) ** 2)
+    triplets = entries * (4 + 4 + 8)
+    peaks = {}
+    for name, assemble in (("preallocated", assemble_operator),
+                           ("reference", reference_assemble_operator)):
+        tracemalloc.start()
+        A0 = assemble(mesh, dm, mats)
+        peaks[name] = tracemalloc.get_traced_memory()[1] / triplets
+        tracemalloc.stop()
+        del A0
+    assert peaks["preallocated"] <= 2.5 < peaks["reference"], peaks

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from boxdfm.benchmarks import get_scenario
 from boxdfm.dofspace import (DofMap, _corner_nodes, build_dof_map, boundary_dofs,
                              facet_vertex_dofs, write_vertex_report)
 from boxdfm.errors import DofMapError, ValidationError
@@ -161,6 +162,32 @@ def test_facet_vertex_dofs_resolves_boundary(barrier_square_mesh):
     stranger = np.setdiff1d(np.arange(mesh.n_vertices), mesh.cells[cells[0]])[0]
     with pytest.raises(DofMapError, match="not found"):
         _corner_nodes(mesh.cells, cells[:1], np.array([[mesh.facets[rows[0], 0], stranger]]))
+
+
+def reference_corner_nodes(cells, cell_ids, facet_verts):
+    """The broadcast search: every facet vertex against every cell corner."""
+    eq = cells[cell_ids][:, None, :] == facet_verts[:, :, None]
+    assert np.all(eq.any(axis=2))
+    return cell_ids[:, None] * cells.shape[1] + np.argmax(eq, axis=2)
+
+
+@pytest.mark.parametrize("name", ["ex54a", "ex56"])
+def test_corner_nodes_match_broadcast_search(name):
+    sc = get_scenario(name)
+    mesh = sc.mesh_factory(sc.default_refine)
+    # every unique facet from both sides, and the tagged facets in their
+    # own vertex order and in two unsorted ones
+    both = mesh.ufacet_cells[:, 1] >= 0
+    tagged = mesh.ufacet_cells[mesh.facet_to_ufacet, 0]
+    cases = [(mesh.ufacet_cells[:, 0], mesh.ufacets),
+             (mesh.ufacet_cells[both, 1], mesh.ufacets[both]),
+             (tagged, mesh.facets), (tagged, mesh.facets[:, ::-1]),
+             (tagged, np.roll(mesh.facets, 1, axis=1))]
+    for cell_ids, verts in cases:
+        got = _corner_nodes(mesh.cells, cell_ids, verts)
+        want = reference_corner_nodes(mesh.cells, cell_ids, verts)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 def test_boundary_dofs_kinds(barrier_square_mesh):

@@ -527,3 +527,38 @@ def test_warning_for_sealed_compartment():
     dofs2, _ = collect_dirichlet(mesh, dm, {1: lambda p, r: np.zeros(len(p)),
                                             2: lambda p, r: np.ones(len(p))})
     assert scenario_warnings(mesh, dm, mats, dofs2) == []
+
+
+SEALED = {
+    "name": "sealed",
+    "description": "crossed grid cut by a k = 0 barrier, Dirichlet data on the left only",
+    "dim": 2,
+    "tag_map": {"1": "dirichlet", "2": "neumann", "3": "neumann", "4": "neumann",
+                "10": "barrier"},
+    "mesh": {"generator": "crossed_square", "n": 8,
+             "segments": [{"from": [0.5, 0.0], "to": [0.5, 1.0], "tag": 10}]},
+    "materials": {"matrix": {"1": 1.0}, "barriers": {"10": {"aperture": 1e-2, "k": 0.0}}},
+    "dirichlet": {"1": "0"},
+    "neumann": {"2": "0", "3": "0", "4": "0"},
+}
+
+
+@pytest.mark.parametrize("source, code", [("1", 2), ("0", 0), ("x - 0.75", 0)],
+                         ids=["supplied", "no-supply", "balanced-supply"])
+def test_cli_sealed_compartment_needs_zero_net_supply(tmp_path, capsys, source, code):
+    # the right half has no Dirichlet data: a net supply there has no
+    # solution and fails before the solve; a zero one (exactly, or up to
+    # rounding for x - 0.75) solves with the sealed-off warning
+    path = tmp_path / "sealed.json"
+    path.write_text(json.dumps({**SEALED, "source": source}))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert re.search(r"compartment with 77 dofs around vertex \d+ \(0\.[5-9]\d*, ", err)
+        assert "net supply 0.5" in err and not out.exists()
+    else:
+        report = json.loads((out / "report.json").read_text())
+        assert report["warnings"] == ["compartment with 77 dofs is sealed off from every "
+                                      "Dirichlet boundary; its pressure level is not fixed"]
