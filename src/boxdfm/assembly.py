@@ -32,7 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dofspace import DofMap, facet_vertex_dofs
-from .dual import DualBoxGeometry, dual_geometry, boundary_subfaces, p1_gradients, subface_flux_matrices
+from .dual import (DualBoxGeometry, _hat_gradients, boundary_subfaces, dual_geometry,
+                   p1_gradients, subface_flux_matrices)
 from .errors import ValidationError
 from .materials import MaterialModel
 from .mesh import FacetKind, Mesh, facet_measures
@@ -81,10 +82,7 @@ def _inplane_stiffness(p: np.ndarray) -> np.ndarray:
     q[:, 1, 0] = l1
     q[:, 2, 0] = x2
     q[:, 2, 1] = y2
-    edges = q[:, 1:] - q[:, :1]
-    inv = np.linalg.inv(edges)
-    g = np.transpose(inv, (0, 2, 1))
-    grads = np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1)
+    grads = _hat_gradients(q[:, 1:] - q[:, :1])
     area = 0.5 * l1 * y2
     return np.einsum("fid,fjd,f->fij", grads, grads, area)
 

@@ -4,9 +4,10 @@ run_scenario does one solve and optionally writes the output bundle
 (solution.vtk, facets.vtk, profile CSVs, vertices.csv, solution.npz,
 report.json). run_convergence repeats it over refinement levels and
 tabulates L2 errors and observed orders. load_solution rebuilds a
-SolutionField from a bundle for later slicing; solution.npz stores the
-mesh topology next to the mesh and the field, so a load only checks it,
-and a bundle without it still loads by rebuilding the topology.
+SolutionField from a bundle for later slicing. Every load goes through
+restore_mesh: solution.npz stores the mesh topology next to the mesh and
+the field, so a load only checks it, and a bundle without it derives the
+topology as build_mesh does.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .dofspace import DofMap, _policy_key, build_dof_map, write_vertex_report
 from .errors import SolverError, ValidationError
 from .linalg import cg_solve
 from .materials import MaterialModel
-from .mesh import TOPOLOGY, Mesh, build_mesh, restore_mesh
+from .mesh import TOPOLOGY, Mesh, restore_mesh
 from .scenario import Scenario, SolverSettings, validate_against_mesh
 from .solution import (SolutionField, l2_error, sample_slice,
                        write_profile_csv)
@@ -36,6 +37,10 @@ from .vtkout import write_facets_vtk, write_solution_vtk
 
 __all__ = ["RunResult", "run_scenario", "run_convergence", "load_solution",
            "scenario_warnings"]
+
+# the arrays of solution.npz besides its policy and the mesh's TOPOLOGY
+_MESH_ARRAYS = ("vertices", "cells", "facets", "facet_tags", "facet_kinds", "cell_region")
+_FIELD_ARRAYS = ("cell_dofs", "dof_vertex", "values")
 
 
 @dataclass
@@ -48,22 +53,19 @@ class RunResult:
     report: dict
 
 
-def scenario_warnings(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
-                      dirichlet_dofs: np.ndarray) -> list[str]:
-    """Non-fatal modelling hazards worth surfacing in the report."""
-    return _check_scenario(mesh, dofmap, materials, dirichlet_dofs)
-
-
 # a sealed compartment's net supply counts as zero up to this fraction of
 # its gross supply, far above the rounding of b0 and of its sum
 _SUPPLY_RTOL = 1e-12
 
 
-def _check_scenario(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
-                    dirichlet_dofs: np.ndarray, b0: np.ndarray | None = None) -> list[str]:
-    """scenario_warnings; given the unconstrained right-hand side b0, a
-    compartment without Dirichlet data whose net supply is not zero raises
-    ValidationError instead, as no pressure field can balance it."""
+def scenario_warnings(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
+                      dirichlet_dofs: np.ndarray, *, b0: np.ndarray | None = None) -> list[str]:
+    """Non-fatal modelling hazards worth surfacing in the report.
+
+    Given the unconstrained right-hand side b0, a compartment without
+    Dirichlet data whose net supply is not zero raises ValidationError
+    instead, as no pressure field can balance it.
+    """
     out = []
     kmax = materials.matrix_norm()
     for tag in sorted(materials.barriers):
@@ -150,8 +152,8 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
         dirichlet=scenario.dirichlet,
         allow_pure_neumann=scenario.allow_pure_neumann,
     )
-    warn = _check_scenario(mesh, dofmap, scenario.materials,
-                           system.dirichlet_dofs, system.b0)
+    warn = scenario_warnings(mesh, dofmap, scenario.materials,
+                             system.dirichlet_dofs, b0=system.b0)
     x, solver_report = cg_solve(system.A, system.b, tol=s.tol,
                                 max_iter=s.max_iter, preconditioner=s.preconditioner)
     if not solver_report.converged:
@@ -201,30 +203,21 @@ def write_bundle(out: Path, scenario: Scenario, mesh: Mesh, dofmap: DofMap,
     for sl in scenario.slices:
         sample = sample_slice(field, sl.start, sl.end, sl.n, side=sl.side)
         write_profile_csv(out / f"profile_{sl.name}.csv", sample)
-    np.savez(
-        out / "solution.npz",
-        vertices=mesh.vertices, cells=mesh.cells, facets=mesh.facets,
-        facet_tags=mesh.facet_tags, facet_kinds=mesh.facet_kinds,
-        cell_region=mesh.cell_region, cell_dofs=field.cell_dofs,
-        dof_vertex=field.dof_vertex, values=field.values,
-        policy=np.array(policy), **{k: getattr(mesh, k) for k in TOPOLOGY},
-    )
+    np.savez(out / "solution.npz", **{k: getattr(mesh, k) for k in _MESH_ARRAYS},
+             **{k: getattr(field, k) for k in _FIELD_ARRAYS}, policy=np.array(policy),
+             **{k: getattr(mesh, k) for k in TOPOLOGY})
     with open(out / "report.json", "w", newline="\n") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-_MESH_ARRAYS = ("vertices", "cells", "facets", "facet_tags", "facet_kinds", "cell_region")
-_SOLUTION_ARRAYS = _MESH_ARRAYS + ("cell_dofs", "dof_vertex", "values")
 
 
 def load_solution(run_dir) -> SolutionField:
     """Rebuild the solved field from a run directory's solution.npz.
 
     The mesh comes from the stored arrays through restore_mesh, which
-    checks the stored topology instead of deriving it again. A bundle that
-    stores no topology (the nine arrays of earlier versions) loads through
-    build_mesh, more slowly. Either way the cells must be stored
+    checks the stored topology instead of deriving it again; for a bundle
+    that stores none (the nine arrays of earlier versions) it derives the
+    topology as build_mesh does, more slowly. The cells must be stored
     positively oriented, and a broken bundle raises ValidationError naming
     solution.npz.
     """
@@ -237,30 +230,21 @@ def load_solution(run_dir) -> SolutionField:
             raise ValueError("not an npz archive")
         with z:
             stored = any(k in z.files for k in TOPOLOGY)
-            keys = _SOLUTION_ARRAYS + TOPOLOGY if stored else _SOLUTION_ARRAYS
+            keys = _MESH_ARRAYS + _FIELD_ARRAYS + (TOPOLOGY if stored else ())
             missing = [k for k in keys if k not in z.files]
             if missing:
                 raise ValidationError(f"{path} lacks the array(s) {', '.join(missing)}")
             a = {k: z[k] for k in keys}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile):
         raise ValidationError(f"{path} is not a readable solution bundle") from None
-    for k, v in a.items():
+    # restore_mesh checks the integer dtype of the other mesh arrays
+    for k in ("vertices",) + _FIELD_ARRAYS:
         floats = k in ("vertices", "values")
-        if not np.issubdtype(v.dtype, np.floating if floats else np.integer):
+        if not np.issubdtype(a[k].dtype, np.floating if floats else np.integer):
             raise ValidationError(f"{path}: {k} must hold {'floats' if floats else 'integers'}, "
-                                  f"got dtype {v.dtype}")
+                                  f"got dtype {a[k].dtype}")
     try:
-        if stored:
-            mesh = restore_mesh(**{k: a[k] for k in _MESH_ARRAYS + TOPOLOGY})
-        else:
-            mesh = build_mesh(a["vertices"], a["cells"], facets=a["facets"],
-                              facet_tags=a["facet_tags"], facet_kinds=a["facet_kinds"],
-                              cell_region=a["cell_region"])
-            # build_mesh swaps the first two corners of a negatively oriented cell
-            flipped = np.flatnonzero(mesh.cells[:, 0] != a["cells"][:, 0])
-            if len(flipped):
-                raise ValidationError(f"cell {flipped[0]} is negatively oriented; "
-                                      "stored cells must be positively oriented")
+        mesh = restore_mesh(**{k: a[k] for k in _MESH_ARRAYS + TOPOLOGY if k in a})
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
     cell_dofs, dof_vertex, values = a["cell_dofs"], a["dof_vertex"], a["values"]

@@ -110,12 +110,16 @@ def p1_gradients(mesh: Mesh):
     """
     p = mesh.vertices[mesh.cells]
     edges = p[:, 1:, :] - p[:, :1, :]  # (nc, dim, dim)
+    return _hat_gradients(edges), _edge_volumes(edges)
+
+
+def _hat_gradients(edges: np.ndarray) -> np.ndarray:
+    """(n, d+1, d) hat-function gradients of simplices from their (n, d, d)
+    edges off corner 0, in the simplices' own d coordinates."""
     inv = np.linalg.inv(edges)
     # hat i (i >= 1) has gradient = column i-1 of inv; hat 0 = -sum
     g = np.transpose(inv, (0, 2, 1))
-    g0 = -g.sum(axis=1, keepdims=True)
-    grads = np.concatenate([g0, g], axis=1)
-    return grads, _edge_volumes(edges)
+    return np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1)
 
 
 def boundary_subfaces(mesh: Mesh, facet_idx: np.ndarray):

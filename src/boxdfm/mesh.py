@@ -19,7 +19,7 @@ from .errors import ValidationError
 __all__ = ["FacetKind", "Mesh", "TOPOLOGY", "build_mesh", "facet_measures",
            "facet_normals", "restore_mesh"]
 
-# the Mesh fields build_mesh derives from the cells and tagged facets
+# the Mesh fields derived from the cells and tagged facets
 TOPOLOGY = ("ufacets", "ufacet_cells", "facet_to_ufacet", "cell_neighbors")
 
 
@@ -54,7 +54,8 @@ class Mesh:
     Beyond the defining arrays, holds derived adjacency used everywhere
     downstream: the unique-facet table, facet-to-cell incidence, and
     cell neighbor lists. Construct through :func:`build_mesh`, or
-    :func:`restore_mesh` from stored arrays.
+    :func:`restore_mesh` from stored arrays; both end in the one
+    validating constructor ``_mesh``.
     """
 
     dim: int
@@ -65,11 +66,11 @@ class Mesh:
     facet_tags: np.ndarray        # (nf,) int64
     facet_kinds: np.ndarray       # (nf,) int64, FacetKind values
 
-    # derived topology, filled by build_mesh
-    ufacets: np.ndarray = field(repr=False, default=None)        # (nu, dim) sorted vertex ids
-    ufacet_cells: np.ndarray = field(repr=False, default=None)   # (nu, 2) cell ids, -1 pad
-    facet_to_ufacet: np.ndarray = field(repr=False, default=None)  # (nf,)
-    cell_neighbors: np.ndarray = field(repr=False, default=None)   # (nc, dim+1)
+    # derived topology (TOPOLOGY)
+    ufacets: np.ndarray = field(repr=False)          # (nu, dim) sorted vertex ids
+    ufacet_cells: np.ndarray = field(repr=False)     # (nu, 2) cell ids, -1 pad
+    facet_to_ufacet: np.ndarray = field(repr=False)  # (nf,)
+    cell_neighbors: np.ndarray = field(repr=False)   # (nc, dim+1)
 
     @property
     def n_vertices(self) -> int:
@@ -162,18 +163,6 @@ def _check_degenerate(vol: np.ndarray) -> None:
     if np.any(vol <= 1e-14 * max(scale, 1e-300)):
         i = int(np.argmin(vol))
         raise ValidationError(f"cell {i} is degenerate (volume {vol[i]:.3e})")
-
-
-def _orient_cells(vertices: np.ndarray, cells: np.ndarray):
-    """Cells with negative volume get their first two vertices swapped.
-
-    Returns (oriented cells, signed volumes of the cells as given).
-    """
-    vol = _orientation_volumes(vertices, cells)
-    flipped = cells.copy()
-    neg = vol < 0
-    flipped[neg, 0], flipped[neg, 1] = cells[neg, 1], cells[neg, 0]
-    return flipped, vol
 
 
 def _facet_keys(rows: np.ndarray, nv: int) -> np.ndarray:
@@ -274,6 +263,60 @@ def _locate_tagged(ufacets: np.ndarray, tagged: np.ndarray, nv: int) -> np.ndarr
     return pos.astype(np.int64, copy=False)
 
 
+def _checked_cells(vertices, cells):
+    """Vertices as float64, cells checked as an int64 (n, dim+1) index
+    array, and the cells' signed volumes for the orientation test."""
+    vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+    if vertices.ndim != 2 or vertices.shape[1] not in (2, 3):
+        raise ValidationError(f"vertices must be (n, 2) or (n, 3), got {vertices.shape}")
+    nv, dim = vertices.shape
+    cells = _int_array("cells", cells, (None, dim + 1), 0, nv)
+    if cells.shape[0] == 0:
+        raise ValidationError("mesh has no cells")
+    return vertices, cells, _orientation_volumes(vertices, cells)
+
+
+def _mesh(vertices, cells, vol, cell_region, facets, facet_tags, facet_kinds,
+          topology=None) -> Mesh:
+    """The one constructor of Mesh, from positively oriented cells and their
+    volumes: checks every array, then derives the facet topology, or checks
+    the given TOPOLOGY arrays, and applies the tag rules."""
+    _check_degenerate(vol)
+    nv, dim = vertices.shape
+    nc = cells.shape[0]
+    cell_region = _int_array("cell_region", cell_region, (nc,))
+    facets = _int_array("facets", facets, (None, dim), 0, nv)
+    nf = facets.shape[0]
+    facet_tags = _int_array("facet_tags", facet_tags, (nf,))
+    facet_kinds = _int_array("facet_kinds", facet_kinds, (nf,))
+    if topology is None:
+        ufacets, ufacet_cells, cell_neighbors = _unique_facet_table(cells, dim, nv)
+        facet_to_ufacet = _locate_tagged(ufacets, facets, nv)
+    else:
+        ufacets, ufacet_cells, facet_to_ufacet, cell_neighbors = topology
+        ufacets = _int_array("ufacets", ufacets, (None, dim), 0, nv)
+        nu = ufacets.shape[0]
+        ufacet_cells = _int_array("ufacet_cells", ufacet_cells, (nu, 2), -1, nc)
+        facet_to_ufacet = _int_array("facet_to_ufacet", facet_to_ufacet, (nf,), 0, nu)
+        # Neighbours are only range-checked: _locate_all accepts a cell only
+        # when the point's barycentric test there passes, so a wrong table can
+        # send a point to _locate_brute but never give it a wrong value. A
+        # symmetry check would cost ~30 ms on ex56 r2 (196,608 tets).
+        cell_neighbors = _int_array("cell_neighbors", cell_neighbors, (nc, dim + 1), -1, nc)
+        off = np.any(ufacets[facet_to_ufacet] != np.sort(facets, axis=1), axis=1)
+        if np.any(off):
+            i = int(np.argmax(off))
+            raise ValidationError(
+                f"tagged facet {tuple(facets[i])} is not the unique facet "
+                f"{facet_to_ufacet[i]} it points at"
+            )
+    _check_tagged(facets, facet_tags, facet_kinds, ufacets, ufacet_cells, facet_to_ufacet)
+    return Mesh(dim=dim, vertices=vertices, cells=cells, cell_region=cell_region,
+                facets=facets, facet_tags=facet_tags, facet_kinds=facet_kinds,
+                ufacets=ufacets, ufacet_cells=ufacet_cells,
+                facet_to_ufacet=facet_to_ufacet, cell_neighbors=cell_neighbors)
+
+
 def build_mesh(
     vertices,
     cells,
@@ -290,73 +333,37 @@ def build_mesh(
     are dropped (a mesh file may carry tags a scenario does not use).
     Cells are reoriented to positive volume; degenerate cells are an error.
     """
-    vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-    cells = np.ascontiguousarray(cells, dtype=np.int64)
-    if vertices.ndim != 2 or vertices.shape[1] not in (2, 3):
-        raise ValidationError(f"vertices must be (n, 2) or (n, 3), got {vertices.shape}")
-    dim = vertices.shape[1]
-    if cells.ndim != 2 or cells.shape[1] != dim + 1:
-        raise ValidationError(f"cells must be (n, {dim + 1}) for dim={dim}, got {cells.shape}")
-    nv = vertices.shape[0]
-    if cells.size and (cells.min() < 0 or cells.max() >= nv):
-        raise ValidationError("cell vertex index out of range")
-    if cells.shape[0] == 0:
-        raise ValidationError("mesh has no cells")
-
-    cells, vol = _orient_cells(vertices, cells)
-    _check_degenerate(vol)
+    vertices, cells, vol = _checked_cells(vertices, np.asarray(cells, dtype=np.int64))
+    nv, dim = vertices.shape
+    # a cell with negative volume gets its first two vertices swapped
+    cells, neg = cells.copy(), vol < 0
+    cells[neg, 0], cells[neg, 1] = cells[neg, 1], cells[neg, 0]
 
     if facets is None:
-        facets = np.zeros((0, dim), dtype=np.int64)
-        facet_tags = np.zeros(0, dtype=np.int64)
-    facets = np.ascontiguousarray(facets, dtype=np.int64)
-    facet_tags = np.ascontiguousarray(facet_tags, dtype=np.int64)
+        facets, facet_tags = [], []
+    facets = np.asarray(facets, dtype=np.int64)
     if facets.ndim in (1, 2) and facets.shape[0] == 0:
         facets = facets.reshape(0, dim)
     if facets.ndim != 2 or facets.shape[1] != dim:
         raise ValidationError(f"facets must be (n, {dim}) for dim={dim}, got {facets.shape}")
-    if facet_tags.shape != (facets.shape[0],):
-        raise ValidationError("facet_tags length does not match facets")
-    if facets.size and (facets.min() < 0 or facets.max() >= nv):
-        raise ValidationError("facet vertex index out of range")
+    # checked before tag_map drops any row
+    facets = _int_array("facets", facets, (None, dim), 0, nv)
+    facet_tags = _int_array("facet_tags", np.asarray(facet_tags, dtype=np.int64),
+                            (facets.shape[0],))
 
     if facet_kinds is None:
-        if tag_map is None:
-            tag_map = {}
         kind_of_tag = {int(t): parse_kind(k) if isinstance(k, str) else FacetKind(k)
-                       for t, k in tag_map.items()}
+                       for t, k in (tag_map or {}).items()}
         known = np.array([t in kind_of_tag for t in facet_tags], dtype=bool)
         facets = facets[known]
         facet_tags = facet_tags[known]
         facet_kinds = np.array([int(kind_of_tag[int(t)]) for t in facet_tags], dtype=np.int64)
-    else:
-        facet_kinds = np.ascontiguousarray(facet_kinds, dtype=np.int64)
-        if facet_kinds.shape != (facets.shape[0],):
-            raise ValidationError("facet_kinds length does not match facets")
 
     if cell_region is None:
         cell_region = np.ones(cells.shape[0], dtype=np.int64)
-    cell_region = np.ascontiguousarray(cell_region, dtype=np.int64)
-    if cell_region.shape != (cells.shape[0],):
-        raise ValidationError("cell_region length does not match cells")
-
-    ufacets, ufacet_cells, neigh = _unique_facet_table(cells, dim, nv)
-    facet_to_ufacet = _locate_tagged(ufacets, facets, nv)
-    _check_tagged(facets, facet_tags, facet_kinds, ufacets, ufacet_cells, facet_to_ufacet)
-
-    return Mesh(
-        dim=dim,
-        vertices=vertices,
-        cells=cells,
-        cell_region=cell_region,
-        facets=facets,
-        facet_tags=facet_tags,
-        facet_kinds=facet_kinds,
-        ufacets=ufacets,
-        ufacet_cells=ufacet_cells,
-        facet_to_ufacet=facet_to_ufacet,
-        cell_neighbors=neigh,
-    )
+    return _mesh(vertices, cells, np.abs(vol, out=vol),
+                 np.asarray(cell_region, dtype=np.int64), facets, facet_tags,
+                 np.asarray(facet_kinds, dtype=np.int64))
 
 
 def _check_tagged(facets, facet_tags, facet_kinds, ufacets, ufacet_cells,
@@ -392,6 +399,7 @@ def _int_array(name: str, a: np.ndarray, shape: tuple, lo: int | None = None,
                hi: int | None = None) -> np.ndarray:
     """A stored integer array as int64, checked for shape (None: any
     length) and, given lo and hi, for values in lo..hi-1."""
+    a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.integer):
         raise ValidationError(f"{name} must hold integers, got dtype {a.dtype}")
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
@@ -404,53 +412,24 @@ def _int_array(name: str, a: np.ndarray, shape: tuple, lo: int | None = None,
 
 
 def restore_mesh(vertices, cells, facets, facet_tags, facet_kinds, cell_region,
-                 ufacets, ufacet_cells, facet_to_ufacet, cell_neighbors) -> Mesh:
-    """The Mesh whose arrays, derived topology included, were stored.
+                 ufacets=None, ufacet_cells=None, facet_to_ufacet=None,
+                 cell_neighbors=None) -> Mesh:
+    """The Mesh whose arrays were stored, with or without its topology.
 
-    Takes the arrays build_mesh made instead of deriving the topology
-    again. Checked: every shape, integer dtype and index range, so no
-    stored array can index out of bounds; the tag rules of build_mesh,
-    with each tagged facet equal to the unique facet it points at; and the
-    cells' orientation and degeneracy. Not checked is whether ufacets,
-    ufacet_cells and cell_neighbors are the cells' own facet table, which
-    costs about as much as deriving it.
+    Cells must be stored positively oriented. Given the four TOPOLOGY
+    arrays build_mesh made, checks them instead of deriving them again:
+    every shape, integer dtype and index range, so no stored array can
+    index out of bounds, and each tagged facet equal to the unique facet
+    it points at. Not checked is whether ufacets, ufacet_cells and
+    cell_neighbors are the cells' own facet table, which costs about as
+    much as deriving it. Without them, derives the topology as build_mesh
+    does. Either way the other arrays pass the checks and tag rules of
+    build_mesh.
     """
-    vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-    if vertices.ndim != 2 or vertices.shape[1] not in (2, 3):
-        raise ValidationError(f"vertices must be (n, 2) or (n, 3), got {vertices.shape}")
-    nv, dim = vertices.shape
-    cells = _int_array("cells", cells, (None, dim + 1), 0, nv)
-    nc = cells.shape[0]
-    if nc == 0:
-        raise ValidationError("mesh has no cells")
-    vol = _orientation_volumes(vertices, cells)
+    vertices, cells, vol = _checked_cells(vertices, cells)
     if np.any(vol < 0):
         raise ValidationError(f"cell {int(np.argmax(vol < 0))} is negatively oriented; "
                               "stored cells must be positively oriented")
-    _check_degenerate(vol)
-    cell_region = _int_array("cell_region", cell_region, (nc,))
-    facets = _int_array("facets", facets, (None, dim), 0, nv)
-    nf = facets.shape[0]
-    facet_tags = _int_array("facet_tags", facet_tags, (nf,))
-    facet_kinds = _int_array("facet_kinds", facet_kinds, (nf,))
-    ufacets = _int_array("ufacets", ufacets, (None, dim), 0, nv)
-    nu = ufacets.shape[0]
-    ufacet_cells = _int_array("ufacet_cells", ufacet_cells, (nu, 2), -1, nc)
-    facet_to_ufacet = _int_array("facet_to_ufacet", facet_to_ufacet, (nf,), 0, nu)
-    # Neighbours are only range-checked: _locate_all accepts a cell only
-    # when the point's barycentric test there passes, so a wrong table can
-    # send a point to _locate_brute but never give it a wrong value. A
-    # symmetry check would cost ~30 ms on ex56 r2 (196,608 tets).
-    cell_neighbors = _int_array("cell_neighbors", cell_neighbors, (nc, dim + 1), -1, nc)
-    off = np.any(ufacets[facet_to_ufacet] != np.sort(facets, axis=1), axis=1)
-    if np.any(off):
-        i = int(np.argmax(off))
-        raise ValidationError(
-            f"tagged facet {tuple(facets[i])} is not the unique facet "
-            f"{facet_to_ufacet[i]} it points at"
-        )
-    _check_tagged(facets, facet_tags, facet_kinds, ufacets, ufacet_cells, facet_to_ufacet)
-    return Mesh(dim=dim, vertices=vertices, cells=cells, cell_region=cell_region,
-                facets=facets, facet_tags=facet_tags, facet_kinds=facet_kinds,
-                ufacets=ufacets, ufacet_cells=ufacet_cells,
-                facet_to_ufacet=facet_to_ufacet, cell_neighbors=cell_neighbors)
+    stored = (ufacets, ufacet_cells, facet_to_ufacet, cell_neighbors)
+    return _mesh(vertices, cells, vol, cell_region, facets, facet_tags, facet_kinds,
+                 None if all(a is None for a in stored) else stored)

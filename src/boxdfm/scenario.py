@@ -27,7 +27,7 @@ from .materials import BarrierLaw, FractureLaw, MaterialModel
 from .mesh import FacetKind, Mesh, parse_kind
 from .msh_io import load_msh
 from .refine import uniform_refine
-from .solution import _check_slice
+from .solution import SIDES, _check_slice
 
 __all__ = [
     "Scenario",
@@ -66,7 +66,7 @@ class SliceSpec:
     start: tuple
     end: tuple
     n: int = 200
-    side: str = "plus"
+    side: str = SIDES[0]
 
 
 @dataclass

@@ -14,7 +14,8 @@ k-d tree over the facets' bounding boxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,23 +80,22 @@ class SolutionField:
     cell_dofs: np.ndarray   # (nc, dim+1)
     dof_vertex: np.ndarray  # (n_dofs,)
     values: np.ndarray      # (n_dofs,)
-    _tree: cKDTree | None = field(default=None, repr=False)
-    _vertex_cell: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_dofs(self) -> int:
         return len(self.values)
 
-    def _prepare(self):
-        if self._tree is None:
-            self._tree = cKDTree(self.mesh.vertices)
-            vc = np.full(self.mesh.n_vertices, -1, dtype=np.int64)
-            nloc = self.mesh.dim + 1
-            # any incident cell serves as a walk start
-            vc[self.mesh.cells.ravel()] = np.repeat(
-                np.arange(self.mesh.n_cells, dtype=np.int64), nloc
-            )
-            self._vertex_cell = vc
+    @cached_property
+    def _tree(self) -> cKDTree:
+        return cKDTree(self.mesh.vertices)
+
+    @cached_property
+    def _vertex_cell(self) -> np.ndarray:  # (nv,) an incident cell, the walk start
+        vc = np.full(self.mesh.n_vertices, -1, dtype=np.int64)
+        vc[self.mesh.cells.ravel()] = np.repeat(
+            np.arange(self.mesh.n_cells, dtype=np.int64), self.mesh.dim + 1
+        )
+        return vc
 
     def _barycentrics(self, cells: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Barycentric coordinates of (cell, point) pairs in one stacked solve."""
@@ -119,7 +119,6 @@ class SolutionField:
         cell it came from, or walk more than _WALK_STEPS cells goes to
         _locate_brute instead.
         """
-        self._prepare()
         n = points.shape[0]
         cells = np.full(n, -1, dtype=np.int64)
         lams = np.empty((n, self.mesh.dim + 1))
@@ -149,7 +148,6 @@ class SolutionField:
     def _locate_brute(self, p: np.ndarray) -> int:
         """Containing cell by barycentric tests: first the cells around the
         nearest vertices, then every cell."""
-        self._prepare()
         _, near = self._tree.query(p, k=min(_NEAR_VERTICES, self.mesh.n_vertices))
         cand = np.nonzero(np.isin(self.mesh.cells, near).any(axis=1))[0]
         quality = self._barycentrics(cand, p).min(axis=1)
@@ -234,7 +232,7 @@ def _apply_side_rule(fieldobj: SolutionField, pts: np.ndarray, side: str) -> np.
     return out
 
 
-def sample_slice(fieldobj: SolutionField, p0, p1, n: int, side: str = "plus"):
+def sample_slice(fieldobj: SolutionField, p0, p1, n: int, side: str = SIDES[0]):
     """Sample along the segment p0 -> p1 at n evenly spaced points.
 
     Samples landing exactly on a barrier facet are nudged by eps (1e-9 of

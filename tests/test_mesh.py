@@ -1,5 +1,7 @@
 """Mesh construction and validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from boxdfm.benchmarks import get_scenario
 from boxdfm.dofspace import build_dof_map
 from boxdfm.errors import ValidationError
 from boxdfm.generators import crossed_square_mesh
-from boxdfm.mesh import (FacetKind, _locate_tagged, _orientation_volumes,
+from boxdfm.mesh import (TOPOLOGY, FacetKind, _locate_tagged, _orientation_volumes,
                          _unique_facet_table, build_mesh, restore_mesh)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -214,3 +216,39 @@ def test_restore_mesh_applies_the_tag_rules_of_build_mesh(facets, kinds, match):
         restore_mesh(m.vertices, m.cells, facets, tags, kinds, m.cell_region,
                      m.ufacets, m.ufacet_cells, _locate_tagged(m.ufacets, facets, 4),
                      m.cell_neighbors)
+
+
+FLAT = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+# the two-triangle square with one Neumann edge; each case below replaces
+# some of these arrays
+VALID = {"vertices": SQUARE, "cells": TWO_TRIS, "facets": [[0, 1]], "facet_tags": [7],
+         "facet_kinds": [int(FacetKind.NEUMANN)], "cell_region": [1, 1]}
+
+
+@pytest.mark.parametrize("change, msg", [
+    ({"cells": [[0, 1, 4], [0, 2, 3]]}, "cells holds values outside 0..3"),
+    ({"cells": np.zeros((0, 3), dtype=np.int64)}, "mesh has no cells"),
+    ({"facets": [[0, 4]]}, "facets holds values outside 0..3"),
+    ({"facet_tags": [7, 8]}, "facet_tags has shape (2,), expected (1)"),
+    ({"facet_kinds": [4, 4]}, "facet_kinds has shape (2,), expected (1)"),
+    ({"cell_region": [1]}, "cell_region has shape (1,), expected (2)"),
+    ({"vertices": FLAT, "cells": [[0, 1, 2], [0, 1, 3]]},
+     "cell 0 is degenerate (volume 0.000e+00)"),
+], ids=["cell-out-of-range", "no-cells", "facet-out-of-range", "facet-tags-length",
+        "facet-kinds-length", "cell-region-length", "degenerate"])
+def test_mesh_input_errors_are_named(change, msg):
+    """Each input error has one message, whichever entry point meets it."""
+    a = {k: np.asarray(v) for k, v in {**VALID, **change}.items()}
+    with pytest.raises(ValidationError, match=re.escape(msg)):
+        build_mesh(a["vertices"], a["cells"], a["facets"], a["facet_tags"],
+                   facet_kinds=a["facet_kinds"], cell_region=a["cell_region"])
+    m = build_mesh(**VALID)
+    with pytest.raises(ValidationError, match=re.escape(msg)):
+        restore_mesh(**a, **{k: getattr(m, k) for k in TOPOLOGY})
+    with pytest.raises(ValidationError, match=re.escape(msg)):
+        restore_mesh(**a)
+
+
+def test_facet_out_of_range_is_an_error_even_when_its_tag_is_dropped():
+    with pytest.raises(ValidationError, match=re.escape("facets holds values outside 0..3")):
+        build_mesh(SQUARE, TWO_TRIS, [[0, 1], [2, 4]], [7, 99], tag_map={7: "neumann"})

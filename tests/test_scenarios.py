@@ -562,3 +562,12 @@ def test_cli_sealed_compartment_needs_zero_net_supply(tmp_path, capsys, source, 
         report = json.loads((out / "report.json").read_text())
         assert report["warnings"] == ["compartment with 77 dofs is sealed off from every "
                                       "Dirichlet boundary; its pressure level is not fixed"]
+
+
+def test_bundle_keeps_its_array_order(tmp_path):
+    out = tmp_path / "run"
+    run_scenario(load_scenario_file(tiny_file(tmp_path)), out_dir=out)
+    with np.load(out / "solution.npz") as z:
+        assert z.files == ["vertices", "cells", "facets", "facet_tags", "facet_kinds",
+                           "cell_region", "cell_dofs", "dof_vertex", "values", "policy",
+                           "ufacets", "ufacet_cells", "facet_to_ufacet", "cell_neighbors"]

@@ -57,7 +57,6 @@ def reference_find(field, p):
     visited (it would cycle) or leaves the mesh; _locate_brute takes over
     from there.
     """
-    field._prepare()
     _, v = field._tree.query(p)
     cell = int(field._vertex_cell[v])
     max_steps = 4 * int(np.sqrt(field.mesh.n_cells)) + 50
@@ -339,7 +338,6 @@ def test_short_walk_budget_settles_points_by_brute_force(case, monkeypatch):
                                            size=(400, mesh.dim))
     ref = [reference_find(field, p) for p in pts]
     # with one step, only the points lying in their start cell settle in the walk
-    field._prepare()
     start = field._vertex_cell[field._tree.query(pts)[1]]
     in_start = np.array([reference_barycentric(field, c, p).min() >= _LOCATE_TOL
                          for c, p in zip(start, pts)])
