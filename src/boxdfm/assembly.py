@@ -26,14 +26,15 @@ range size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .dofspace import DofMap, facet_vertex_dofs
-from .dual import (DualBoxGeometry, _hat_gradients, boundary_subfaces, dual_geometry,
-                   p1_gradients, subface_flux_matrices)
+from .dual import (DualBoxGeometry, _cell_gradients, _hat_gradients, boundary_subfaces,
+                   dual_geometry, subface_flux_matrices)
 from .errors import ValidationError
 from .materials import MaterialModel
 from .mesh import FacetKind, Mesh, facet_measures
@@ -47,6 +48,7 @@ __all__ = [
     "assemble_operator",
     "assemble_rhs",
     "apply_dirichlet",
+    "floating_compartments",
     "assemble_system",
     "flux_balance",
 ]
@@ -61,10 +63,19 @@ _TRANSFER_W = {
 # cells per range of the cell-block loop in assemble_operator
 _CELL_RANGE = 2 ** 15
 
+# a compartment's net supply counts as zero up to this fraction of its
+# gross supply, far above the rounding of b0 and of its sum
+_SUPPLY_RTOL = 1e-12
+
 
 def local_cell_matrices(mesh: Mesh, K_cells: np.ndarray) -> np.ndarray:
     """(nc, dim+1, dim+1) stiffness |T| * grad_i . K grad_j per cell."""
-    grads, vol = p1_gradients(mesh)
+    return _cell_matrices(mesh.vertices, mesh.cells, K_cells)
+
+
+def _cell_matrices(vertices: np.ndarray, cells: np.ndarray, K_cells: np.ndarray) -> np.ndarray:
+    """local_cell_matrices of the given cells over the vertex array."""
+    grads, vol = _cell_gradients(vertices, cells)
     Kg = np.einsum("cde,cje->cjd", K_cells, grads)
     return np.einsum("cid,cjd,c->cij", grads, Kg, vol)
 
@@ -111,9 +122,7 @@ def local_barrier_coupling(measure: float, beta: float, dim: int = 2) -> np.ndar
     same-vertex opposite-side pairs and -1/8 (+1/8 same side) on
     cross-vertex pairs.
     """
-    W = _TRANSFER_W[dim]
-    block = beta * measure * W
-    return np.block([[block, -block], [-block, block]])
+    return _barrier_blocks(np.array([beta * measure]), dim)[0]
 
 
 def local_barrier_matrices(mesh: Mesh, facet_rows: np.ndarray,
@@ -125,21 +134,16 @@ def local_barrier_matrices(mesh: Mesh, facet_rows: np.ndarray,
     sub-facet weight block. beta = 0 yields exact zeros. PSD with kernel
     spanned by side-constant vectors (no jump, no transfer).
     """
-    facets = mesh.facets[facet_rows]
-    meas = facet_measures(mesh.vertices, facets)
-    W = _TRANSFER_W[mesh.dim]
-    coef = (beta * meas)[:, None, None]
-    block = coef * W
+    meas = facet_measures(mesh.vertices, mesh.facets[facet_rows])
+    return _barrier_blocks(beta * meas, mesh.dim)
+
+
+def _barrier_blocks(coef: np.ndarray, dim: int) -> np.ndarray:
+    """coef * [[W, -W], [-W, W]] per entry of coef, W the weights of _TRANSFER_W."""
+    block = coef[:, None, None] * _TRANSFER_W[dim]
     top = np.concatenate([block, -block], axis=2)
     bot = np.concatenate([-block, block], axis=2)
     return np.concatenate([top, bot], axis=1)
-
-
-def _cell_range(mesh: Mesh, lo: int, hi: int) -> Mesh:
-    """Cells lo:hi of mesh on its full vertex array, for the per-cell kernels."""
-    return replace(mesh, cells=mesh.cells[lo:hi], cell_region=mesh.cell_region[lo:hi],
-                   ufacets=None, ufacet_cells=None, facet_to_ufacet=None,
-                   cell_neighbors=None)
 
 
 def _block_pattern(rows: np.ndarray, cols: np.ndarray, start: int,
@@ -173,8 +177,8 @@ def assemble_operator(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
     if route == "gradients":
         for lo in range(0, nc, _CELL_RANGE):
             hi = min(lo + _CELL_RANGE, nc)
-            part = _cell_range(mesh, lo, hi)
-            block = local_cell_matrices(part, materials.cell_tensors(part))
+            K = materials._region_tensors(mesh.cell_region[lo:hi], d)
+            block = _cell_matrices(mesh.vertices, mesh.cells[lo:hi], K)
             data[lo * nloc ** 2:hi * nloc ** 2] = block.ravel()
     else:
         if dual is None:
@@ -282,7 +286,8 @@ def collect_dirichlet(mesh: Mesh, dofmap: DofMap, dirichlet: dict):
 
 @dataclass
 class SparseSystem:
-    """Constrained system plus the unconstrained pieces for flux recovery."""
+    """Constrained system plus the unconstrained pieces for flux recovery.
+    The Dirichlet dofs end with the pins of assemble_system, at value 0."""
 
     A: sp.csr_matrix
     b: np.ndarray
@@ -290,7 +295,6 @@ class SparseSystem:
     b0: np.ndarray
     dirichlet_dofs: np.ndarray
     dirichlet_values: np.ndarray
-    pinned_dof: int | None = None
 
     @property
     def n(self) -> int:
@@ -326,27 +330,70 @@ def apply_dirichlet(A0: sp.csr_matrix, b0: np.ndarray, dofs: np.ndarray,
     return A, b
 
 
+def floating_compartments(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
+                          dirichlet_dofs: np.ndarray):
+    """Compartments of the coupling graph (dofs couple within a cell and
+    across barriers with k > 0) that hold no dof of dirichlet_dofs.
+
+    Returns every dof's compartment label and, in label order, one dof of
+    each such compartment, on a vertex no barrier splits where it has one,
+    with a phrase naming the compartment.
+    """
+    n = dofmap.n_dofs
+    index = np.int32 if n < 2 ** 31 else np.int64
+    first, second = np.triu_indices(mesh.dim + 1, 1)
+    live = materials.barrier_beta(mesh.facet_tags[dofmap.barrier_facet_rows]) > 0.0
+    rows = np.concatenate([dofmap.cell_dofs[:, i] for i in first]
+                          + [dofmap.barrier_minus[live].ravel()], dtype=index)
+    cols = np.concatenate([dofmap.cell_dofs[:, j] for j in second]
+                          + [dofmap.barrier_plus[live].ravel()], dtype=index)
+    graph = sp.coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    ncomp, labels = connected_components(graph, directed=False)
+    floating = np.bincount(labels[dirichlet_dofs], minlength=ncomp) == 0
+    dofs = np.flatnonzero(floating[labels])
+    dofs = dofs[np.lexsort((dofmap.vertex_ndofs[dofmap.dof_vertex[dofs]] > 1, labels[dofs]))]
+    pins = dofs[np.unique(labels[dofs], return_index=True)[1]]
+    where = [f"compartment with {size} dofs around vertex {v} "
+             f"({', '.join(f'{x:g}' for x in mesh.vertices[v])}) has no Dirichlet data"
+             for size, v in zip(np.bincount(labels)[labels[pins]], dofmap.dof_vertex[pins])]
+    return labels, pins, where
+
+
+def _pin_warning(where: str) -> str:
+    return f"{where}; its pressure is pinned to 0 at that vertex"
+
+
 def assemble_system(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
                     source=None, neumann: dict | None = None,
-                    dirichlet: dict | None = None,
-                    allow_pure_neumann: bool = False) -> SparseSystem:
+                    dirichlet: dict | None = None) -> SparseSystem:
+    """The system of one scenario's data, Dirichlet conditions eliminated.
+
+    First each compartment of floating_compartments (the whole domain, if
+    there is no Dirichlet data) is pinned to 0 at its dof, or, if its net
+    supply exceeds _SUPPLY_RTOL of its gross supply, rejected with
+    ValidationError, as no pressure field balances it.
+    """
+    return _assemble_system(mesh, dofmap, materials, source, neumann, dirichlet)[0]
+
+
+def _assemble_system(mesh, dofmap, materials, source, neumann, dirichlet):
+    """assemble_system, and the warnings of its pins."""
     dual = dual_geometry(mesh)
     A0 = assemble_operator(mesh, dofmap, materials, dual)
     b0 = assemble_rhs(mesh, dofmap, dual, source=source, neumann=neumann)
     dofs, values = collect_dirichlet(mesh, dofmap, dirichlet or {})
-    pinned = None
-    if len(dofs) == 0:
-        if not allow_pure_neumann:
-            raise ValidationError(
-                "no Dirichlet boundary in scenario; set allow_pure_neumann "
-                "to pin one dof instead"
-            )
-        pinned = 0
-        dofs = np.array([0], dtype=np.int64)
-        values = np.array([0.0])
+    labels, pins, where = floating_compartments(mesh, dofmap, materials, dofs)
+    net = np.bincount(labels, weights=b0)[labels[pins]]
+    gross = np.bincount(labels, weights=np.abs(b0))[labels[pins]]
+    bad = np.flatnonzero(np.abs(net) > _SUPPLY_RTOL * gross)
+    if len(bad):
+        i = bad[0]
+        raise ValidationError(f"{where[i]} but net supply {net[i]:.6g}; "
+                              "no pressure field balances it")
+    dofs, values = np.concatenate([dofs, pins]), np.concatenate([values, np.zeros(len(pins))])
     A, b = apply_dirichlet(A0, b0, dofs, values)
-    return SparseSystem(A=A, b=b, A0=A0, b0=b0, dirichlet_dofs=dofs,
-                        dirichlet_values=values, pinned_dof=pinned)
+    return (SparseSystem(A=A, b=b, A0=A0, b0=b0, dirichlet_dofs=dofs, dirichlet_values=values),
+            [_pin_warning(w) for w in where])
 
 
 def flux_balance(system: SparseSystem, x: np.ndarray) -> dict:

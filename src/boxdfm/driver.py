@@ -16,15 +16,13 @@ import json
 import time
 import zipfile
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ._rows import rows
-from .assembly import SparseSystem, assemble_system, flux_balance
+from .assembly import (SparseSystem, _assemble_system, _pin_warning, floating_compartments,
+                       flux_balance)
 from .dofspace import DofMap, _policy_key, build_dof_map, write_vertex_report
 from .errors import SolverError, ValidationError
 from .linalg import cg_solve
@@ -53,68 +51,22 @@ class RunResult:
     report: dict
 
 
-# a sealed compartment's net supply counts as zero up to this fraction of
-# its gross supply, far above the rounding of b0 and of its sum
-_SUPPLY_RTOL = 1e-12
-
-
 def scenario_warnings(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
-                      dirichlet_dofs: np.ndarray, *, b0: np.ndarray | None = None) -> list[str]:
-    """Non-fatal modelling hazards worth surfacing in the report.
+                      dirichlet_dofs: np.ndarray) -> list[str]:
+    """The warnings run_scenario reports for these Dirichlet dofs: barriers
+    whose tangential permeability exceeds the matrix permeability, then the
+    compartments the dofs leave without Dirichlet data, which get pinned."""
+    where = floating_compartments(mesh, dofmap, materials, dirichlet_dofs)[2]
+    return _barrier_warnings(materials) + [_pin_warning(w) for w in where]
 
-    Given the unconstrained right-hand side b0, a compartment without
-    Dirichlet data whose net supply is not zero raises ValidationError
-    instead, as no pressure field can balance it.
-    """
-    out = []
+
+def _barrier_warnings(materials: MaterialModel) -> list[str]:
     kmax = materials.matrix_norm()
-    for tag in sorted(materials.barriers):
-        kt = materials.barriers[tag].k_tangential
-        if kt is not None and kt > kmax:
-            out.append(
-                f"barrier tag {tag}: tangential permeability {kt:g} exceeds "
-                f"the matrix permeability {kmax:g}; the model neglects "
-                "in-plane barrier flow, expect visible model error"
-            )
-    # dofs couple within a cell and across barriers with nonzero coupling;
-    # a compartment this graph leaves without Dirichlet data floats
-    n = dofmap.n_dofs
-    index = np.int32 if n < 2 ** 31 else np.int64
-    pairs = list(combinations(range(mesh.dim + 1), 2))
-    live = materials.barrier_beta(mesh.facet_tags[dofmap.barrier_facet_rows]) > 0.0
-    rows = np.concatenate([dofmap.cell_dofs[:, i] for i, _ in pairs]
-                          + [dofmap.barrier_minus[live].ravel()], dtype=index)
-    cols = np.concatenate([dofmap.cell_dofs[:, j] for _, j in pairs]
-                          + [dofmap.barrier_plus[live].ravel()], dtype=index)
-    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    ncomp, labels = connected_components(graph, directed=False)
-    if ncomp == 1:
-        return out
-    anchored = np.zeros(ncomp, dtype=bool)
-    anchored[labels[dirichlet_dofs]] = True
-    sizes = np.bincount(labels, minlength=ncomp)
-    if b0 is not None:
-        net = np.bincount(labels, weights=b0, minlength=ncomp)
-        gross = np.bincount(labels, weights=np.abs(b0), minlength=ncomp)
-        bad = ~anchored & (np.abs(net) > _SUPPLY_RTOL * gross)
-        if bad.any():
-            c = int(np.argmax(bad))
-            # name a vertex inside the compartment, not one on its barrier
-            dofs = np.flatnonzero(labels == c)
-            inside = dofmap.vertex_ndofs[dofmap.dof_vertex[dofs]] == 1
-            v = int(dofmap.dof_vertex[dofs[np.argmax(inside)]])
-            at = ", ".join(f"{x:g}" for x in mesh.vertices[v])
-            raise ValidationError(
-                f"compartment with {int(sizes[c])} dofs around vertex {v} ({at}) is "
-                "sealed off from every Dirichlet boundary but has net supply "
-                f"{net[c]:.6g}; no pressure field balances it"
-            )
-    for c in np.nonzero(~anchored)[0]:
-        out.append(
-            f"compartment with {int(sizes[c])} dofs is sealed off from "
-            "every Dirichlet boundary; its pressure level is not fixed"
-        )
-    return out
+    return [f"barrier tag {tag}: tangential permeability {law.k_tangential:g} exceeds "
+            f"the matrix permeability {kmax:g}; the model neglects in-plane barrier "
+            "flow, expect visible model error"
+            for tag, law in sorted(materials.barriers.items())
+            if law.k_tangential is not None and law.k_tangential > kmax]
 
 
 def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
@@ -126,8 +78,9 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
     CLI-style overrides (policy, tol, preconditioner, max_iter) fall back
     to the scenario's own settings when None. A refinement level below 0,
     an unknown policy or bad solver settings raise ValidationError before
-    the mesh is built; SolverError if the iteration does not reach the
-    requested tolerance.
+    the mesh is built, and a compartment without Dirichlet data that has
+    a net supply raises it before the solve (assemble_system); SolverError
+    if the iteration does not reach the requested tolerance.
     """
     t0 = time.perf_counter()
     level = scenario.default_refine + int(refine)
@@ -146,14 +99,10 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
     mesh = scenario.mesh_factory(level)
     validate_against_mesh(scenario, mesh)
     dofmap = build_dof_map(mesh, pol)
-    system = assemble_system(
-        mesh, dofmap, scenario.materials,
-        source=scenario.source, neumann=scenario.neumann,
-        dirichlet=scenario.dirichlet,
-        allow_pure_neumann=scenario.allow_pure_neumann,
-    )
-    warn = scenario_warnings(mesh, dofmap, scenario.materials,
-                             system.dirichlet_dofs, b0=system.b0)
+    # the warnings of scenario_warnings, without building the compartment graph twice
+    system, pinned = _assemble_system(mesh, dofmap, scenario.materials, scenario.source,
+                                      scenario.neumann, scenario.dirichlet)
+    warn = _barrier_warnings(scenario.materials) + pinned
     x, solver_report = cg_solve(system.A, system.b, tol=s.tol,
                                 max_iter=s.max_iter, preconditioner=s.preconditioner)
     if not solver_report.converged:

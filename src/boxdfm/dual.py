@@ -108,7 +108,12 @@ def p1_gradients(mesh: Mesh):
     Returns (grads, vol): grads has shape (nc, dim+1, dim) with row i the
     constant gradient of the hat function of local vertex i.
     """
-    p = mesh.vertices[mesh.cells]
+    return _cell_gradients(mesh.vertices, mesh.cells)
+
+
+def _cell_gradients(vertices: np.ndarray, cells: np.ndarray):
+    """p1_gradients of the given cells over the vertex array."""
+    p = vertices[cells]
     edges = p[:, 1:, :] - p[:, :1, :]  # (nc, dim, dim)
     return _hat_gradients(edges), _edge_volumes(edges)
 

@@ -95,12 +95,15 @@ class MaterialModel:
 
     def cell_tensors(self, mesh: Mesh) -> np.ndarray:
         """(nc, dim, dim) permeability per cell, resolved by region."""
-        out = np.empty((mesh.n_cells, mesh.dim, mesh.dim))
-        regions = np.unique(mesh.cell_region)
-        for r in regions:
+        return self._region_tensors(mesh.cell_region, mesh.dim)
+
+    def _region_tensors(self, cell_region: np.ndarray, dim: int) -> np.ndarray:
+        """cell_tensors of cells with the given regions."""
+        out = np.empty((len(cell_region), dim, dim))
+        for r in np.unique(cell_region):
             if int(r) not in self.matrix:
                 raise ValidationError(f"no matrix permeability for region {int(r)}")
-            out[mesh.cell_region == r] = self.matrix[int(r)]
+            out[cell_region == r] = self.matrix[int(r)]
         return out
 
     def fracture_transmissivity(self, tags: np.ndarray) -> np.ndarray:

@@ -92,7 +92,6 @@ class Scenario:
     slices: tuple = ()
     exact: Callable | None = None
     order_window: tuple = (1.9, 2.1)
-    allow_pure_neumann: bool = False
     default_refine: int = 0
 
 
@@ -223,10 +222,20 @@ def _parse_tag_map(raw: dict) -> dict:
     return out
 
 
+# the keys of a mesh spec: those every generator takes, then each one's own
+_MESH_KEYS = ("generator", "domain", "regions", "boundary_boxes")
+_GENERATOR_KEYS = {
+    "crossed_square": ("n", "jitter", "keep_x", "keep_y", "segments", "seed"),
+    "delaunay_rect": ("h", "boundary_div", "fill_target", "segments", "seed"),
+    "kuhn_cube": ("n", "planes"),
+}
+
+
 def _mesh_factory_from_spec(spec: dict, tag_map: dict, base_dir: Path) -> Callable:
     if not isinstance(spec, dict):
         raise ValidationError(f"mesh spec must be an object, got {spec!r}")
     if "file" in spec:
+        _known_keys(spec, "mesh spec with a 'file'", ("file",))
         path = Path(spec["file"])
         if not path.is_absolute():
             path = base_dir / path
@@ -241,6 +250,9 @@ def _mesh_factory_from_spec(spec: dict, tag_map: dict, base_dir: Path) -> Callab
     # every generator parameter is parsed here, so a malformed one fails
     # when the scenario loads rather than when the mesh is first built
     gen = spec.get("generator")
+    if gen not in _GENERATOR_KEYS:
+        raise ValidationError(f"mesh spec needs 'file' or a known 'generator', got {spec!r}")
+    _known_keys(spec, f"mesh generator {gen!r}", _MESH_KEYS + _GENERATOR_KEYS[gen])
     unit = ((0, 0, 0), (1, 1, 1)) if gen == "kuhn_cube" else ((0, 0), (1, 1))
     boxes = spec.get("boundary_boxes")
     kw = dict(
@@ -268,11 +280,9 @@ def _mesh_factory_from_spec(spec: dict, tag_map: dict, base_dir: Path) -> Callab
                 )
         kw.update(h=float(spec["h"]), boundary_div=div,
                   fill_target=None if fill is None else int(fill))
-    elif gen == "kuhn_cube":
+    else:
         make = kuhn_cube_mesh
         kw.update(n=int(spec.get("n", 8)), planes=parse_planes(spec.get("planes", [])))
-    else:
-        raise ValidationError(f"mesh spec needs 'file' or a known 'generator', got {spec!r}")
 
     def build(level: int) -> Mesh:
         return uniform_refine(make(**kw), level)
@@ -281,11 +291,15 @@ def _mesh_factory_from_spec(spec: dict, tag_map: dict, base_dir: Path) -> Callab
 
 
 def _parse_materials(raw: dict, dim: int) -> MaterialModel:
+    _known_keys(raw, "scenario entry 'materials'", ("matrix", "fractures", "barriers"))
     matrix = {int(r): _tensor_entry(v) for r, v in raw.get("matrix", {"1": 1.0}).items()}
-    fractures = {int(t): FractureLaw(float(v["aperture"]), float(v["k"]))
-                 for t, v in raw.get("fractures", {}).items()}
+    fractures = {}
+    for t, v in raw.get("fractures", {}).items():
+        _known_keys(v, f"fracture law {t}", ("aperture", "k"))
+        fractures[int(t)] = FractureLaw(float(v["aperture"]), float(v["k"]))
     barriers = {}
     for t, v in raw.get("barriers", {}).items():
+        _known_keys(v, f"barrier law {t}", ("aperture", "k", "k_tangential"))
         kt = v.get("k_tangential")
         barriers[int(t)] = BarrierLaw(float(v["aperture"]), float(v["k"]),
                                       None if kt is None else float(kt))
@@ -380,9 +394,9 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
         "solver": _parse_solver,
         "slices": lambda rows: tuple(_parse_slice(s, f"slice{i}", dim) for i, s in enumerate(rows)),
         "order_window": tuple,
-        "allow_pure_neumann": bool,
         "refine": int,
     }
+    _known_keys(raw, "scenario", ("name", "dim", "tag_map", "mesh", "materials") + tuple(parsers))
     given = {"default_refine" if key == "refine" else key: _entry(raw, key, parse)
              for key, parse in parsers.items() if key in raw}
     return Scenario(name=str(raw.get("name", default_name)), dim=dim,

@@ -18,7 +18,7 @@ from boxdfm.driver import run_scenario
 from boxdfm.dual import dual_geometry
 from boxdfm.errors import ValidationError
 from boxdfm.generators import crossed_square_mesh
-from boxdfm.linalg import cg_solve
+from boxdfm.linalg import cg_solve, dense_spd_check
 from boxdfm.materials import BarrierLaw, FractureLaw, MaterialModel
 from boxdfm.mesh import FacetKind, facet_measures
 from conftest import TAGS_BARRIER, barrier_square
@@ -184,14 +184,35 @@ def test_dirichlet_contradiction_detected():
     assert len(dofs) == len(vals) == 3 + 3 - 1
 
 
-def test_pure_neumann_needs_permission():
+def test_pure_neumann_pins_one_dof_or_rejects_a_supply():
     mesh = crossed_square_mesh(2, tag_map={i: "neumann" for i in range(1, 5)})
     dm = build_dof_map(mesh, "barrier_cuts")
-    with pytest.raises(ValidationError):
-        assemble_system(mesh, dm, matrix_only())
-    system = assemble_system(mesh, dm, matrix_only(), allow_pure_neumann=True)
-    assert system.pinned_dof == 0
-    assert len(system.dirichlet_dofs) == 1
+    with pytest.raises(ValidationError, match=r"compartment with 13 dofs around vertex "
+                       r"0 \(0, 0\) has no Dirichlet data but net supply 1;"):
+        assemble_system(mesh, dm, matrix_only(), source=lambda p, r: np.ones(len(p)))
+    system = assemble_system(mesh, dm, matrix_only())
+    assert system.dirichlet_values.tolist() == [0.0]
+    assert mesh.vertices[dm.dof_vertex[system.dirichlet_dofs]].tolist() == [[0.0, 0.0]]
+    assert dense_spd_check(system.A).cholesky_ok
+
+
+def test_two_sealed_compartments_without_dirichlet_data_get_a_pin_each():
+    mesh = barrier_square(n=4, tag_map={**{i: "neumann" for i in range(1, 5)}, 10: "barrier"})
+    dm = build_dof_map(mesh, "barrier_cuts")
+    mats = MaterialModel(matrix={1: 1.0, 2: 1.0}, fractures={},
+                         barriers={10: BarrierLaw(1e-2, 0.0)}, dim=2)
+    # zero net supply in each half
+    def supply(p, r):
+        return p[:, 0] - np.where(r == 1, 0.25, 0.75)
+
+    system = assemble_system(mesh, dm, mats, source=supply)
+    assert system.dirichlet_values.tolist() == [0.0, 0.0]
+    pins = mesh.vertices[dm.dof_vertex[system.dirichlet_dofs]]
+    assert sorted(pins[:, 0] < 0.5) == [False, True]
+    assert dense_spd_check(system.A).cholesky_ok
+    # with the barrier open the halves form one compartment
+    mats.barriers[10] = BarrierLaw(1e-2, 1.0)
+    assert len(assemble_system(mesh, dm, mats, source=supply).dirichlet_dofs) == 1
 
 
 def test_sealed_barrier_decouples_sides():

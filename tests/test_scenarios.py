@@ -7,7 +7,9 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
+import boxdfm.assembly as assembly_module
 from boxdfm.assembly import collect_dirichlet
 from boxdfm.benchmarks import builtin_scenarios, get_scenario, scenario_names
 from boxdfm.cli import build_parser, main
@@ -16,7 +18,7 @@ from boxdfm.driver import (load_solution, run_convergence, run_scenario,
                            scenario_warnings)
 from boxdfm.errors import MissingDataError, ValidationError
 from boxdfm.generators import crossed_square_mesh, delaunay_rect_mesh, kuhn_cube_mesh
-from boxdfm.linalg import PRECONDITIONERS
+from boxdfm.linalg import PRECONDITIONERS, dense_spd_check
 from boxdfm.materials import BarrierLaw, MaterialModel
 from boxdfm.mesh import TOPOLOGY
 from boxdfm.refine import uniform_refine
@@ -151,13 +153,29 @@ def _slice(**changes):
     (_slice(to=[0.0, 0.25]), r"slice 'mid': slice segment is degenerate"),
     (_slice(samples=5),
      r"slice 'mid': unknown key\(s\) 'samples'; known keys are 'name', 'from', 'to', 'n', 'side'"),
+    (_with(sorce="1"), r"scenario: unknown key\(s\) 'sorce'; known keys are 'name', .*'source'"),
+    (_with(allow_pure_neumann=True), r"scenario: unknown key\(s\) 'allow_pure_neumann'"),
+    (_with(mesh={**TINY["mesh"], "sede": 3}),
+     r"mesh generator 'crossed_square': unknown key\(s\) 'sede'; known keys are .*'seed'"),
+    (_with(mesh={"generator": "kuhn_cube", "seed": 3}),
+     r"mesh generator 'kuhn_cube': unknown key\(s\) 'seed'"),
+    (_with(mesh={"file": "grid.msh", "n": 4}),
+     r"mesh spec with a 'file': unknown key\(s\) 'n'; known keys are 'file'"),
+    (_with(materials={"barriers": {"10": {"aperture": 1e-2, "k": 0.0, "kt": 1.0}}}),
+     r"barrier law 10: unknown key\(s\) 'kt'; known keys are 'aperture', 'k', 'k_tangential'"),
+    (_with(materials={"fractures": {"20": {"aperture": 1e-3, "k": 1e3, "k_n": 1.0}}}),
+     r"fracture law 20: unknown key\(s\) 'k_n'; known keys are 'aperture', 'k'"),
+    (_with(materials={"barrier": {"10": {"aperture": 1e-2, "k": 0.0}}}),
+     r"scenario entry 'materials': unknown key\(s\) 'barrier'"),
 ], ids=["not-an-object", "mesh-not-an-object", "barrier-without-aperture", "non-numeric-n",
         "boundary-div-of-three", "boundary-div-zero", "unknown-preconditioner",
         "none-preconditioner", "unknown-solver-key", "unknown-policy",
         "negative-tol", "nan-tol", "zero-max-iter", "fractional-max-iter",
         "slice-zero-n", "slice-fractional-n", "slice-bool-n", "slice-bad-side",
         "slice-3d-endpoint", "slice-infinite-endpoint", "slice-degenerate",
-        "slice-unknown-key"])
+        "slice-unknown-key", "unknown-top-level-key", "allow-pure-neumann",
+        "unknown-generator-key", "seed-of-kuhn-cube", "unknown-file-spec-key",
+        "unknown-barrier-law-key", "unknown-fracture-law-key", "unknown-materials-key"])
 def test_scenario_of_the_wrong_shape_fails_on_load(tmp_path, capsys, raw, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
@@ -522,7 +540,8 @@ def test_warning_for_sealed_compartment():
     dofs, _ = collect_dirichlet(mesh, dm, {1: lambda p, r: np.zeros(len(p))})
     notes = scenario_warnings(mesh, dm, mats, dofs)
     assert len(notes) == 1
-    assert "sealed" in notes[0]
+    assert re.fullmatch(r"compartment with 23 dofs around vertex 15 \(0\.75, 0\) has no "
+                        r"Dirichlet data; its pressure is pinned to 0 at that vertex", notes[0])
     # anchoring both sides clears it
     dofs2, _ = collect_dirichlet(mesh, dm, {1: lambda p, r: np.zeros(len(p)),
                                             2: lambda p, r: np.ones(len(p))})
@@ -548,7 +567,7 @@ SEALED = {
 def test_cli_sealed_compartment_needs_zero_net_supply(tmp_path, capsys, source, code):
     # the right half has no Dirichlet data: a net supply there has no
     # solution and fails before the solve; a zero one (exactly, or up to
-    # rounding for x - 0.75) solves with the sealed-off warning
+    # rounding for x - 0.75) solves with the half pinned at one vertex
     path = tmp_path / "sealed.json"
     path.write_text(json.dumps({**SEALED, "source": source}))
     out = tmp_path / "out"
@@ -559,9 +578,55 @@ def test_cli_sealed_compartment_needs_zero_net_supply(tmp_path, capsys, source, 
         assert re.search(r"compartment with 77 dofs around vertex \d+ \(0\.[5-9]\d*, ", err)
         assert "net supply 0.5" in err and not out.exists()
     else:
-        report = json.loads((out / "report.json").read_text())
-        assert report["warnings"] == ["compartment with 77 dofs is sealed off from every "
-                                      "Dirichlet boundary; its pressure level is not fixed"]
+        (warning,) = json.loads((out / "report.json").read_text())["warnings"]
+        assert re.fullmatch(r"compartment with 77 dofs around vertex 45 \(0\.625, 0\) has "
+                            r"no Dirichlet data; its pressure is pinned to 0 at that vertex",
+                            warning)
+
+
+NEUMANN_ONLY = {
+    "name": "neumann-only",
+    "description": "crossed grid with flux data on every side and no Dirichlet data",
+    "tag_map": {str(t): "neumann" for t in range(1, 5)},
+    "mesh": {"generator": "crossed_square", "n": 8},
+    "neumann": {str(t): "0" for t in range(1, 5)},
+}
+
+
+def test_cli_pure_neumann_with_a_supply_fails(tmp_path, capsys):
+    path = tmp_path / "neumann.json"
+    path.write_text(json.dumps({**NEUMANN_ONLY, "source": "1"}))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("compartment with 145 dofs around vertex 0 (0, 0) has no Dirichlet data but "
+            "net supply 1; no pressure field balances it") in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_run_builds_the_compartment_graph_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return connected_components(*args, **kwargs)
+
+    monkeypatch.setattr(assembly_module, "connected_components", counted)
+    path = tmp_path / "sealed.json"
+    path.write_text(json.dumps({**SEALED, "source": "0"}))
+    assert len(run_scenario(load_scenario_file(path)).report["warnings"]) == 1
+    assert len(calls) == 1
+
+
+def test_balanced_pure_neumann_runs_with_one_pin(tmp_path):
+    path = tmp_path / "neumann.json"
+    path.write_text(json.dumps({**NEUMANN_ONLY, "source": "x - 0.5"}))
+    res = run_scenario(load_scenario_file(path))
+    assert res.report["warnings"] == ["compartment with 145 dofs around vertex 0 (0, 0) has no "
+                                      "Dirichlet data; its pressure is pinned to 0 at that vertex"]
+    assert res.system.dirichlet_dofs.tolist() == [0]
+    assert res.field.values[0] == 0.0
+    assert dense_spd_check(res.system.A).cholesky_ok
 
 
 def test_bundle_keeps_its_array_order(tmp_path):
