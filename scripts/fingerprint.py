@@ -8,7 +8,8 @@ policies, plus ex51 r4, ex54a r2 and ex56 r2 with Jacobi. Each digest covers
 the Mesh and DofMap arrays, A0, b0, A, the solution and the CG iteration
 count, every bundle file except report.json (which carries timings), the
 arrays of solution.npz, compared as arrays because its zip headers carry
-timestamps, and the Mesh that load_solution reads back from the bundle.
+timestamps, and the Mesh, cell_dofs, dof_vertex and values that
+load_solution reads back from the bundle.
 Run it on two source trees and diff the outputs to show that a change keeps
 the numbers bit for bit.
 """
@@ -67,9 +68,11 @@ def fingerprint(name: str, refine: int, policy: str | None, preconditioner: str 
                         _feed(h, f"npz.{key}", z[key])
             elif path.name != "report.json":
                 _feed(h, path.name, path.read_bytes())
-        loaded = load_solution(out).mesh
-        for f in dataclasses.fields(loaded):
-            _feed(h, f"loaded.Mesh.{f.name}", getattr(loaded, f.name))
+        loaded = load_solution(out)
+        for f in dataclasses.fields(loaded.mesh):
+            _feed(h, f"loaded.Mesh.{f.name}", getattr(loaded.mesh, f.name))
+        for key in ("cell_dofs", "dof_vertex", "values"):
+            _feed(h, f"loaded.{key}", getattr(loaded, key))
     return h.hexdigest()
 
 

@@ -27,7 +27,7 @@ from .dofspace import DofMap, _policy_key, build_dof_map, write_vertex_report
 from .errors import SolverError, ValidationError
 from .linalg import cg_solve
 from .materials import MaterialModel
-from .mesh import TOPOLOGY, Mesh, restore_mesh
+from .mesh import TOPOLOGY, Mesh, _int_array, restore_mesh
 from .scenario import Scenario, SolverSettings, validate_against_mesh
 from .solution import (SolutionField, l2_error, sample_slice,
                        write_profile_csv)
@@ -167,8 +167,10 @@ def load_solution(run_dir) -> SolutionField:
     checks the stored topology instead of deriving it again; for a bundle
     that stores none (the nine arrays of earlier versions) it derives the
     topology as build_mesh does, more slowly. The cells must be stored
-    positively oriented, and a broken bundle raises ValidationError naming
-    solution.npz.
+    positively oriented. cell_dofs must index the values and dof_vertex
+    the vertices. Integer arrays may be stored in any integer dtype (int32
+    where they fit, int64 in earlier versions) and come back as int64. A
+    broken bundle raises ValidationError naming solution.npz.
     """
     path = Path(run_dir) / "solution.npz"
     if not path.exists():
@@ -186,25 +188,19 @@ def load_solution(run_dir) -> SolutionField:
             a = {k: z[k] for k in keys}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile):
         raise ValidationError(f"{path} is not a readable solution bundle") from None
-    # restore_mesh checks the integer dtype of the other mesh arrays
-    for k in ("vertices",) + _FIELD_ARRAYS:
-        floats = k in ("vertices", "values")
-        if not np.issubdtype(a[k].dtype, np.floating if floats else np.integer):
-            raise ValidationError(f"{path}: {k} must hold {'floats' if floats else 'integers'}, "
-                                  f"got dtype {a[k].dtype}")
+    for k in ("vertices", "values"):
+        if not np.issubdtype(a[k].dtype, np.floating):
+            raise ValidationError(f"{path}: {k} must hold floats, got dtype {a[k].dtype}")
+    values = a["values"]
+    if values.ndim != 1 or values.shape != a["dof_vertex"].shape:
+        raise ValidationError(f"{path}: values has shape {values.shape}, "
+                              f"dof_vertex {a['dof_vertex'].shape}")
     try:
         mesh = restore_mesh(**{k: a[k] for k in _MESH_ARRAYS + TOPOLOGY if k in a})
+        cell_dofs = _int_array("cell_dofs", a["cell_dofs"], mesh.cells.shape, 0, len(values))
+        dof_vertex = _int_array("dof_vertex", a["dof_vertex"], values.shape, 0, mesh.n_vertices)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
-    cell_dofs, dof_vertex, values = a["cell_dofs"], a["dof_vertex"], a["values"]
-    if cell_dofs.shape != mesh.cells.shape:
-        raise ValidationError(f"{path}: cell_dofs has shape {cell_dofs.shape}, "
-                              f"the mesh's cells {mesh.cells.shape}")
-    if values.ndim != 1 or values.shape != dof_vertex.shape:
-        raise ValidationError(f"{path}: values has shape {values.shape}, "
-                              f"dof_vertex {dof_vertex.shape}")
-    if cell_dofs.min() < 0 or cell_dofs.max() >= len(values):
-        raise ValidationError(f"{path}: cell_dofs refers to dofs outside 0..{len(values) - 1}")
     return SolutionField(mesh, cell_dofs, dof_vertex, values)
 
 

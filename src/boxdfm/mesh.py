@@ -22,6 +22,9 @@ __all__ = ["FacetKind", "Mesh", "TOPOLOGY", "build_mesh", "facet_measures",
 # the Mesh fields derived from the cells and tagged facets
 TOPOLOGY = ("ufacets", "ufacet_cells", "facet_to_ufacet", "cell_neighbors")
 
+# cells per range of _orientation_volumes; its temporaries then stay in cache
+_ORIENT_RANGE = 2 ** 14
+
 
 class FacetKind(IntEnum):
     FRACTURE = 1
@@ -91,9 +94,8 @@ class Mesh:
         return self.vertices[self.cells].mean(axis=1)
 
     def domain_diameter(self) -> float:
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
+        # per coordinate: min and max over a (nv, dim) array's short axis are slow
+        return float(np.linalg.norm([x.max() - x.min() for x in self.vertices.T]))
 
     def facets_of_kind(self, kind: FacetKind) -> np.ndarray:
         """Indices into the tagged facet arrays for one kind."""
@@ -144,16 +146,30 @@ def facet_normals(vertices: np.ndarray, facets: np.ndarray) -> np.ndarray:
 def _orientation_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Signed cell volumes for the orientation and degeneracy tests.
 
-    In 2d these are _signed_volumes. In 3d the triple product replaces
-    np.linalg.det: about 3x faster, with the same sign but not always the
-    same last bits, so cell_volumes() and assembly keep det.
+    Computed over ranges of _ORIENT_RANGE cells, one coordinate at a time
+    (takes from the rows of vertices.T), so that the temporaries stay small.
+    In 2d these are _signed_volumes, bit for bit. In 3d the triple product
+    replaces np.linalg.det: about 3x faster, with the same sign but not
+    always the same last bits, so cell_volumes() and assembly keep det.
     """
-    if cells.shape[1] == 3:
-        return _signed_volumes(vertices, cells)
-    p0 = vertices.take(cells[:, 0], axis=0)
-    a, b, c = ((vertices.take(cells[:, j], axis=0) - p0).T for j in (1, 2, 3))
-    return (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])) / 6.0
+    xyz = np.ascontiguousarray(vertices.T)
+    nc = cells.shape[0]
+    vol = np.empty(nc)
+    for lo in range(0, nc, _ORIENT_RANGE):
+        hi = min(lo + _ORIENT_RANGE, nc)
+        corners = np.ascontiguousarray(cells[lo:hi].T)
+        p0 = [x.take(corners[0]) for x in xyz]
+        # the edges off corner 0, each as one array per coordinate
+        edges = [[x.take(corners[j]) - x0 for x, x0 in zip(xyz, p0)]
+                 for j in range(1, len(corners))]
+        if len(edges) == 2:
+            a, b = edges
+            vol[lo:hi] = (a[0] * b[1] - a[1] * b[0]) / 2.0
+        else:
+            a, b, c = edges
+            vol[lo:hi] = (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+                          + a[2] * (b[0] * c[1] - b[1] * c[0])) / 6.0
+    return vol
 
 
 def _check_degenerate(vol: np.ndarray) -> None:
@@ -398,17 +414,18 @@ def _check_tagged(facets, facet_tags, facet_kinds, ufacets, ufacet_cells,
 def _int_array(name: str, a: np.ndarray, shape: tuple, lo: int | None = None,
                hi: int | None = None) -> np.ndarray:
     """A stored integer array as int64, checked for shape (None: any
-    length) and, given lo and hi, for values in lo..hi-1."""
+    length) and, given lo and hi, for values in lo..hi-1. The range is
+    checked in the stored dtype, before the conversion: a narrower array
+    is cheaper to scan."""
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.integer):
         raise ValidationError(f"{name} must hold integers, got dtype {a.dtype}")
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = ", ".join("n" if n is None else str(n) for n in shape)
         raise ValidationError(f"{name} has shape {a.shape}, expected ({want})")
-    a = np.ascontiguousarray(a, dtype=np.int64)
     if lo is not None and a.size and (a.min() < lo or a.max() >= hi):
         raise ValidationError(f"{name} holds values outside {lo}..{hi - 1}")
-    return a
+    return np.ascontiguousarray(a, dtype=np.int64)
 
 
 def restore_mesh(vertices, cells, facets, facet_tags, facet_kinds, cell_region,

@@ -24,7 +24,7 @@ from scipy.special import roots_jacobi
 
 from ._rows import rows
 from .errors import ValidationError
-from .mesh import Mesh, _edge_volumes
+from .mesh import FacetKind, Mesh, _edge_volumes, facet_normals
 
 __all__ = ["SIDES", "SolutionField", "sample_slice", "write_profile_csv", "l2_error",
            "convergence_order", "simplex_quadrature"]
@@ -175,21 +175,14 @@ class SolutionField:
         return float(vals.max() - vals.min()) if len(vals) else 0.0
 
 
-def _canonical_barrier_normals(mesh: Mesh):
-    """Unit normals of barrier facets, flipped so the first nonzero
-    component is positive (a reproducible 'plus' side)."""
-    from .mesh import FacetKind, facet_normals
-
-    rows = mesh.facets_of_kind(FacetKind.BARRIER)
-    if len(rows) == 0:
-        return None, None, None
-    facets = mesh.facets[rows]
-    normals = facet_normals(mesh.vertices, facets)
+def _canonical_normals(vertices: np.ndarray, facets: np.ndarray) -> np.ndarray:
+    """Unit normals of facet rows, flipped so the first nonzero component
+    is positive (a reproducible 'plus' side)."""
+    normals = facet_normals(vertices, facets)
     first = np.argmax(np.abs(normals) > 1e-12, axis=1)
     lead = normals[np.arange(len(normals)), first]
     normals[lead < 0] *= -1.0
-    pts = mesh.vertices[facets]
-    return pts, normals, facets
+    return normals
 
 
 def _apply_side_rule(fieldobj: SolutionField, pts: np.ndarray, side: str) -> np.ndarray:
@@ -197,17 +190,35 @@ def _apply_side_rule(fieldobj: SolutionField, pts: np.ndarray, side: str) -> np.
 
     A sample is on facet f when it lies in f's bounding box grown by eps
     and within eps of f's plane; a sample on several facets takes the one
-    with the lowest index. Candidate (sample, facet) pairs come from a
-    k-d tree over the box centres, so no samples-by-facets array is formed.
+    with the lowest index. Only the facets whose grown box meets the
+    samples' bounding box can hold a sample, so the normals and the rest
+    are computed for those alone; the lowest index among them is the
+    lowest overall. Candidate (sample, facet) pairs come from a k-d tree
+    over the kept boxes' centres, so no samples-by-facets array is formed.
     """
     mesh = fieldobj.mesh
-    fpts, normals, facets = _canonical_barrier_normals(mesh)
-    if fpts is None:
+    facets = mesh.facets[mesh.facets_of_kind(FacetKind.BARRIER)]
+    if len(facets) == 0:
         return pts
     eps = _SIDE_EPS_REL * mesh.domain_diameter()
     sign = 1.0 if side == "plus" else -1.0
-    lo = fpts.min(axis=1) - eps
-    hi = fpts.max(axis=1) + eps
+    # facet boxes as (dim, n_facets) rows, from elementwise min/max over the
+    # corners: reductions along a short axis are slow
+    xyz = mesh.vertices.T
+    lo = hi = xyz[:, facets[:, 0]]
+    for j in range(1, facets.shape[1]):
+        corner = xyz[:, facets[:, j]]
+        lo, hi = np.minimum(lo, corner), np.maximum(hi, corner)
+    lo, hi = lo - eps, hi + eps
+    keep = np.ones(len(facets), dtype=bool)
+    for k, x in enumerate(pts.T):
+        keep &= (lo[k] <= x.max()) & (hi[k] >= x.min())
+    kept = np.nonzero(keep)[0]
+    if len(kept) == 0:
+        return pts
+    facets, lo, hi = facets[kept], lo[:, kept].T, hi[:, kept].T
+    fpts = mesh.vertices[facets]
+    normals = _canonical_normals(mesh.vertices, facets)
     # every grown box lies within r of its centre in the max norm
     r = float((hi - lo).max()) / 2.0 + eps
     near = cKDTree((lo + hi) / 2.0).query_ball_point(pts, r, p=np.inf)

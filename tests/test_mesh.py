@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import boxdfm.mesh
 from boxdfm.benchmarks import get_scenario
 from boxdfm.dofspace import build_dof_map
 from boxdfm.errors import ValidationError
@@ -199,6 +200,25 @@ def test_closed_form_volumes_match_det_in_sign():
     got = _orientation_volumes(verts, cells)
     assert np.all(np.sign(det) != 0)
     assert np.array_equal(np.sign(got), np.sign(det))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_orientation_volumes_by_range_match_the_one_shot_formula(dim, monkeypatch):
+    # 1000 cells are not a multiple of the range, so the last range is short
+    monkeypatch.setattr(boxdfm.mesh, "_ORIENT_RANGE", 64)
+    rng = np.random.default_rng(17)
+    verts = rng.uniform(-1.0, 1.0, (300, dim))
+    cells = np.argsort(rng.random((1000, 300)), axis=1)[:, :dim + 1]
+    e = verts[cells[:, 1:]] - verts[cells[:, :1]]
+    if dim == 2:
+        want = (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]) / 2.0
+    else:
+        a, b, c = e[:, 0].T, e[:, 1].T, e[:, 2].T
+        want = (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+                + a[2] * (b[0] * c[1] - b[1] * c[0])) / 6.0
+    got = _orientation_volumes(verts, cells)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.sign(got), np.sign(np.linalg.det(e)))
 
 
 @pytest.mark.parametrize("facets, kinds, match", [

@@ -366,22 +366,51 @@ def test_load_solution_returns_the_mesh_the_run_wrote(tmp_path):
         out = tmp_path / name
         # the mesh does not depend on the solve; a loose tolerance is quick
         res = run_scenario(sc, out_dir=out, tol=1e-3, preconditioner="jacobi")
-        nine = tmp_path / f"{name}-nine"
-        nine.mkdir()
         with np.load(out / "solution.npz") as z:
-            assert set(TOPOLOGY) <= set(z.files)
-            np.savez(nine / "solution.npz",
-                     **{k: z[k] for k in z.files if k not in TOPOLOGY})
-        for bundle in (out, nine):
-            back = load_solution(bundle).mesh
-            for f in dataclasses.fields(res.mesh):
-                got, want = getattr(back, f.name), getattr(res.mesh, f.name)
+            stored = {k: z[k] for k in z.files}
+        assert set(TOPOLOGY) <= set(stored)
+        # every integer array as int64: the 14 arrays of earlier versions
+        wide = {k: v.astype(np.int64) if v.dtype.kind in "iu" else v
+                for k, v in stored.items()}
+        bundles = [out]
+        for suffix, arrays in (("wide", wide),
+                               ("nine", {k: v for k, v in stored.items() if k not in TOPOLOGY})):
+            bundles.append(tmp_path / f"{name}-{suffix}")
+            bundles[-1].mkdir()
+            np.savez(bundles[-1] / "solution.npz", **arrays)
+        for bundle in bundles:
+            back = load_solution(bundle)
+            pairs = [(f.name, getattr(back.mesh, f.name), getattr(res.mesh, f.name))
+                     for f in dataclasses.fields(res.mesh)]
+            pairs += [(k, getattr(back, k), getattr(res.field, k))
+                      for k in ("cell_dofs", "dof_vertex", "values")]
+            for key, got, want in pairs:
                 if isinstance(want, np.ndarray):
-                    assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, f.name)
-                    assert got.tobytes() == want.tobytes(), (name, f.name)
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, key)
+                    assert got.tobytes() == want.tobytes(), (name, key)
                 else:
-                    assert got == want, (name, f.name)
+                    assert got == want, (name, key)
     assert dims == {2, 3}
+
+
+def test_load_solution_returns_int64_indices_whatever_dtype_is_stored(tmp_path):
+    sc = load_scenario_file(tiny_file(tmp_path))
+    out = tmp_path / "run"
+    res = run_scenario(sc, out_dir=out)
+    with np.load(out / "solution.npz") as z:
+        stored = {k: z[k] for k in z.files}
+    for dtype in (np.uint16, np.int16, np.int32, np.uint64):
+        d = tmp_path / np.dtype(dtype).name
+        d.mkdir()
+        # -1 pads (ufacet_cells, cell_neighbors) do not fit an unsigned dtype
+        np.savez(d / "solution.npz", **{
+            k: v.astype(dtype) if v.dtype.kind in "iu" and v.min() >= np.iinfo(dtype).min
+            else v for k, v in stored.items()})
+        back = load_solution(d)
+        for got, want in ((back.cell_dofs, res.field.cell_dofs),
+                          (back.dof_vertex, res.field.dof_vertex),
+                          (back.mesh.cells, res.mesh.cells)):
+            assert got.dtype == np.int64 and np.array_equal(got, want), dtype
 
 
 def test_load_solution_rejects_broken_bundles(tmp_path, capsys):
@@ -420,6 +449,14 @@ def test_load_solution_rejects_broken_bundles(tmp_path, capsys):
     f2u = arrays["facet_to_ufacet"].copy()
     f2u[0] = (f2u[0] + 1) % len(arrays["ufacets"])
     f2u_off = bundle("f2u_off", **{**arrays, "facet_to_ufacet": f2u})
+    nv = len(arrays["vertices"])
+    dv = arrays["dof_vertex"].copy()
+    dv[0] = nv + 5
+    dv_off = bundle("dv_off", **{**arrays, "dof_vertex": dv})
+    cd = arrays["cell_dofs"].copy()
+    cd[2, 1] = len(arrays["values"])
+    cd_off = bundle("cd_off", **{**arrays, "cell_dofs": cd})
+    cd_float = bundle("cd_float", **{**arrays, "cell_dofs": arrays["cell_dofs"].astype(float)})
     not_npz = tmp_path / "not_npz"
     not_npz.mkdir()
     (not_npz / "solution.npz").write_text("not an archive\n")
@@ -433,6 +470,9 @@ def test_load_solution_rejects_broken_bundles(tmp_path, capsys):
                    (text_vertices, "vertices must hold floats, got dtype <U3"),
                    (ufacets_1, "ufacets has shape"),
                    (f2u_off, f"is not the unique facet {f2u[0]} it points at"),
+                   (dv_off, f"dof_vertex holds values outside 0..{nv - 1}"),
+                   (cd_off, f"cell_dofs holds values outside 0..{len(arrays['values']) - 1}"),
+                   (cd_float, "cell_dofs must hold integers, got dtype float64"),
                    (not_npz, "not a readable solution bundle")):
         with pytest.raises(ValidationError, match=re.escape(msg)) as caught:
             load_solution(d)

@@ -17,8 +17,8 @@ from boxdfm.driver import run_scenario
 from boxdfm.errors import MissingDataError, ValidationError
 from boxdfm.generators import crossed_square_mesh
 from boxdfm.mesh import FacetKind
-from boxdfm.solution import (_LOCATE_TOL, _SIDE_EPS_REL, SolutionField,
-                             _apply_side_rule, _canonical_barrier_normals,
+from boxdfm.solution import (_LOCATE_TOL, _SIDE_EPS_REL, SIDES, SolutionField,
+                             _apply_side_rule, _canonical_normals,
                              convergence_order, l2_error, sample_slice,
                              simplex_quadrature, write_profile_csv)
 from conftest import barrier_square
@@ -85,13 +85,20 @@ def reference_evaluate(field, points):
     return out
 
 
+def barrier_facets(mesh):
+    """Corner points and canonical normals of every barrier facet."""
+    facets = mesh.facets[mesh.facets_of_kind(FacetKind.BARRIER)]
+    return mesh.vertices[facets], _canonical_normals(mesh.vertices, facets)
+
+
 def reference_side_rule(field, pts, side):
-    """Facet by facet: the side-rule loop the candidate-pair pass replaced."""
+    """Facet by facet over every barrier facet: the side-rule loop the
+    candidate-pair pass over the facets near the samples replaced."""
     mesh = field.mesh
-    fpts, normals, _ = _canonical_barrier_normals(mesh)
-    if fpts is None:
+    fpts, normals = barrier_facets(mesh)
+    if len(fpts) == 0:
         return pts
-    eps = _SIDE_EPS_REL * mesh.domain_diameter()
+    eps = _SIDE_EPS_REL * np.linalg.norm(mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0))
     sign = 1.0 if side == "plus" else -1.0
     out = pts.copy()
     moved = np.zeros(len(pts), dtype=bool)
@@ -372,13 +379,44 @@ def test_bundle_slices_match_reference_on_every_builtin_scenario():
                     assert got["values"].tobytes() == want.tobytes(), (name, policy, side)
 
 
+@pytest.mark.parametrize("case", ["ex53", "ex56", "crossed"])
+def test_scoped_side_rule_matches_the_full_facet_reference(case):
+    # the rule keeps only the barrier facets near the samples; the reference
+    # tests every facet
+    mesh = _oracle_mesh(case)
+    field = random_field(mesh)
+    fpts, _ = barrier_facets(mesh)
+    rng = np.random.default_rng(13)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    segments = [rng.uniform(lo, hi, (2, mesh.dim)) for _ in range(10)]
+    # short segments, near few facets or none
+    for _ in range(10):
+        p0 = rng.uniform(lo, hi)
+        segments.append([p0, p0 + rng.uniform(-0.05, 0.05, mesh.dim) * (hi - lo)])
+    # segments in the plane of a barrier facet, centred on it and reaching
+    # past its corners
+    plane = len(segments)
+    for f in rng.integers(0, len(fpts), 12):
+        centre = fpts[f].mean(axis=0)
+        along = rng.uniform(-3.0, 3.0, mesh.dim - 1) @ (fpts[f, 1:] - fpts[f, 0])
+        segments.append([centre - along, centre + along])
+    moved = np.zeros(len(segments), dtype=int)
+    for i, (p0, p1) in enumerate(segments):
+        pts = p0 + np.outer(np.linspace(0.0, 1.0, 101), np.subtract(p1, p0))
+        for side in SIDES:
+            want = reference_side_rule(field, pts, side)
+            assert _apply_side_rule(field, pts, side).tobytes() == want.tobytes(), (i, side)
+            moved[i] += np.any(want != pts, axis=1).sum()
+    assert np.all(moved[plane:] > 0) and np.any(moved[:plane] == 0)
+
+
 def test_side_rule_at_the_eps_threshold_matches_reference():
     # samples at distance ~eps from the slanted barrier, spaced by less than
     # the rounding of the distance, so the d < eps test goes both ways
     sc = get_scenario("ex52_slanted")
     mesh = sc.mesh_factory(sc.default_refine)
     field = random_field(mesh)
-    fpts, normals, _ = _canonical_barrier_normals(mesh)
+    fpts, normals = barrier_facets(mesh)
     eps = _SIDE_EPS_REL * mesh.domain_diameter()
     rng = np.random.default_rng(3)
     f = rng.integers(0, len(normals), 400)
