@@ -39,6 +39,7 @@ __all__ = ["RunResult", "run_scenario", "run_convergence", "load_solution",
 # the arrays of solution.npz besides its policy and the mesh's TOPOLOGY
 _MESH_ARRAYS = ("vertices", "cells", "facets", "facet_tags", "facet_kinds", "cell_region")
 _FIELD_ARRAYS = ("cell_dofs", "dof_vertex", "values")
+_INT32 = np.iinfo(np.int32)
 
 
 @dataclass
@@ -145,6 +146,12 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
 
 def write_bundle(out: Path, scenario: Scenario, mesh: Mesh, dofmap: DofMap,
                  field: SolutionField, report: dict, policy: str) -> None:
+    """Write the output bundle of one solve into out.
+
+    solution.npz holds the mesh, its TOPOLOGY, the field and the policy;
+    each integer array is stored as int32 when every value fits, which
+    halves the bytes a load reads, and as int64 otherwise.
+    """
     out.mkdir(parents=True, exist_ok=True)
     write_solution_vtk(out / "solution.vtk", field)
     write_facets_vtk(out / "facets.vtk", mesh)
@@ -152,12 +159,20 @@ def write_bundle(out: Path, scenario: Scenario, mesh: Mesh, dofmap: DofMap,
     for sl in scenario.slices:
         sample = sample_slice(field, sl.start, sl.end, sl.n, side=sl.side)
         write_profile_csv(out / f"profile_{sl.name}.csv", sample)
-    np.savez(out / "solution.npz", **{k: getattr(mesh, k) for k in _MESH_ARRAYS},
-             **{k: getattr(field, k) for k in _FIELD_ARRAYS}, policy=np.array(policy),
-             **{k: getattr(mesh, k) for k in TOPOLOGY})
+    arrays = {**{k: getattr(mesh, k) for k in _MESH_ARRAYS},
+              **{k: getattr(field, k) for k in _FIELD_ARRAYS}, "policy": np.array(policy),
+              **{k: getattr(mesh, k) for k in TOPOLOGY}}
+    np.savez(out / "solution.npz", **{k: _narrowed(a) for k, a in arrays.items()})
     with open(out / "report.json", "w", newline="\n") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _narrowed(a: np.ndarray) -> np.ndarray:
+    """An integer array as int32 when every value fits; any other as it is."""
+    fits = a.dtype.kind in "iu" and (a.size == 0 or (a.min() >= _INT32.min
+                                                     and a.max() <= _INT32.max))
+    return a.astype(np.int32) if fits else a
 
 
 def load_solution(run_dir) -> SolutionField:

@@ -14,7 +14,7 @@ from boxdfm.assembly import collect_dirichlet
 from boxdfm.benchmarks import builtin_scenarios, get_scenario, scenario_names
 from boxdfm.cli import build_parser, main
 from boxdfm.dofspace import POLICIES, build_dof_map
-from boxdfm.driver import (load_solution, run_convergence, run_scenario,
+from boxdfm.driver import (_narrowed, load_solution, run_convergence, run_scenario,
                            scenario_warnings)
 from boxdfm.errors import MissingDataError, ValidationError
 from boxdfm.generators import crossed_square_mesh, delaunay_rect_mesh, kuhn_cube_mesh
@@ -369,6 +369,7 @@ def test_load_solution_returns_the_mesh_the_run_wrote(tmp_path):
         with np.load(out / "solution.npz") as z:
             stored = {k: z[k] for k in z.files}
         assert set(TOPOLOGY) <= set(stored)
+        assert all(v.dtype == np.int32 for v in stored.values() if v.dtype.kind in "iu")
         # every integer array as int64: the 14 arrays of earlier versions
         wide = {k: v.astype(np.int64) if v.dtype.kind in "iu" else v
                 for k, v in stored.items()}
@@ -411,6 +412,11 @@ def test_load_solution_returns_int64_indices_whatever_dtype_is_stored(tmp_path):
                           (back.dof_vertex, res.field.dof_vertex),
                           (back.mesh.cells, res.mesh.cells)):
             assert got.dtype == np.int64 and np.array_equal(got, want), dtype
+    # write_bundle stores int32 only where every value fits
+    for a, want in ((np.array([-2 ** 31, 2 ** 31 - 1]), np.int32),
+                    (np.array([0, 2 ** 31]), np.int64), (np.array([-2 ** 31 - 1]), np.int64),
+                    (np.zeros((0, 3), dtype=np.int64), np.int32), (np.zeros(3), np.float64)):
+        assert _narrowed(a).dtype == want
 
 
 def test_load_solution_rejects_broken_bundles(tmp_path, capsys):
