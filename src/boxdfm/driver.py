@@ -39,7 +39,6 @@ __all__ = ["RunResult", "run_scenario", "run_convergence", "load_solution",
 # the arrays of solution.npz besides its policy and the mesh's TOPOLOGY
 _MESH_ARRAYS = ("vertices", "cells", "facets", "facet_tags", "facet_kinds", "cell_region")
 _FIELD_ARRAYS = ("cell_dofs", "dof_vertex", "values")
-_INT32 = np.iinfo(np.int32)
 
 
 @dataclass
@@ -170,8 +169,8 @@ def write_bundle(out: Path, scenario: Scenario, mesh: Mesh, dofmap: DofMap,
 
 def _narrowed(a: np.ndarray) -> np.ndarray:
     """An integer array as int32 when every value fits; any other as it is."""
-    fits = a.dtype.kind in "iu" and (a.size == 0 or (a.min() >= _INT32.min
-                                                     and a.max() <= _INT32.max))
+    i32 = np.iinfo(np.int32)
+    fits = a.dtype.kind in "iu" and (a.size == 0 or (a.min() >= i32.min and a.max() <= i32.max))
     return a.astype(np.int32) if fits else a
 
 

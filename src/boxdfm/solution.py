@@ -9,7 +9,7 @@ leaves the mesh, steps back or runs long is located by a barycentric test
 of the cells around it, then of every cell.
 Slice samples lying on a barrier facet are first moved by a fixed offset
 along the facet's normal; the (sample, facet) pairs to test come from a
-k-d tree over the facets' bounding boxes.
+k-d tree over the bounding boxes of the facets near the samples.
 """
 
 from __future__ import annotations
