@@ -9,7 +9,10 @@ the Mesh and DofMap arrays, A0, b0, A, the solution and the CG iteration
 count, every bundle file except report.json (which carries timings), the
 arrays of solution.npz, compared as arrays because its zip headers carry
 timestamps, and the Mesh, cell_dofs, dof_vertex and values that
-load_solution reads back from the bundle.
+load_solution reads back from the bundle. One more digest per builtin
+except ex55 covers the Mesh arrays of its mesh factory one level above the
+default, without a solve, so every mesh source (generated, Delaunay,
+crossed-square, MSH file) is checked through refinement.
 Run it on two source trees and diff the outputs to show that a change keeps
 the numbers bit for bit.
 """
@@ -48,15 +51,26 @@ def _feed(h, name: str, value) -> None:
         h.update(value if isinstance(value, bytes) else repr(value).encode())
 
 
+def _feed_fields(h, prefix: str, obj) -> None:
+    for f in dataclasses.fields(obj):
+        _feed(h, f"{prefix}.{f.name}", getattr(obj, f.name))
+
+
+def mesh_fingerprint(name: str) -> str:
+    scenario = get_scenario(name)
+    h = hashlib.sha256()
+    _feed_fields(h, "Mesh", scenario.mesh_factory(scenario.default_refine + 1))
+    return h.hexdigest()
+
+
 def fingerprint(name: str, refine: int, policy: str | None, preconditioner: str | None) -> str:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         res = run_scenario(get_scenario(name), refine=refine, policy=policy, out_dir=out,
                            preconditioner=preconditioner)
-        for obj in (res.mesh, res.dofmap):
-            for f in dataclasses.fields(obj):
-                _feed(h, f"{type(obj).__name__}.{f.name}", getattr(obj, f.name))
+        _feed_fields(h, "Mesh", res.mesh)
+        _feed_fields(h, "DofMap", res.dofmap)
         s = res.system
         for key, value in (("A0", s.A0), ("b0", s.b0), ("A", s.A), ("x", res.field.values),
                            ("iterations", res.report["solver"]["iterations"])):
@@ -69,19 +83,21 @@ def fingerprint(name: str, refine: int, policy: str | None, preconditioner: str 
             elif path.name != "report.json":
                 _feed(h, path.name, path.read_bytes())
         loaded = load_solution(out)
-        for f in dataclasses.fields(loaded.mesh):
-            _feed(h, f"loaded.Mesh.{f.name}", getattr(loaded.mesh, f.name))
+        _feed_fields(h, "loaded.Mesh", loaded.mesh)
         for key in ("cell_dofs", "dof_vertex", "values"):
             _feed(h, f"loaded.{key}", getattr(loaded, key))
     return h.hexdigest()
 
 
 def main() -> None:
-    cases = [(n, 0, p, None) for n in scenario_names() if n != "ex55" for p in POLICIES]
+    names = [n for n in scenario_names() if n != "ex55"]
+    cases = [(n, 0, p, None) for n in names for p in POLICIES]
     cases += [(n, r, None, pc) for n, r, pc in LADDER]
     for name, refine, policy, pc in cases:
         label = f"{name} r+{refine} {policy or 'default'} {pc or 'default'}"
         print(f"{fingerprint(name, refine, policy, pc)}  {label}", flush=True)
+    for name in names:
+        print(f"{mesh_fingerprint(name)}  {name} r+1 mesh", flush=True)
 
 
 if __name__ == "__main__":

@@ -168,7 +168,7 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
     if np.any(dead):
         i = int(np.nonzero(dead)[0][0])
         raise DofMapError(
-            f"barrier facet {tuple(mesh.facets[bar_rows[i]])} has identical dofs on "
+            f"barrier facet {tuple(mesh.facets[bar_rows[i]].tolist())} has identical dofs on "
             "both sides; it cannot carry a pressure jump (isolated facet or "
             "merged by the intersection policy at every vertex)"
         )

@@ -107,7 +107,8 @@ def _feature_edges_on_lines(vertices, segments, tol):
         on = (perp < tol) & (t > -tol / L) & (t < 1 + tol / L)
         ids = np.nonzero(on)[0]
         if len(ids) < 2:
-            raise MeshGenerationError(f"segment {tuple(p0)}-{tuple(p1)} hits < 2 vertices")
+            raise MeshGenerationError(
+                f"segment {tuple(p0.tolist())}-{tuple(p1.tolist())} hits < 2 vertices")
         chains.append((ids[np.argsort(t[ids])], tag))
     return _chain_edges(chains)
 
@@ -138,7 +139,8 @@ def _finish_2d_checked(vertices, cells, feature_edges, feature_tags, lo, hi,
     btags = np.where(on.any(axis=1), np.argmax(on, axis=1) + 1, 0)
     if np.any(btags == 0):
         k = int(np.nonzero(btags == 0)[0][0])
-        raise MeshGenerationError(f"boundary edge {tuple(bedges[k])} lies on no rectangle side")
+        raise MeshGenerationError(
+            f"boundary edge {tuple(bedges[k].tolist())} lies on no rectangle side")
     if boundary_tag_fn is not None:
         btags = np.asarray(boundary_tag_fn(0.5 * (p0 + p1), btags), dtype=np.int64)
 
@@ -147,7 +149,7 @@ def _finish_2d_checked(vertices, cells, feature_edges, feature_tags, lo, hi,
     if not found.all():
         pa, pb = vertices[feature_edges[np.argmin(found)]]
         raise MeshGenerationError(
-            f"feature edge {tuple(np.round(pa, 6))}-{tuple(np.round(pb, 6))} "
+            f"feature edge {tuple(np.round(pa, 6).tolist())}-{tuple(np.round(pb, 6).tolist())} "
             "was not recovered by the triangulation"
         )
     return _finish_mesh(vertices, cells, np.vstack([bedges, feature_edges]),

@@ -250,7 +250,8 @@ def _unique_facet_table(cells: np.ndarray, dim: int, nv: int):
     if counts.max(initial=0) > 2:
         bad = ufacets[np.argmax(counts)]
         raise ValidationError(
-            f"facet {tuple(bad)} is shared by {counts.max()} cells; mesh is not a manifold complex"
+            f"facet {tuple(bad.tolist())} is shared by {counts.max()} cells; "
+            "mesh is not a manifold complex"
         )
     local, owner = np.divmod(order, nc)
     ufacet_cells = np.full((nu, 2), -1, dtype=np.int64)
@@ -274,7 +275,7 @@ def _locate_tagged(ufacets: np.ndarray, tagged: np.ndarray, nv: int) -> np.ndarr
     if not found.all():
         i = int(np.argmin(found))
         raise ValidationError(
-            f"tagged facet {tuple(tagged[i])} does not coincide with any cell facet"
+            f"tagged facet {tuple(tagged[i].tolist())} does not coincide with any cell facet"
         )
     return pos.astype(np.int64, copy=False)
 
@@ -323,7 +324,7 @@ def _mesh(vertices, cells, vol, cell_region, facets, facet_tags, facet_kinds,
         if np.any(off):
             i = int(np.argmax(off))
             raise ValidationError(
-                f"tagged facet {tuple(facets[i])} is not the unique facet "
+                f"tagged facet {tuple(facets[i].tolist())} is not the unique facet "
                 f"{facet_to_ufacet[i]} it points at"
             )
     _check_tagged(facets, facet_tags, facet_kinds, ufacets, ufacet_cells, facet_to_ufacet)
@@ -391,7 +392,7 @@ def _check_tagged(facets, facet_tags, facet_kinds, ufacets, ufacet_cells,
         uniq, cnt = np.unique(facet_to_ufacet, return_counts=True)
         if cnt.max(initial=0) > 1:
             dup = ufacets[uniq[np.argmax(cnt)]]
-            raise ValidationError(f"facet {tuple(dup)} is tagged more than once")
+            raise ValidationError(f"facet {tuple(dup.tolist())} is tagged more than once")
 
     n_adjacent = (ufacet_cells[facet_to_ufacet] >= 0).sum(axis=1)
     interior_kinds = (facet_kinds == FacetKind.FRACTURE) | (facet_kinds == FacetKind.BARRIER)
@@ -399,14 +400,14 @@ def _check_tagged(facets, facet_tags, facet_kinds, ufacets, ufacet_cells,
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
         raise ValidationError(
-            f"facet {tuple(facets[i])} (tag {facet_tags[i]}) is a fracture/barrier "
+            f"facet {tuple(facets[i].tolist())} (tag {facet_tags[i]}) is a fracture/barrier "
             "but lies on the domain boundary"
         )
     bad = ~interior_kinds & (n_adjacent != 1)
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
         raise ValidationError(
-            f"facet {tuple(facets[i])} (tag {facet_tags[i]}) carries a boundary "
+            f"facet {tuple(facets[i].tolist())} (tag {facet_tags[i]}) carries a boundary "
             "condition but is interior"
         )
 

@@ -1,109 +1,84 @@
 """Uniform red refinement of simplicial meshes with tag inheritance.
 
-Edges use the packed int64 keys of the facet table in :mod:`.mesh`: the
-edge table is the sorted unique keys of all cell edges, and the midpoint
-of edge (a, b) is vertex n_vertices + the position of its key in that
-table, found by one searchsorted. Keys ascend in the lexicographic order
-of the sorted edge rows, so midpoints are numbered in that order.
+Each level works on the mesh arrays; only the finest becomes a Mesh.
+_CELL_CHILDREN and _FACET_CHILDREN list each child as positions in its
+parent row's nodes: the vertices, then the midpoints of the vertex pairs
+(0, 1), (0, 2), ... in order. Child c of row p becomes row c*n + p. A
+child's orientation is its parent's times a constant of its position, and
+the cell table lists every child of a positive parent as positive (in 3d,
+children 1, 3, 5 and 7 with their first two nodes swapped). The base went
+through build_mesh, so every level is positive without a volume test, and
+the final build_mesh swaps nothing.
+
+Edges use the packed int64 keys of :mod:`.mesh`: the midpoint of edge
+(a, b) is vertex n_vertices + the position of its key in the sorted unique
+keys of all cell edges. Keys ascend in the lexicographic order of the
+sorted edge rows, so midpoints are numbered in that order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import Mesh, _facet_keys, _search_keys, _unpack_keys, build_mesh
+from .errors import ValidationError
+from .mesh import Mesh, _facet_keys, _unpack_keys, build_mesh
 
 __all__ = ["uniform_refine"]
 
+# the Mesh arrays a level reads and returns, named as build_mesh takes them
+_ARRAYS = ("vertices", "cells", "cell_region", "facets", "facet_tags", "facet_kinds")
+# nodes 2d: v0 v1 v2 m01 m02 m12; 3d: v0 v1 v2 v3 m01 m02 m03 m12 m13 m23
+# 3d: 4 corner tetrahedra, then the octahedron split along the m02-m13 diagonal
+_CELL_CHILDREN = {
+    2: np.array([(0, 3, 4), (1, 5, 3), (2, 4, 5), (3, 5, 4)]),
+    3: np.array([(0, 4, 5, 6), (4, 1, 7, 8), (2, 5, 7, 9), (6, 3, 8, 9),
+                 (4, 5, 6, 8), (5, 4, 7, 8), (5, 6, 8, 9), (7, 5, 8, 9)]),
+}
+_FACET_CHILDREN = {
+    2: np.array([(0, 2), (2, 1)]),
+    3: np.array([(0, 3, 4), (1, 3, 5), (2, 4, 5), (3, 5, 4)]),
+}
+
 
 def uniform_refine(mesh: Mesh, levels: int = 1) -> Mesh:
-    """Refine every cell into 2^dim children; tags and regions inherit.
-
-    Triangles split into 4 similar triangles through edge midpoints;
-    tetrahedra split into 4 corner tetrahedra plus 4 from the interior
-    octahedron (fixed diagonal). Tagged facets split into their 2 (2D) or
-    4 (3D) sub-facets with the same tag and kind.
+    """Refine every cell into 2^dim children, levels times; tags and regions
+    inherit. Tetrahedra split into 4 corner tetrahedra and 4 from the
+    interior octahedron (fixed diagonal), tagged facets into their 2^(dim-1)
+    sub-facets. Builds one Mesh, at the finest level; levels=0 returns mesh.
     """
+    if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)) or levels < 0:
+        raise ValidationError(f"refinement levels must be an integer >= 0, got {levels!r}")
+    if levels == 0:
+        return mesh
+    arrays = [getattr(mesh, name) for name in _ARRAYS]
     for _ in range(levels):
-        mesh = _refine_once(mesh)
-    return mesh
+        arrays = _refine_once(*arrays)
+    return build_mesh(**dict(zip(_ARRAYS, arrays)))
 
 
-def _refine_once(mesh: Mesh) -> Mesh:
-    cells = mesh.cells
-    nv = mesh.n_vertices
-    nloc = cells.shape[1]
-    pairs = np.concatenate([cells[:, [i, j]] for i in range(nloc) for j in range(i + 1, nloc)])
-    # edge keys ascend in the lexicographic order of the edge rows
-    ekey = np.unique(_facet_keys(np.sort(pairs, axis=1), nv))
+def _refine_once(vertices, cells, cell_region, facets, facet_tags, facet_kinds):
+    """The six arrays of a mesh with positive cells, one level finer."""
+    nv, dim = vertices.shape
+    key = _pair_keys(cells, nv)
+    ekey = np.unique(key)
     edges = _unpack_keys(ekey, nv, 2)
-    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    vertices = np.vstack([mesh.vertices, midpoints])
+    vertices = np.vstack([vertices, 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])])
+    fmids = nv + np.searchsorted(ekey, _pair_keys(facets, nv))
+    nfc = len(_FACET_CHILDREN[dim])
+    return (vertices, _children(cells, nv + np.searchsorted(ekey, key), _CELL_CHILDREN[dim]),
+            np.tile(cell_region, 2 ** dim), _children(facets, fmids, _FACET_CHILDREN[dim]),
+            np.tile(facet_tags, nfc), np.tile(facet_kinds, nfc))
 
-    def mid(a, b):
-        return nv + _search_keys(ekey, np.stack([a, b], axis=1), nv)[0]
 
-    if mesh.dim == 2:
-        v0, v1, v2 = cells[:, 0], cells[:, 1], cells[:, 2]
-        m01, m02, m12 = mid(v0, v1), mid(v0, v2), mid(v1, v2)
-        children = [
-            (v0, m01, m02),
-            (v1, m12, m01),
-            (v2, m02, m12),
-            (m01, m12, m02),
-        ]
-    else:
-        v0, v1, v2, v3 = (cells[:, i] for i in range(4))
-        m01, m02, m03 = mid(v0, v1), mid(v0, v2), mid(v0, v3)
-        m12, m13, m23 = mid(v1, v2), mid(v1, v3), mid(v2, v3)
-        children = [
-            (v0, m01, m02, m03),
-            (v1, m01, m12, m13),
-            (v2, m02, m12, m23),
-            (v3, m03, m13, m23),
-            # octahedron, split along the m02-m13 diagonal
-            (m01, m02, m03, m13),
-            (m01, m02, m12, m13),
-            (m02, m03, m13, m23),
-            (m02, m12, m13, m23),
-        ]
-    new_cells = np.concatenate([np.stack(ch, axis=1) for ch in children], axis=0)
-    new_region = np.tile(mesh.cell_region, len(children))
+def _pair_keys(rows: np.ndarray, nv: int) -> np.ndarray:
+    """Packed keys of each row's vertex pairs (0, 1), (0, 2), ...: (pairs, rows)."""
+    k = rows.shape[1]
+    pairs = np.stack([rows[:, [i, j]] for i in range(k) for j in range(i + 1, k)])
+    return _facet_keys(np.sort(pairs, axis=2).reshape(-1, 2), nv).reshape(pairs.shape[:2])
 
-    facets = mesh.facets
-    if facets.shape[0]:
-        if mesh.dim == 2:
-            a, b = facets[:, 0], facets[:, 1]
-            m = mid(a, b)
-            new_facets = np.concatenate(
-                [np.stack([a, m], axis=1), np.stack([m, b], axis=1)], axis=0
-            )
-            reps = 2
-        else:
-            a, b, c = facets[:, 0], facets[:, 1], facets[:, 2]
-            mab, mac, mbc = mid(a, b), mid(a, c), mid(b, c)
-            new_facets = np.concatenate(
-                [
-                    np.stack([a, mab, mac], axis=1),
-                    np.stack([b, mab, mbc], axis=1),
-                    np.stack([c, mac, mbc], axis=1),
-                    np.stack([mab, mbc, mac], axis=1),
-                ],
-                axis=0,
-            )
-            reps = 4
-        new_tags = np.tile(mesh.facet_tags, reps)
-        new_kinds = np.tile(mesh.facet_kinds, reps)
-    else:
-        new_facets = facets
-        new_tags = mesh.facet_tags
-        new_kinds = mesh.facet_kinds
 
-    return build_mesh(
-        vertices,
-        new_cells,
-        new_facets,
-        new_tags,
-        cell_region=new_region,
-        facet_kinds=new_kinds,
-    )
+def _children(rows: np.ndarray, mids: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The child rows of table, child-major: row c*n + p is child c of row
+    p, whose nodes are p's vertices, then the midpoint ids mids[:, p]."""
+    nodes = np.concatenate([rows.T, mids])
+    return nodes[table].transpose(0, 2, 1).reshape(-1, table.shape[1])

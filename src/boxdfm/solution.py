@@ -158,7 +158,7 @@ class SolutionField:
         best = int(np.argmax(quality))
         # slack admits side-rule samples nudged just past the hull
         if quality[best] < -1e-6:
-            raise ValidationError(f"point {tuple(p)} lies outside the mesh")
+            raise ValidationError(f"point {tuple(p.tolist())} lies outside the mesh")
         return best
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:

@@ -222,7 +222,10 @@ def test_orientation_volumes_by_range_match_the_one_shot_formula(dim, monkeypatc
 
 
 @pytest.mark.parametrize("facets, kinds, match", [
-    ([[0, 1], [1, 0]], [FacetKind.NEUMANN, FacetKind.DIRICHLET], "tagged more than once"),
+    # an explicit id keeps the regex escapes out of the test name
+    pytest.param([[0, 1], [1, 0]], [FacetKind.NEUMANN, FacetKind.DIRICHLET],
+                 r"facet \(0, 1\) is tagged more than once",
+                 id="facets0-kinds0-tagged more than once"),
     ([[0, 1]], [FacetKind.BARRIER], "lies on the domain boundary"),
     ([[0, 2]], [FacetKind.DIRICHLET], "carries a boundary condition but is interior"),
 ])

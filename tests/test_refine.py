@@ -1,12 +1,17 @@
 """Uniform refinement in 2D and 3D."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
+import boxdfm.refine
 from boxdfm.benchmarks import get_scenario
+from boxdfm.errors import ValidationError
 from boxdfm.generators import crossed_square_mesh, kuhn_cube_mesh
-from boxdfm.mesh import FacetKind, facet_measures
-from boxdfm.refine import uniform_refine
+from boxdfm.mesh import FacetKind, _orientation_volumes, facet_measures
+from boxdfm.refine import _ARRAYS, _CELL_CHILDREN, _refine_once, uniform_refine
 from conftest import barrier_square
 from test_mesh import _shuffled
 
@@ -59,6 +64,14 @@ def test_levels_zero_is_identity():
     r = uniform_refine(m, 0)
     assert r.n_cells == m.n_cells
     assert np.array_equal(r.vertices, m.vertices)
+    assert uniform_refine(m, np.int64(0)) is m
+    assert uniform_refine(m, np.int32(1)).n_cells == 4 * m.n_cells
+
+
+@pytest.mark.parametrize("levels", [-1, 1.5, "2", True, None])
+def test_bad_levels_are_rejected_by_name(levels):
+    with pytest.raises(ValidationError, match=re.escape(f"got {levels!r}")):
+        uniform_refine(barrier_square(n=2), levels)
 
 
 def reference_unique_edges(cells):
@@ -98,3 +111,47 @@ def test_midpoints_follow_the_reference_edge_order():
                               for j in range(1, m.dim + 1)]
         corner = np.sort(np.stack(corner, axis=1), axis=1)
         assert np.array_equal(np.sort(r.cells[:m.n_cells], axis=1), corner)
+
+
+def _fields_equal(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+def test_two_levels_at_once_equal_two_calls():
+    for m in _refine_meshes():
+        _fields_equal(uniform_refine(m, 2), uniform_refine(uniform_refine(m, 1), 1))
+
+
+def test_children_come_out_positively_oriented():
+    for m in _refine_meshes():
+        arrays = [getattr(m, name) for name in _ARRAYS]
+        for _ in range(2):
+            arrays = _refine_once(*arrays)
+            vertices, cells = arrays[:2]
+            assert np.all(_orientation_volumes(vertices, cells) > 0)
+
+
+def test_corner_children_hold_their_parent_vertex_at_a_table_position():
+    for m in _refine_meshes():
+        r, nc, table = uniform_refine(m), m.n_cells, _CELL_CHILDREN[m.dim]
+        for c in range(m.dim + 1):
+            pos = list(table[c]).index(c)
+            assert np.array_equal(r.cells[c * nc:(c + 1) * nc, pos], m.cells[:, c])
+
+
+def test_one_mesh_is_built_per_call(monkeypatch):
+    calls = []
+    build = boxdfm.refine.build_mesh
+    monkeypatch.setattr(boxdfm.refine, "build_mesh",
+                        lambda *a, **k: calls.append(1) or build(*a, **k))
+    for m in (barrier_square(n=2), kuhn_cube_mesh(1)):
+        calls.clear()
+        r = uniform_refine(m, 3)
+        assert len(calls) == 1
+        assert r.n_cells == 2 ** (3 * m.dim) * m.n_cells

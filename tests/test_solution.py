@@ -192,6 +192,12 @@ def test_locate_brute_scans_every_cell():
     assert reference_barycentric(field, field._locate_brute(p), p).min() >= -1e-6
 
 
+def test_locate_brute_names_the_point_in_plain_numbers():
+    mesh, field = linear_field()
+    with pytest.raises(ValidationError, match=r"point \(-0\.5, 0\.5\) lies outside the mesh"):
+        field._locate_brute(np.array([-0.5, 0.5]))
+
+
 def test_point_outside_the_mesh_rejected():
     mesh, field = linear_field()
     with pytest.raises(ValidationError, match="outside the mesh"):
