@@ -13,6 +13,7 @@ Geometry that is not fixed by the setup itself ships as JSON data files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -20,9 +21,7 @@ import numpy as np
 from .generators import (crossed_square_mesh, delaunay_rect_mesh,
                          kuhn_cube_mesh, strip_grid_mesh)
 from .materials import BarrierLaw, FractureLaw, MaterialModel
-from .mesh import Mesh
 from .msh_io import load_msh
-from .refine import uniform_refine
 from .scenario import (Scenario, SliceSpec, SolverSettings, boundary_flux,
                        box_boundary_fn, box_region_fn, data_file,
                        load_geometry, parse_planes, parse_segments,
@@ -52,16 +51,6 @@ def ex51_scenario() -> Scenario:
     def region(centroids):
         return np.where(centroids[:, 0] < 0.5, 1, 2)
 
-    def factory(level: int) -> Mesh:
-        # unstructured base: crossed patterns superconverge on the coarse
-        # levels, which drags the first observed order below 1.9
-        base = delaunay_rect_mesh(
-            ((0.0, 0.0), (1.0, 1.0)), 0.085, seed=2,
-            segments=[((0.5, 0.0), (0.5, 1.0), 10)],
-            region_fn=region, tag_map=tag_map,
-        )
-        return uniform_refine(base, level)
-
     exact = {"by_region": {1: "sin(x)*sin(y)",
                            2: "sin(x)*sin(y) + cos(0.5)*sin(y)"}}
     source = {"by_region": {1: "2*sin(x)*sin(y)",
@@ -72,7 +61,11 @@ def ex51_scenario() -> Scenario:
         description="convergence test: manufactured discontinuous solution, "
                     "barrier at x=0.5 with k_b/a=1",
         dim=2,
-        mesh_factory=factory,
+        # unstructured base: crossed patterns superconverge on the coarse
+        # levels, which drags the first observed order below 1.9
+        base_mesh=partial(delaunay_rect_mesh, ((0.0, 0.0), (1.0, 1.0)), 0.085, seed=2,
+                          segments=[((0.5, 0.0), (0.5, 1.0), 10)],
+                          region_fn=region, tag_map=tag_map),
         materials=MaterialModel(matrix={1: 1.0, 2: 1.0}, fractures={},
                                 barriers={10: BarrierLaw(1e-2, 1e-2)}, dim=2),
         dirichlet={1: g, 2: g, 3: g, 4: g},
@@ -96,17 +89,13 @@ def ex52_scenario(orientation: str = "vertical", k_b: float = 1e-7) -> Scenario:
     tag_map = {1: "dirichlet", 2: "dirichlet", 3: "neumann", 4: "neumann",
                10: "barrier"}
     path = data_file(f"meshes/ex52_{orientation}.msh")
-
-    def factory(level: int) -> Mesh:
-        return uniform_refine(load_msh(path, tag_map), level)
-
     slice_y = 0.75 if orientation == "vertical" else 0.5
     return Scenario(
         name=f"ex52_{orientation}",
         description=f"single {orientation} barrier, k_b/a={k_b / aperture:g}, "
                     "Dirichlet 0/1 left/right",
         dim=2,
-        mesh_factory=factory,
+        base_mesh=partial(load_msh, path, tag_map),
         materials=MaterialModel(matrix={1: 1.0}, fractures={},
                                 barriers={10: BarrierLaw(aperture, k_b)}, dim=2),
         dirichlet={1: scalar_field("0", 2), 2: scalar_field("1", 2)},
@@ -125,18 +114,13 @@ def ex53_scenario() -> Scenario:
     barrier_tags = sorted(s[2] for s in segments)
     tag_map = {1: "neumann", 2: "dirichlet", 3: "neumann", 4: "neumann"}
     tag_map.update({t: "barrier" for t in barrier_tags})
-
-    def factory(level: int) -> Mesh:
-        base = delaunay_rect_mesh(geo["domain"], 0.07, segments=segments,
-                                  seed=2, tag_map=tag_map)
-        return uniform_refine(base, level)
-
     return Scenario(
         name="ex53",
         description="regular six-barrier network, a=k_b=1e-4, "
                     "left inflow, right Dirichlet 1",
         dim=2,
-        mesh_factory=factory,
+        base_mesh=partial(delaunay_rect_mesh, geo["domain"], 0.07, segments=segments,
+                          seed=2, tag_map=tag_map),
         materials=MaterialModel(
             matrix={1: 1.0}, fractures={},
             barriers={t: BarrierLaw(1e-4, 1e-4) for t in barrier_tags}, dim=2),
@@ -172,18 +156,13 @@ def ex54_scenario(sub: str = "a") -> Scenario:
     tag_map = dict(side_map)
     tag_map.update({t: "fracture" for t in fract})
     tag_map.update({t: "barrier" for t in barr})
-
-    def factory(level: int) -> Mesh:
-        base = delaunay_rect_mesh(geo["domain"], 0.03, segments=segments,
-                                  seed=4, tag_map=tag_map)
-        return uniform_refine(base, level)
-
     return Scenario(
         name=f"ex54{sub}",
         description="complex fracture-barrier network, k_f=1e4, k_b=1e-4, "
                     + ("flow top to bottom" if sub == "a" else "flow left to right"),
         dim=2,
-        mesh_factory=factory,
+        base_mesh=partial(delaunay_rect_mesh, geo["domain"], 0.03, segments=segments,
+                          seed=4, tag_map=tag_map),
         materials=MaterialModel(
             matrix={1: 1.0},
             fractures={t: FractureLaw(1e-4, 1e4) for t in fract},
@@ -208,18 +187,13 @@ def ex55_scenario() -> Scenario:
     barrier_tags = sorted({s[2] for s in segments})
     tag_map = {1: "dirichlet", 2: "dirichlet", 3: "neumann", 4: "neumann"}
     tag_map.update({t: "barrier" for t in barrier_tags})
-
-    def factory(level: int) -> Mesh:
-        base = delaunay_rect_mesh(geo["domain"], 18.0, segments=segments,
-                                  seed=6, tag_map=tag_map)
-        return uniform_refine(base, level)
-
     return Scenario(
         name="ex55",
         description="realistic 64-barrier network, 700x600 m, "
                     "Dirichlet 1013250/0",
         dim=2,
-        mesh_factory=factory,
+        base_mesh=partial(delaunay_rect_mesh, geo["domain"], 18.0, segments=segments,
+                          seed=6, tag_map=tag_map),
         materials=MaterialModel(
             matrix={1: 1e-14}, fractures={},
             barriers={t: BarrierLaw(1e-2, 1e-18) for t in barrier_tags}, dim=2),
@@ -247,12 +221,6 @@ def ex56_scenario() -> Scenario:
     tag_map = {i: "neumann" for i in range(1, 7)}
     tag_map.update({7: "dirichlet", 8: "neumann"})
     tag_map.update({t: "barrier" for t in barrier_tags})
-
-    def factory(level: int) -> Mesh:
-        base = kuhn_cube_mesh(8, planes=planes, region_fn=region_fn,
-                              boundary_tag_fn=boundary_fn, tag_map=tag_map)
-        return uniform_refine(base, level)
-
     neumann = {i: boundary_flux("0", 3) for i in range(1, 7)}
     neumann[8] = boundary_flux("-1", 3)
     return Scenario(
@@ -260,7 +228,8 @@ def ex56_scenario() -> Scenario:
         description="nine-barrier unit cube, two matrix blocks (k=1, 0.1), "
                     "corner inflow and corner Dirichlet",
         dim=3,
-        mesh_factory=factory,
+        base_mesh=partial(kuhn_cube_mesh, 8, planes=planes, region_fn=region_fn,
+                          boundary_tag_fn=boundary_fn, tag_map=tag_map),
         materials=MaterialModel(
             matrix={1: 1.0, 2: 0.1}, fractures={},
             barriers={t: BarrierLaw(1e-4, 1e-4) for t in barrier_tags}, dim=3),
@@ -307,15 +276,6 @@ def ex57_scenario(sub: str = "a", k_tau: float = 1e-3) -> Scenario:
     side_map, dirichlet, neumann = _ex57_bcs(sub)
     tag_map = dict(side_map)
     tag_map.update({t: "barrier" for _, _, t in _EX57_BARRIERS})
-
-    def factory(level: int) -> Mesh:
-        base = crossed_square_mesh(
-            70, jitter=0.3, seed=11,
-            keep_x=(0.3, 0.7), keep_y=(0.2, 0.4, 0.6, 0.8),
-            segments=list(_EX57_BARRIERS), tag_map=tag_map,
-        )
-        return uniform_refine(base, level)
-
     a, kn = _EX57_APERTURE, _EX57_KN
     barriers = {
         51: BarrierLaw(a, kn, k_tau),
@@ -328,7 +288,9 @@ def ex57_scenario(sub: str = "a", k_tau: float = 1e-3) -> Scenario:
         description=f"validity study, four barriers, k_n={kn:g}, "
                     f"k_tau={k_tau:g} on the right-anchored pair",
         dim=2,
-        mesh_factory=factory,
+        base_mesh=partial(crossed_square_mesh, 70, jitter=0.3, seed=11,
+                          keep_x=(0.3, 0.7), keep_y=(0.2, 0.4, 0.6, 0.8),
+                          segments=list(_EX57_BARRIERS), tag_map=tag_map),
         materials=MaterialModel(matrix={1: 1.0}, fractures={},
                                 barriers=barriers, dim=2),
         dirichlet=dirichlet,
@@ -373,15 +335,11 @@ def ex57_equidim_scenario(sub: str = "a", k_tau: float = 1e-3) -> Scenario:
         out[var] = 3
         return out
 
-    def factory(level: int) -> Mesh:
-        base = strip_grid_mesh(xs, ys, region_fn=region, tag_map=side_map)
-        return uniform_refine(base, level)
-
     return Scenario(
         name=f"ex57{sub}_equidim",
         description=f"thin-strip reference for ex57{sub}, k_tau={k_tau:g}",
         dim=2,
-        mesh_factory=factory,
+        base_mesh=partial(strip_grid_mesh, xs, ys, region_fn=region, tag_map=side_map),
         materials=MaterialModel(
             matrix={1: 1.0, 2: kn, 3: np.diag([k_tau, kn])},
             fractures={}, barriers={}, dim=2),
@@ -408,21 +366,15 @@ def analytic_barrier_scenario(beta: float = 1e-5, h: float = 0.11,
     def region(centroids):
         return np.where(centroids[:, 0] < 0.5, 1, 2)
 
-    def factory(level: int) -> Mesh:
-        base = delaunay_rect_mesh(
-            ((0.0, 0.0), (1.0, 1.0)), h,
-            segments=[((0.5, 0.0), (0.5, 1.0), 10)],
-            seed=seed, region_fn=region, tag_map=tag_map,
-        )
-        return uniform_refine(base, level)
-
     exact = {"by_region": {1: f"{s!r}*x", 2: f"{s!r}*x + {jump!r}"}}
     return Scenario(
         name="analytic_barrier",
         description=f"full-height vertical barrier, k_b/a={beta:g}, "
                     "exact piecewise-linear solution",
         dim=2,
-        mesh_factory=factory,
+        base_mesh=partial(delaunay_rect_mesh, ((0.0, 0.0), (1.0, 1.0)), h,
+                          segments=[((0.5, 0.0), (0.5, 1.0), 10)],
+                          seed=seed, region_fn=region, tag_map=tag_map),
         materials=MaterialModel(matrix={1: 1.0, 2: 1.0}, fractures={},
                                 barriers={10: BarrierLaw(1e-2, beta * 1e-2)},
                                 dim=2),

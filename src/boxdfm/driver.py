@@ -24,7 +24,7 @@ from ._rows import rows
 from .assembly import (SparseSystem, _assemble_system, _pin_warning, floating_compartments,
                        flux_balance)
 from .dofspace import DofMap, _policy_key, build_dof_map, write_vertex_report
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, as_int
 from .linalg import cg_solve
 from .materials import MaterialModel
 from .mesh import TOPOLOGY, Mesh, _int_array, restore_mesh
@@ -83,11 +83,12 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
     if the iteration does not reach the requested tolerance.
     """
     t0 = time.perf_counter()
-    level = scenario.default_refine + int(refine)
+    refine = as_int(refine, "refine must be an integer")
+    level = scenario.default_refine + refine
     if level < 0:
         raise ValidationError(
             f"refinement level {level} is below 0 (scenario level "
-            f"{scenario.default_refine}, refine {int(refine)})"
+            f"{scenario.default_refine}, refine {refine})"
         )
     base = scenario.solver
     s = SolverSettings(tol=base.tol if tol is None else float(tol),
@@ -233,8 +234,7 @@ def run_convergence(scenario: Scenario, levels: int, policy: str | None = None,
             f"scenario {scenario.name!r} has no exact solution; "
             "a convergence study needs one"
         )
-    if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)) or levels < 1:
-        raise ValidationError(f"a convergence study needs levels >= 1, got {levels!r}")
+    levels = as_int(levels, "a convergence study needs levels", 1)
     ndofs, errors = [], []
     for level in range(levels + 1):
         res = run_scenario(scenario, refine=level, policy=policy, tol=tol,

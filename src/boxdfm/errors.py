@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the integer check
+every integer argument goes through.
 
 The CLI maps these onto exit codes: ValidationError and subclasses -> 2,
 SolverError and subclasses -> 3, MissingDataError -> 4.
 """
+
+import numpy as np
 
 
 class BoxDfmError(Exception):
@@ -35,3 +38,15 @@ class NotPositiveDefiniteError(SolverError):
 
 class MissingDataError(BoxDfmError):
     """A scenario references a data file that is not present."""
+
+
+def as_int(value, rule: str, least: int | None = None) -> int:
+    """value as a Python int, when it is a Python or numpy integer (not a
+    bool) and at least least; otherwise ValidationError reading
+    "<rule> >= <least>, got <value>", the value in plain numbers."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (least is not None and value < least)):
+        shown = value.item() if isinstance(value, np.generic) else value
+        bound = "" if least is None else f" >= {least}"
+        raise ValidationError(f"{rule}{bound}, got {shown!r}")
+    return int(value)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import as_int
 from .mesh import Mesh, _facet_keys, _unpack_keys, build_mesh
 
 __all__ = ["uniform_refine"]
@@ -46,9 +46,7 @@ def uniform_refine(mesh: Mesh, levels: int = 1) -> Mesh:
     interior octahedron (fixed diagonal), tagged facets into their 2^(dim-1)
     sub-facets. Builds one Mesh, at the finest level; levels=0 returns mesh.
     """
-    if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)) or levels < 0:
-        raise ValidationError(f"refinement levels must be an integer >= 0, got {levels!r}")
-    if levels == 0:
+    if as_int(levels, "refinement levels must be an integer", 0) == 0:
         return mesh
     arrays = [getattr(mesh, name) for name in _ARRAYS]
     for _ in range(levels):

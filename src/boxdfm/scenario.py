@@ -1,17 +1,19 @@
 """Declarative problem descriptions.
 
-A Scenario bundles everything one run needs: a mesh factory taking a
-refinement level, material laws, boundary data as expression strings,
-the source term, the intersection policy, solver settings, and the
-profile slices to extract afterwards. Builtin benchmark definitions live
-in benchmarks.py; user scenarios are JSON files following the schema
-documented in the README.
+A Scenario bundles everything one run needs: a builder of its base mesh,
+whose uniform refinements give every level, material laws, boundary data
+as expression strings, the source term, the intersection policy, solver
+settings, and the profile slices to extract afterwards. Builtin benchmark
+definitions live in benchmarks.py; user scenarios are JSON files following
+the schema documented in the README.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -19,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .dofspace import _policy_key
-from .errors import MissingDataError, ValidationError
+from .errors import MissingDataError, ValidationError, as_int
 from .expressions import compile_expression
 from .generators import crossed_square_mesh, delaunay_rect_mesh, kuhn_cube_mesh
 from .linalg import _check_preconditioner
@@ -42,6 +44,13 @@ __all__ = [
 ]
 
 
+def _positive(value, what: str) -> float:
+    x = float(value)
+    if not (np.isfinite(x) and x > 0):
+        raise ValidationError(f"{what} must be finite and > 0, got {x!r}")
+    return x
+
+
 @dataclass
 class SolverSettings:
     """CG settings, checked on construction so a bad one fails before any
@@ -52,11 +61,9 @@ class SolverSettings:
     preconditioner: str = "ic0"
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValidationError(f"solver tolerance must be finite and > 0, got {self.tol!r}")
-        m = self.max_iter
-        if m is not None and (isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1):
-            raise ValidationError(f"solver max_iter must be an integer >= 1, got {m!r}")
+        self.tol = _positive(self.tol, "solver tolerance")
+        if self.max_iter is not None:
+            self.max_iter = as_int(self.max_iter, "solver max_iter must be an integer", 1)
         _check_preconditioner(self.preconditioner)
 
 
@@ -76,12 +83,13 @@ class Scenario:
     dirichlet maps tag -> g(points, regions); neumann maps tag -> g(points)
     where g is the outward normal flux density (positive drains the
     domain). exact, when present, enables convergence studies and carries
-    the target order window.
+    the target order window. base_mesh builds the level-0 mesh; level l is
+    its uniform refinement l times (mesh_factory).
     """
 
     name: str
     dim: int
-    mesh_factory: Callable[[int], Mesh]
+    base_mesh: Callable[[], Mesh]
     materials: MaterialModel
     description: str = ""
     dirichlet: dict = field(default_factory=dict)
@@ -93,6 +101,10 @@ class Scenario:
     exact: Callable | None = None
     order_window: tuple = (1.9, 2.1)
     default_refine: int = 0
+
+    def mesh_factory(self, level: int) -> Mesh:
+        """The base mesh refined uniformly level times."""
+        return uniform_refine(self.base_mesh(), level)
 
 
 def scalar_field(spec, dim: int) -> Callable:
@@ -222,16 +234,63 @@ def _parse_tag_map(raw: dict) -> dict:
     return out
 
 
-# the keys of a mesh spec: those every generator takes, then each one's own
-_MESH_KEYS = ("generator", "domain", "regions", "boundary_boxes")
-_GENERATOR_KEYS = {
-    "crossed_square": ("n", "jitter", "keep_x", "keep_y", "segments", "seed"),
-    "delaunay_rect": ("h", "boundary_div", "fill_target", "segments", "seed"),
-    "kuhn_cube": ("n", "planes"),
+def _file_int(value):
+    """A JSON value as an integer where a scenario file may write one as an
+    integral float or a string; any other value unchanged, for as_int."""
+    with suppress(ValueError):
+        if isinstance(value, str) or isinstance(value, float) and value.is_integer():
+            return int(value)
+    return value
+
+
+def _integer(what: str, least: int | None) -> Callable:
+    return lambda v: as_int(_file_int(v), f"{what} must be an integer", least)
+
+
+def _boundary_div(div) -> tuple:
+    div = tuple(map(int, div))
+    if len(div) != 4 or min(div) < 1:
+        raise ValidationError(f"boundary_div needs four positive integers (left, right, "
+                              f"bottom, top), got {list(div)}")
+    return div
+
+
+def _floats(values) -> tuple:
+    return tuple(map(float, values))
+
+
+def _domain(corners) -> tuple:
+    return tuple(map(_floats, corners))
+
+
+def _optional(parse: Callable) -> Callable:
+    return lambda v: None if v is None else parse(v)
+
+
+_REQUIRED = object()
+# generator keys as {key: (parser, default)}, where the default is the value
+# a file gets when it leaves the key out, or _REQUIRED; _BOX holds the keys
+# of every generator, _PLANAR those of the 2d ones, _GRID those of the grids
+_BOX = {"regions": (_optional(box_region_fn), None),
+        "boundary_boxes": (_optional(box_boundary_fn), None)}
+_PLANAR = {"domain": (_domain, [[0, 0], [1, 1]]), **_BOX,
+           "segments": (parse_segments, []), "seed": (_integer("seed", 0), 0)}
+_GRID = {"n": (_integer("n", 1), 8)}
+# the generator parameters named otherwise than their keys
+_PARAMETERS = {"regions": "region_fn", "boundary_boxes": "boundary_tag_fn"}
+_GENERATORS = {
+    "crossed_square": (crossed_square_mesh, {**_PLANAR, **_GRID, "jitter": (float, 0.0),
+                                             "keep_x": (_floats, []), "keep_y": (_floats, [])}),
+    "delaunay_rect": (delaunay_rect_mesh, {
+        **_PLANAR, "h": (lambda h: _positive(h, "h"), _REQUIRED),
+        "boundary_div": (_optional(_boundary_div), None),
+        "fill_target": (_optional(_integer("fill_target", 0)), None)}),
+    "kuhn_cube": (kuhn_cube_mesh, {"domain": (_domain, [[0, 0, 0], [1, 1, 1]]), **_BOX, **_GRID,
+                                   "planes": (parse_planes, [])}),
 }
 
 
-def _mesh_factory_from_spec(spec: dict, tag_map: dict, base_dir: Path) -> Callable:
+def _base_mesh_from_spec(spec: dict, tag_map: dict, base_dir: Path) -> Callable:
     if not isinstance(spec, dict):
         raise ValidationError(f"mesh spec must be an object, got {spec!r}")
     if "file" in spec:
@@ -241,53 +300,23 @@ def _mesh_factory_from_spec(spec: dict, tag_map: dict, base_dir: Path) -> Callab
             path = base_dir / path
         if not path.is_file():
             raise MissingDataError(f"mesh file not found: {path}")
-
-        def from_file(level: int) -> Mesh:
-            return uniform_refine(load_msh(path, tag_map), level)
-
-        return from_file
+        return partial(load_msh, path, tag_map)
 
     # every generator parameter is parsed here, so a malformed one fails
     # when the scenario loads rather than when the mesh is first built
     gen = spec.get("generator")
-    if gen not in _GENERATOR_KEYS:
+    if gen not in _GENERATORS:
         raise ValidationError(f"mesh spec needs 'file' or a known 'generator', got {spec!r}")
-    _known_keys(spec, f"mesh generator {gen!r}", _MESH_KEYS + _GENERATOR_KEYS[gen])
-    unit = ((0, 0, 0), (1, 1, 1)) if gen == "kuhn_cube" else ((0, 0), (1, 1))
-    boxes = spec.get("boundary_boxes")
-    kw = dict(
-        domain=tuple(tuple(map(float, c)) for c in spec.get("domain", unit)),
-        region_fn=box_region_fn(spec["regions"]) if spec.get("regions") else None,
-        boundary_tag_fn=box_boundary_fn(boxes) if boxes else None,
-        tag_map=tag_map,
-    )
-    if gen in ("crossed_square", "delaunay_rect"):
-        kw.update(segments=parse_segments(spec.get("segments", [])), seed=int(spec.get("seed", 0)))
-    if gen == "crossed_square":
-        make = crossed_square_mesh
-        kw.update(n=int(spec.get("n", 8)), jitter=float(spec.get("jitter", 0.0)),
-                  keep_x=tuple(map(float, spec.get("keep_x", ()))),
-                  keep_y=tuple(map(float, spec.get("keep_y", ()))))
-    elif gen == "delaunay_rect":
-        make = delaunay_rect_mesh
-        div, fill = spec.get("boundary_div"), spec.get("fill_target")
-        if div is not None:
-            div = tuple(map(int, div))
-            if len(div) != 4 or min(div) < 1:
-                raise ValidationError(
-                    f"boundary_div needs four positive integers (left, right, "
-                    f"bottom, top), got {list(div)}"
-                )
-        kw.update(h=float(spec["h"]), boundary_div=div,
-                  fill_target=None if fill is None else int(fill))
-    else:
-        make = kuhn_cube_mesh
-        kw.update(n=int(spec.get("n", 8)), planes=parse_planes(spec.get("planes", [])))
-
-    def build(level: int) -> Mesh:
-        return uniform_refine(make(**kw), level)
-
-    return build
+    make, keys = _GENERATORS[gen]
+    _known_keys(spec, f"mesh generator {gen!r}", ("generator",) + tuple(keys))
+    try:
+        # spec[key] raises the KeyError that names a required key
+        kw = {_PARAMETERS.get(key, key):
+              parse(spec[key] if default is _REQUIRED else spec.get(key, default))
+              for key, (parse, default) in keys.items()}
+    except ValidationError as e:
+        raise ValidationError(f"scenario entry 'mesh' is malformed: {e}") from None
+    return partial(make, tag_map=tag_map, **kw)
 
 
 def _parse_materials(raw: dict, dim: int) -> MaterialModel:
@@ -360,10 +389,9 @@ def _parse_slice(s: dict, default_name: str, dim: int) -> SliceSpec:
     """SliceSpec from a JSON row, checked here so a bad one fails before the solve."""
     name = str(s.get("name", default_name))
     _known_keys(s, f"slice {name!r}", ("name", "from", "to", "n", "side"))
-    spec = SliceSpec(name=name, start=tuple(map(float, s["from"])),
-                     end=tuple(map(float, s["to"])), **{k: s[k] for k in ("n", "side") if k in s})
-    if isinstance(spec.n, float) and spec.n.is_integer():
-        spec.n = int(spec.n)
+    spec = SliceSpec(name=name, start=_floats(s["from"]), end=_floats(s["to"]),
+                     **{k: s[k] for k in ("n", "side") if k in s})
+    spec.n = _file_int(spec.n)
     try:
         if not len(spec.start) == len(spec.end) == dim:
             raise ValidationError(f"from and to need {dim} coordinates each")
@@ -378,9 +406,11 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
     if not isinstance(raw, dict) or "mesh" not in raw:
         raise ValidationError("a scenario must be a JSON object with a 'mesh' entry")
-    dim = _entry(raw, "dim", int, 2)
+    dim = _entry(raw, "dim", _file_int, 2)
+    if dim not in (2, 3):
+        raise ValidationError(f"scenario entry 'dim' must be 2 or 3, got {raw['dim']!r}")
     tag_map = _entry(raw, "tag_map", _parse_tag_map, {})
-    factory = _entry(raw, "mesh", lambda m: _mesh_factory_from_spec(m, tag_map, base_dir))
+    base_mesh = _entry(raw, "mesh", lambda m: _base_mesh_from_spec(m, tag_map, base_dir))
     materials = _entry(raw, "materials", lambda m: _parse_materials(m, dim), {})
     # the other entries are passed on only when given, so the Scenario,
     # SolverSettings and SliceSpec defaults apply
@@ -394,13 +424,14 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
         "solver": _parse_solver,
         "slices": lambda rows: tuple(_parse_slice(s, f"slice{i}", dim) for i, s in enumerate(rows)),
         "order_window": tuple,
-        "refine": int,
+        # negative is legal: run's refine may lift the level to 0 or more
+        "refine": _integer("scenario entry 'refine'", None),
     }
     _known_keys(raw, "scenario", ("name", "dim", "tag_map", "mesh", "materials") + tuple(parsers))
     given = {"default_refine" if key == "refine" else key: _entry(raw, key, parse)
              for key, parse in parsers.items() if key in raw}
     return Scenario(name=str(raw.get("name", default_name)), dim=dim,
-                    mesh_factory=factory, materials=materials, **given)
+                    base_mesh=base_mesh, materials=materials, **given)
 
 
 def validate_against_mesh(scenario: Scenario, mesh: Mesh) -> None:
@@ -411,6 +442,9 @@ def validate_against_mesh(scenario: Scenario, mesh: Mesh) -> None:
     materials but boundary entries must match facets (checked during
     assembly).
     """
+    if mesh.dim != scenario.dim:
+        raise ValidationError(f"scenario {scenario.name!r} is {scenario.dim}d, "
+                              f"its mesh {mesh.dim}d")
     problems = []
     for kind, table, what in (
         (FacetKind.FRACTURE, scenario.materials.fractures, "fracture law"),

@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 from scipy.special import roots_jacobi
 
 from ._rows import rows
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 from .mesh import FacetKind, Mesh, _edge_volumes, facet_normals
 
 __all__ = ["SIDES", "SolutionField", "sample_slice", "write_profile_csv", "l2_error",
@@ -265,8 +265,7 @@ def sample_slice(fieldobj: SolutionField, p0, p1, n: int, side: str = SIDES[0]):
 def _check_slice(p0: np.ndarray, p1: np.ndarray, n, side) -> None:
     if side not in SIDES:
         raise ValidationError(f"side must be {SIDES[0]!r} or {SIDES[1]!r}, got {side!r}")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"number of samples must be an integer >= 1, got {n!r}")
+    as_int(n, "number of samples must be an integer", 1)
     if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
         raise ValidationError(
             f"slice endpoints must be finite, got {p0.tolist()} and {p1.tolist()}"

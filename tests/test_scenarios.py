@@ -21,10 +21,10 @@ from boxdfm.generators import crossed_square_mesh, delaunay_rect_mesh, kuhn_cube
 from boxdfm.linalg import PRECONDITIONERS, dense_spd_check
 from boxdfm.materials import BarrierLaw, MaterialModel
 from boxdfm.mesh import TOPOLOGY
-from boxdfm.refine import uniform_refine
 from boxdfm.scenario import (Scenario, SliceSpec, SolverSettings, load_scenario_file,
                              scenario_from_dict, validate_against_mesh)
-from boxdfm.solution import SIDES
+from boxdfm.refine import uniform_refine
+from boxdfm.solution import SIDES, sample_slice
 from conftest import barrier_square
 
 EXPECTED_NAMES = {
@@ -167,6 +167,22 @@ def _slice(**changes):
      r"fracture law 20: unknown key\(s\) 'k_n'; known keys are 'aperture', 'k'"),
     (_with(materials={"barrier": {"10": {"aperture": 1e-2, "k": 0.0}}}),
      r"scenario entry 'materials': unknown key\(s\) 'barrier'"),
+    (_with(refine=1.5), r"scenario entry 'refine' must be an integer, got 1\.5"),
+    (_with(refine=True), r"scenario entry 'refine' must be an integer, got True"),
+    (_with(mesh={**TINY["mesh"], "n": 2.7}),
+     r"scenario entry 'mesh' is malformed: n must be an integer >= 1, got 2\.7"),
+    (_with(mesh={**TINY["mesh"], "n": 1.7}), r"n must be an integer >= 1, got 1\.7"),
+    (_with(mesh={**TINY["mesh"], "n": True}), r"n must be an integer >= 1, got True"),
+    (_with(mesh={**TINY["mesh"], "n": -2}), r"n must be an integer >= 1, got -2"),
+    (_with(mesh={**TINY["mesh"], "seed": -1}), r"seed must be an integer >= 0, got -1"),
+    (_with(mesh={"generator": "delaunay_rect"}), r"scenario entry 'mesh' lacks the key 'h'"),
+    (_with(mesh={"generator": "delaunay_rect", "h": 0}),
+     r"scenario entry 'mesh' is malformed: h must be finite and > 0, got 0\.0"),
+    (_with(mesh={"generator": "delaunay_rect", "h": "nan"}), r"h must be finite and > 0, got nan"),
+    (_with(mesh={"generator": "delaunay_rect", "h": -0.1}), r"h must be finite and > 0, got -0\.1"),
+    (_with(mesh={"generator": "delaunay_rect", "h": "inf"}), r"h must be finite and > 0, got inf"),
+    (_with(dim=4), r"scenario entry 'dim' must be 2 or 3, got 4"),
+    (_with(dim="3d"), r"scenario entry 'dim' must be 2 or 3, got '3d'"),
 ], ids=["not-an-object", "mesh-not-an-object", "barrier-without-aperture", "non-numeric-n",
         "boundary-div-of-three", "boundary-div-zero", "unknown-preconditioner",
         "none-preconditioner", "unknown-solver-key", "unknown-policy",
@@ -175,7 +191,10 @@ def _slice(**changes):
         "slice-3d-endpoint", "slice-infinite-endpoint", "slice-degenerate",
         "slice-unknown-key", "unknown-top-level-key", "allow-pure-neumann",
         "unknown-generator-key", "seed-of-kuhn-cube", "unknown-file-spec-key",
-        "unknown-barrier-law-key", "unknown-fracture-law-key", "unknown-materials-key"])
+        "unknown-barrier-law-key", "unknown-fracture-law-key", "unknown-materials-key",
+        "fractional-refine", "bool-refine", "fractional-n", "fractional-n-below-2", "bool-n",
+        "negative-n", "negative-seed", "delaunay-without-h", "zero-h", "nan-h", "negative-h",
+        "infinite-h", "dim-4", "dim-text"])
 def test_scenario_of_the_wrong_shape_fails_on_load(tmp_path, capsys, raw, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
@@ -192,15 +211,21 @@ def test_integral_float_slice_count_loads_as_int():
     assert sl.n == 9 and isinstance(sl.n, int)
 
 
+@pytest.mark.parametrize("value", [2, 2.0, "2", " 2 "], ids=["int", "float", "text", "spaced"])
+def test_file_integers_may_be_integral_floats_or_strings(value):
+    sc = scenario_from_dict(_with(refine=value, dim=value, mesh={**TINY["mesh"], "n": value}))
+    assert (sc.default_refine, sc.dim) == (2, 2) and sc.base_mesh().n_cells == 16
+
+
 def test_absent_entries_take_the_dataclass_defaults():
     sc = scenario_from_dict({"mesh": TINY["mesh"],
                              "slices": [{"from": [0.0, 0.5], "to": [1.0, 0.5]}]})
     (sl,) = sc.slices
     assert sl == SliceSpec("slice0", (0.0, 0.5), (1.0, 0.5))
     assert sc.solver == SolverSettings()
-    default = Scenario(name="d", dim=2, mesh_factory=None, materials=None)
+    default = Scenario(name="d", dim=2, base_mesh=None, materials=None)
     for f in dataclasses.fields(Scenario):
-        if f.name not in ("name", "mesh_factory", "materials", "slices"):
+        if f.name not in ("name", "base_mesh", "materials", "slices"):
             assert getattr(sc, f.name) == getattr(default, f.name), f.name
     # the string coercions of the file format stay
     solver = scenario_from_dict(_with(solver={"tol": "1e-6", "preconditioner": "jacobi"})).solver
@@ -224,8 +249,8 @@ def test_absent_entries_take_the_dataclass_defaults():
                             tag_map={10: "barrier"})),
 ], ids=["crossed_square", "delaunay_rect", "kuhn_cube"])
 def test_generator_parameters_parse_to_the_same_mesh(spec, direct):
-    got = scenario_from_dict({"mesh": spec, "tag_map": {"10": "barrier"}}).mesh_factory(1)
-    want = uniform_refine(direct(), 1)
+    got = scenario_from_dict({"mesh": spec, "tag_map": {"10": "barrier"}}).base_mesh()
+    want = direct()
     for name in ("vertices", "cells", "facets", "facet_tags", "facet_kinds", "cell_region"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -247,10 +272,10 @@ def _unbuildable(tmp_path, **changes):
     """TINY whose mesh must not be built."""
     sc = scenario_from_dict({**TINY, **changes}, base_dir=tmp_path)
 
-    def factory(level):
+    def base_mesh():
         raise AssertionError("the mesh was built")
 
-    sc.mesh_factory = factory
+    sc.base_mesh = base_mesh
     return sc
 
 
@@ -262,8 +287,14 @@ def _unbuildable(tmp_path, **changes):
     ({}, {"max_iter": -5}, r"max_iter must be an integer >= 1, got -5"),
     ({}, {"preconditioner": "ilu"}, r"unknown preconditioner 'ilu'"),
     ({}, {"policy": "bogus"}, r"unknown intersection policy 'bogus'"),
+    ({}, {"refine": 1.5}, r"^refine must be an integer, got 1\.5$"),
+    ({}, {"refine": True}, r"^refine must be an integer, got True$"),
+    ({}, {"refine": "1"}, r"^refine must be an integer, got '1'$"),
+    ({}, {"refine": np.float64(1.0)}, r"^refine must be an integer, got 1\.0$"),
+    ({}, {"max_iter": np.int64(0)}, r"^solver max_iter must be an integer >= 1, got 0$"),
 ], ids=["refine-override", "refine-entry", "negative-tol", "infinite-tol", "negative-max-iter",
-        "unknown-preconditioner", "unknown-policy"])
+        "unknown-preconditioner", "unknown-policy", "fractional-refine", "bool-refine",
+        "text-refine", "numpy-float-refine", "numpy-zero-max-iter"])
 def test_run_settings_fail_before_the_mesh_is_built(tmp_path, changes, kw, match):
     with pytest.raises(ValidationError, match=match):
         run_scenario(_unbuildable(tmp_path, **changes), **kw)
@@ -273,6 +304,20 @@ def test_run_settings_fail_before_the_mesh_is_built(tmp_path, changes, kw, match
 def test_convergence_levels_must_be_a_positive_integer(tmp_path, levels):
     with pytest.raises(ValidationError, match=r"levels >= 1"):
         run_convergence(_unbuildable(tmp_path), levels=levels)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda sc: uniform_refine(sc.base_mesh(), np.int64(-1)),
+     r"^refinement levels must be an integer >= 0, got -1$"),
+    (lambda sc: run_convergence(sc, levels=np.int64(0)),
+     r"^a convergence study needs levels >= 1, got 0$"),
+    (lambda sc: sample_slice(None, (0.0, 0.5), (1.0, 0.5), np.int32(0)),
+     r"^number of samples must be an integer >= 1, got 0$"),
+], ids=["uniform-refine", "run-convergence", "sample-slice"])
+def test_numpy_integers_are_named_in_plain_numbers(tmp_path, call, match):
+    sc = scenario_from_dict(TINY)
+    with pytest.raises(ValidationError, match=match):
+        call(sc)
 
 
 @pytest.mark.parametrize("argv, match", [
@@ -288,6 +333,22 @@ def test_convergence_levels_must_be_a_positive_integer(tmp_path, levels):
 def test_cli_rejects_bad_run_settings(tmp_path, capsys, argv, match):
     out = tmp_path / "out"
     assert main([argv[0], str(tiny_file(tmp_path)), *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(match, err) and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, match", [
+    ({**{k: v for k, v in TINY.items() if k != "slices"}, "dim": 3},
+     r"scenario 'tiny' is 3d, its mesh 2d"),
+    ({"name": "cube", "mesh": {"generator": "kuhn_cube", "n": 1}},
+     r"scenario 'cube' is 2d, its mesh 3d"),
+], ids=["crossed-square-in-3d", "kuhn-cube-in-2d"])
+def test_cli_rejects_a_mesh_of_the_other_dimension(tmp_path, capsys, raw, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert re.search(match, err) and "Traceback" not in err
     assert not out.exists()
