@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ValidationError
 from .generators import (crossed_square_mesh, delaunay_rect_mesh,
                          kuhn_cube_mesh, strip_grid_mesh)
 from .materials import BarrierLaw, FractureLaw, MaterialModel
@@ -85,7 +86,8 @@ def ex52_scenario(orientation: str = "vertical", k_b: float = 1e-7) -> Scenario:
     """
     aperture = 1e-2
     if orientation not in ("vertical", "slanted"):
-        raise ValueError(f"unknown orientation {orientation!r}")
+        raise ValidationError(f"unknown ex52 orientation {orientation!r}; "
+                              "known are 'vertical', 'slanted'")
     tag_map = {1: "dirichlet", 2: "dirichlet", 3: "neumann", 4: "neumann",
                10: "barrier"}
     path = data_file(f"meshes/ex52_{orientation}.msh")
@@ -140,7 +142,7 @@ def ex54_scenario(sub: str = "a") -> Scenario:
     continuous where a fracture crosses a barrier; run with either.
     """
     if sub not in ("a", "b"):
-        raise ValueError(f"unknown sub-case {sub!r}")
+        raise ValidationError(f"unknown ex54 sub-case {sub!r}; known are 'a', 'b'")
     geo = load_geometry("ex54_network.json")
     segments = parse_segments(geo["segments"])
     fract = [int(t) for t in geo["fracture_tags"]]
@@ -261,7 +263,7 @@ def _ex57_bcs(sub: str):
         dirichlet = {i: g for i in range(1, 5)}
         neumann = {}
     else:
-        raise ValueError(f"unknown sub-case {sub!r}")
+        raise ValidationError(f"unknown ex57 sub-case {sub!r}; known are 'a', 'b'")
     return side_map, dirichlet, neumann
 
 

@@ -91,7 +91,7 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
             f"{scenario.default_refine}, refine {refine})"
         )
     base = scenario.solver
-    s = SolverSettings(tol=base.tol if tol is None else float(tol),
+    s = SolverSettings(tol=base.tol if tol is None else tol,
                        max_iter=base.max_iter if max_iter is None else max_iter,
                        preconditioner=base.preconditioner if preconditioner is None
                        else preconditioner)

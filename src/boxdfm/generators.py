@@ -11,9 +11,11 @@ places points so that the plain Delaunay triangulation contains every
 feature sub-edge (cleared corridor, locally uniform spacing) and raises if
 recovery fails. Meshes for geometries beyond its reach come from MSH files.
 
-Hull facets, interior faces and the feature-edge check come straight from
-the packed-key unique-facet table of :mod:`.mesh` (in 2D the facets are
-the edges), so each generator calls build_mesh once, on its final arrays.
+Every generator ends in one finishing step, _box_mesh: it takes the hull
+facets from the packed-key unique-facet table of :mod:`.mesh` (in 2D the
+facets are the edges) and tags each on the first box side that holds all
+its vertices, checks that every feature facet is a facet of the cells,
+and calls build_mesh once, on the final arrays.
 """
 
 from __future__ import annotations
@@ -48,24 +50,15 @@ def crossed_square_mesh(n, jitter=0.0, seed=0, keep_x=(), keep_y=(),
     lo, hi = np.asarray(domain[0], float), np.asarray(domain[1], float)
     h = (hi - lo) / n
     rng = np.random.default_rng(seed)
-    xs = lo[0] + np.arange(n + 1) * h[0]
-    ys = lo[1] + np.arange(n + 1) * h[1]
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    grid = _grid_points([lo[a] + np.arange(n + 1) * h[a] for a in range(2)])
 
     amp = jitter * h
     if jitter > 0:
         d = rng.uniform(-1.0, 1.0, size=grid.shape) * amp
-        on_left = np.isclose(grid[:, 0], lo[0])
-        on_right = np.isclose(grid[:, 0], hi[0])
-        on_bottom = np.isclose(grid[:, 1], lo[1])
-        on_top = np.isclose(grid[:, 1], hi[1])
-        d[on_left | on_right, 0] = 0.0
-        d[on_bottom | on_top, 1] = 0.0
-        for x in keep_x:
-            d[np.isclose(grid[:, 0], x), 0] = 0.0
-        for y in keep_y:
-            d[np.isclose(grid[:, 1], y), 1] = 0.0
+        # the box sides are kept lines too
+        for axis, kept in enumerate((keep_x, keep_y)):
+            for c in (lo[axis], hi[axis], *kept):
+                d[np.isclose(grid[:, axis], c), axis] = 0.0
         grid = grid + d
 
     gid = np.arange((n + 1) * (n + 1)).reshape(n + 1, n + 1)
@@ -90,8 +83,12 @@ def crossed_square_mesh(n, jitter=0.0, seed=0, keep_x=(), keep_y=(),
     )
 
     fe, ft = _feature_edges_on_lines(vertices, segments, 1e-9 * float(max(hi - lo)))
-    return _finish_2d_checked(vertices, cells, fe, ft, lo, hi, region_fn,
-                              boundary_tag_fn, tag_map)
+    return _box_mesh(vertices, cells, lo, hi, fe, ft, region_fn, boundary_tag_fn, tag_map)
+
+
+def _grid_points(axes):
+    """The tensor-product points of the coordinate arrays, last axis fastest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def _feature_edges_on_lines(vertices, segments, tol):
@@ -124,51 +121,51 @@ def _chain_edges(chains):
     return np.concatenate(edges), np.concatenate(tags)
 
 
-def _finish_2d_checked(vertices, cells, feature_edges, feature_tags, lo, hi,
-                       region_fn, boundary_tag_fn, tag_map):
-    tol = 1e-9 * float(max(hi - lo))
-    nv = len(vertices)
-    ufacets, ufacet_cells, _ = _unique_facet_table(cells, 2, nv)
-    bedges = ufacets[ufacet_cells[:, 1] < 0]
-    # sides left, right, bottom, top -> tags 1..4; the first side holding
-    # both endpoints wins
-    axes = [0, 0, 1, 1]
-    coords = np.array([lo[0], hi[0], lo[1], hi[1]])
-    p0, p1 = vertices[bedges[:, 0]], vertices[bedges[:, 1]]
-    on = (np.abs(p0[:, axes] - coords) < tol) & (np.abs(p1[:, axes] - coords) < tol)
-    btags = np.where(on.any(axis=1), np.argmax(on, axis=1) + 1, 0)
-    if np.any(btags == 0):
-        k = int(np.nonzero(btags == 0)[0][0])
+def _box_mesh(vertices, cells, lo, hi, features, feature_tags, region_fn,
+              boundary_tag_fn, tag_map, table=None):
+    """build_mesh of cells filling the box [lo, hi], with side tags.
+
+    A boundary facet takes tag 2*axis + 1 (at lo) or 2*axis + 2 (at hi) of
+    the first box side that holds all its vertices, within 1e-9 of the box
+    diagonal; boundary_tag_fn(midpoints, tags) may override the tags.
+    Every feature facet must be a facet of the cells. Regions come from
+    region_fn(centroids) and kinds from tag_map; without a map all facets
+    are kept with placeholder kinds (files store tags only): the sides
+    Neumann, the features barrier. table is the (ufacets, ufacet_cells)
+    pair of _unique_facet_table when the caller has built it already.
+    """
+    dim, nv = vertices.shape[1], len(vertices)
+    ufacets, ufacet_cells = table or _unique_facet_table(cells, dim, nv)[:2]
+    bfacets = ufacets[ufacet_cells[:, 1] < 0]
+    pts = vertices[bfacets]
+    # side s = 2*axis + (0 at lo, 1 at hi) lies on coordinate sides[s]
+    sides = np.stack([lo, hi], axis=1).ravel()
+    tol = 1e-9 * float(np.linalg.norm(hi - lo))
+    on = np.all(np.abs(pts[:, :, np.arange(2 * dim) // 2] - sides) < tol, axis=1)
+    hit = on.any(axis=1)
+    if not hit.all():
+        k = int(np.argmin(hit))
         raise MeshGenerationError(
-            f"boundary edge {tuple(bedges[k].tolist())} lies on no rectangle side")
+            f"boundary facet {tuple(bfacets[k].tolist())} lies on no box side")
+    btags = np.argmax(on, axis=1) + 1
     if boundary_tag_fn is not None:
-        btags = np.asarray(boundary_tag_fn(0.5 * (p0 + p1), btags), dtype=np.int64)
+        btags = np.asarray(boundary_tag_fn(pts.mean(axis=1), btags), dtype=np.int64)
 
-    # every feature edge must be an edge of the triangulation
-    _, found = _search_keys(_facet_keys(ufacets, nv), feature_edges, nv)
+    _, found = _search_keys(_facet_keys(ufacets, nv), features, nv)
     if not found.all():
-        pa, pb = vertices[feature_edges[np.argmin(found)]]
-        raise MeshGenerationError(
-            f"feature edge {tuple(np.round(pa, 6).tolist())}-{tuple(np.round(pb, 6).tolist())} "
-            "was not recovered by the triangulation"
-        )
-    return _finish_mesh(vertices, cells, np.vstack([bedges, feature_edges]),
-                        np.concatenate([btags, feature_tags]), len(bedges),
-                        region_fn, tag_map)
+        corners = "-".join(str(tuple(np.round(p, 6).tolist()))
+                           for p in vertices[features[np.argmin(found)]])
+        raise MeshGenerationError(f"feature {('edge', 'face')[dim - 2]} {corners} "
+                                  "was not recovered by the triangulation")
 
-
-def _finish_mesh(vertices, cells, facets, tags, n_boundary, region_fn, tag_map):
-    """build_mesh with regions from region_fn(centroids) and kinds from
-    tag_map; without a map, all facets are kept with placeholder kinds
-    (files store tags only): the first n_boundary Neumann, the rest barrier."""
-    region = None
-    if region_fn is not None:
-        region = np.asarray(region_fn(vertices[cells].mean(axis=1)), dtype=np.int64)
-    if tag_map is not None:
-        return build_mesh(vertices, cells, facets, tags, tag_map=tag_map, cell_region=region)
-    kinds = np.where(np.arange(len(facets)) < n_boundary,
-                     int(FacetKind.NEUMANN), int(FacetKind.BARRIER))
-    return build_mesh(vertices, cells, facets, tags, facet_kinds=kinds, cell_region=region)
+    region = None if region_fn is None else np.asarray(
+        region_fn(vertices[cells].mean(axis=1)), dtype=np.int64)
+    kinds = None if tag_map is not None else np.where(
+        np.arange(len(bfacets) + len(features)) < len(bfacets),
+        int(FacetKind.NEUMANN), int(FacetKind.BARRIER))
+    return build_mesh(vertices, cells, np.vstack([bfacets, features]),
+                      np.concatenate([btags, feature_tags]), tag_map=tag_map,
+                      cell_region=region, facet_kinds=kinds)
 
 
 def split_segments_at_intersections(segments):
@@ -336,8 +333,7 @@ def delaunay_rect_mesh(domain, h, segments=(), seed=0, boundary_div=None,
         raise MeshGenerationError("Delaunay dropped input points (coincident points?)")
 
     fe, ft = _chain_edges(zip(chain_ids, (tag for _, tag in chains)))
-    return _finish_2d_checked(allpts, cells, fe, ft, lo, hi, region_fn,
-                              boundary_tag_fn, tag_map)
+    return _box_mesh(allpts, cells, lo, hi, fe, ft, region_fn, boundary_tag_fn, tag_map)
 
 
 def _dist_to_segment(pts, a, b):
@@ -363,9 +359,7 @@ def kuhn_cube_mesh(n, planes=(), domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
     lo = np.asarray(domain[0], float)
     hi = np.asarray(domain[1], float)
     size = hi - lo
-    xs = [lo[a] + np.arange(n + 1) * size[a] / n for a in range(3)]
-    X, Y, Z = np.meshgrid(xs[0], xs[1], xs[2], indexing="ij")
-    vertices = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+    vertices = _grid_points([lo[a] + np.arange(n + 1) * size[a] / n for a in range(3)])
 
     def vid(i, j, k):
         return (i * (n + 1) + j) * (n + 1) + k
@@ -385,30 +379,15 @@ def kuhn_cube_mesh(n, planes=(), domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
 
     tolv = 1e-9 * float(np.linalg.norm(size))
     ufacets, ufacet_cells, _ = _unique_facet_table(cells, 3, len(vertices))
-    on_boundary = ufacet_cells[:, 1] < 0
-    btris = ufacets[on_boundary]
-    mids = vertices[btris].mean(axis=1)
-    btags = np.zeros(len(btris), dtype=np.int64)
-    for axis in range(3):
-        btags[np.abs(mids[:, axis] - lo[axis]) < tolv] = 2 * axis + 1
-        btags[np.abs(mids[:, axis] - hi[axis]) < tolv] = 2 * axis + 2
-    if np.any(btags == 0):
-        raise MeshGenerationError("boundary face lies on no box side")
-    if boundary_tag_fn is not None:
-        btags = np.asarray(boundary_tag_fn(mids, btags), dtype=np.int64)
-
-    fe = [btris]
-    ft = [btags]
-    itris = ufacets[~on_boundary]
-    imids = vertices[itris].mean(axis=1)
+    itris = ufacets[ufacet_cells[:, 1] >= 0]
     ipts = vertices[itris]
+    imids = ipts.mean(axis=1)
+    fe = [np.zeros((0, 3), dtype=np.int64)]
+    ft = [np.zeros(0, dtype=np.int64)]
     for axis, coord, lo2, hi2, tag in planes:
-        others = [a for a in range(3) if a != axis]
+        mids = imids[:, [a for a in range(3) if a != axis]]
         on_plane = np.all(np.abs(ipts[:, :, axis] - coord) < tolv, axis=1)
-        inside = (
-            (imids[:, others[0]] > lo2[0] - tolv) & (imids[:, others[0]] < hi2[0] + tolv)
-            & (imids[:, others[1]] > lo2[1] - tolv) & (imids[:, others[1]] < hi2[1] + tolv)
-        )
+        inside = np.all((mids > np.subtract(lo2, tolv)) & (mids < np.add(hi2, tolv)), axis=1)
         sel = on_plane & inside
         if not np.any(sel):
             raise MeshGenerationError(
@@ -418,8 +397,8 @@ def kuhn_cube_mesh(n, planes=(), domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
         fe.append(itris[sel])
         ft.append(np.full(int(sel.sum()), tag, dtype=np.int64))
 
-    return _finish_mesh(vertices, cells, np.vstack(fe), np.concatenate(ft), len(btris),
-                        region_fn, tag_map)
+    return _box_mesh(vertices, cells, lo, hi, np.vstack(fe), np.concatenate(ft), region_fn,
+                     boundary_tag_fn, tag_map, (ufacets, ufacet_cells))
 
 
 def strip_grid_mesh(x_lines, y_lines, region_fn=None, boundary_tag_fn=None,
@@ -433,14 +412,12 @@ def strip_grid_mesh(x_lines, y_lines, region_fn=None, boundary_tag_fn=None,
     xs = np.asarray(x_lines, float)
     ys = np.asarray(y_lines, float)
     nx, ny = len(xs) - 1, len(ys) - 1
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vertices = np.stack([X.ravel(), Y.ravel()], axis=1)
+    vertices = _grid_points([xs, ys])
 
     def vid(i, j):
         return i * (ny + 1) + j
 
-    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    i, j = i.ravel(), j.ravel()
+    i, j = _grid_points([np.arange(nx), np.arange(ny)]).T
     v00, v10, v11, v01 = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
     even = (i + j) % 2 == 0
     t1 = np.where(even[:, None], np.stack([v00, v10, v11], axis=1),
@@ -451,7 +428,5 @@ def strip_grid_mesh(x_lines, y_lines, region_fn=None, boundary_tag_fn=None,
 
     lo = np.array([xs[0], ys[0]])
     hi = np.array([xs[-1], ys[-1]])
-    fe = np.zeros((0, 2), dtype=np.int64)
-    ft = np.zeros(0, dtype=np.int64)
-    return _finish_2d_checked(vertices, cells, fe, ft, lo, hi, region_fn,
-                              boundary_tag_fn, tag_map)
+    return _box_mesh(vertices, cells, lo, hi, np.zeros((0, 2), dtype=np.int64),
+                     np.zeros(0, dtype=np.int64), region_fn, boundary_tag_fn, tag_map)

@@ -45,7 +45,10 @@ __all__ = [
 
 
 def _positive(value, what: str) -> float:
-    x = float(value)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
     if not (np.isfinite(x) and x > 0):
         raise ValidationError(f"{what} must be finite and > 0, got {x!r}")
     return x
@@ -248,7 +251,7 @@ def _integer(what: str, least: int | None) -> Callable:
 
 
 def _boundary_div(div) -> tuple:
-    div = tuple(map(int, div))
+    div = tuple(map(_integer("each boundary_div entry", None), div))
     if len(div) != 4 or min(div) < 1:
         raise ValidationError(f"boundary_div needs four positive integers (left, right, "
                               f"bottom, top), got {list(div)}")

@@ -11,7 +11,9 @@ from scipy.sparse.csgraph import connected_components
 
 import boxdfm.assembly as assembly_module
 from boxdfm.assembly import collect_dirichlet
-from boxdfm.benchmarks import builtin_scenarios, get_scenario, scenario_names
+from boxdfm.benchmarks import (builtin_scenarios, ex52_scenario, ex54_scenario,
+                               ex57_equidim_scenario, ex57_scenario, get_scenario,
+                               scenario_names)
 from boxdfm.cli import build_parser, main
 from boxdfm.dofspace import POLICIES, build_dof_map
 from boxdfm.driver import (_narrowed, load_solution, run_convergence, run_scenario,
@@ -134,6 +136,10 @@ def _slice(**changes):
      r"boundary_div needs four positive integers .*got \[3, 3, 3\]"),
     (_with(mesh={"generator": "delaunay_rect", "h": 0.2, "boundary_div": [3, 0, 3, 3]}),
      r"boundary_div needs four positive integers .*got \[3, 0, 3, 3\]"),
+    (_with(mesh={"generator": "delaunay_rect", "h": 0.2, "boundary_div": [2.5, 5, 5, 5]}),
+     r"each boundary_div entry must be an integer, got 2\.5"),
+    (_with(mesh={"generator": "delaunay_rect", "h": 0.2, "boundary_div": [True, 5, 5, 5]}),
+     r"each boundary_div entry must be an integer, got True"),
     (_with(solver={"preconditioner": "ilu"}), r"unknown preconditioner 'ilu'"),
     (_with(solver={"preconditioner": "none"}), r"unknown preconditioner 'none'"),
     (_with(solver={"precond": "jacobi"}),
@@ -184,7 +190,8 @@ def _slice(**changes):
     (_with(dim=4), r"scenario entry 'dim' must be 2 or 3, got 4"),
     (_with(dim="3d"), r"scenario entry 'dim' must be 2 or 3, got '3d'"),
 ], ids=["not-an-object", "mesh-not-an-object", "barrier-without-aperture", "non-numeric-n",
-        "boundary-div-of-three", "boundary-div-zero", "unknown-preconditioner",
+        "boundary-div-of-three", "boundary-div-zero", "boundary-div-fractional",
+        "boundary-div-bool", "unknown-preconditioner",
         "none-preconditioner", "unknown-solver-key", "unknown-policy",
         "negative-tol", "nan-tol", "zero-max-iter", "fractional-max-iter",
         "slice-zero-n", "slice-fractional-n", "slice-bool-n", "slice-bad-side",
@@ -284,6 +291,7 @@ def _unbuildable(tmp_path, **changes):
     ({"refine": -1}, {}, r"refinement level -1 is below 0 \(scenario level -1, refine 0\)"),
     ({}, {"tol": -1.0}, r"tolerance must be finite and > 0, got -1\.0"),
     ({}, {"tol": float("inf")}, r"tolerance must be finite and > 0, got inf"),
+    ({}, {"tol": "abc"}, r"^solver tolerance must be a number, got 'abc'$"),
     ({}, {"max_iter": -5}, r"max_iter must be an integer >= 1, got -5"),
     ({}, {"preconditioner": "ilu"}, r"unknown preconditioner 'ilu'"),
     ({}, {"policy": "bogus"}, r"unknown intersection policy 'bogus'"),
@@ -292,12 +300,29 @@ def _unbuildable(tmp_path, **changes):
     ({}, {"refine": "1"}, r"^refine must be an integer, got '1'$"),
     ({}, {"refine": np.float64(1.0)}, r"^refine must be an integer, got 1\.0$"),
     ({}, {"max_iter": np.int64(0)}, r"^solver max_iter must be an integer >= 1, got 0$"),
-], ids=["refine-override", "refine-entry", "negative-tol", "infinite-tol", "negative-max-iter",
-        "unknown-preconditioner", "unknown-policy", "fractional-refine", "bool-refine",
-        "text-refine", "numpy-float-refine", "numpy-zero-max-iter"])
+], ids=["refine-override", "refine-entry", "negative-tol", "infinite-tol", "text-tol",
+        "negative-max-iter", "unknown-preconditioner", "unknown-policy", "fractional-refine",
+        "bool-refine", "text-refine", "numpy-float-refine", "numpy-zero-max-iter"])
 def test_run_settings_fail_before_the_mesh_is_built(tmp_path, changes, kw, match):
     with pytest.raises(ValidationError, match=match):
         run_scenario(_unbuildable(tmp_path, **changes), **kw)
+
+
+@pytest.mark.parametrize("tol", ["abc", None, [1e-8]], ids=["text", "none", "list"])
+def test_non_numeric_solver_tolerance_is_a_validation_error(tol):
+    with pytest.raises(ValidationError, match=r"^solver tolerance must be a number, got "):
+        SolverSettings(tol=tol)
+
+
+@pytest.mark.parametrize("build, value, match", [
+    (ex52_scenario, "diagonal", r"^unknown ex52 orientation 'diagonal'; known are "),
+    (ex54_scenario, "c", r"^unknown ex54 sub-case 'c'; known are 'a', 'b'$"),
+    (ex57_scenario, "c", r"^unknown ex57 sub-case 'c'; known are 'a', 'b'$"),
+    (ex57_equidim_scenario, "c", r"^unknown ex57 sub-case 'c'; known are 'a', 'b'$"),
+], ids=["ex52", "ex54", "ex57", "ex57-equidim"])
+def test_builtin_builders_reject_an_unknown_sub_case(build, value, match):
+    with pytest.raises(ValidationError, match=match):
+        build(value)
 
 
 @pytest.mark.parametrize("levels", [0, -1, True, 1.0])
