@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .benchmarks import builtin_scenarios
+from .benchmarks import builtin_scenarios, get_scenario
 from .dofspace import POLICIES
 from .driver import load_solution, run_convergence, run_scenario
 from .errors import MissingDataError, SolverError, ValidationError
@@ -24,9 +24,8 @@ __all__ = ["main", "build_parser"]
 
 
 def _resolve_scenario(spec: str) -> Scenario:
-    entries = builtin_scenarios()
-    if spec in entries:
-        return entries[spec].build()
+    if spec in builtin_scenarios():
+        return get_scenario(spec)
     path = Path(spec)
     if path.exists():
         return load_scenario_file(path)
@@ -153,11 +152,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_list(args) -> int:
     for entry in builtin_scenarios().values():
-        status = ""
-        try:
-            entry.build()
-        except MissingDataError:
-            status = "  [unavailable: data not shipped]"
+        status = "" if entry.available else "  [unavailable: data not shipped]"
         print(f"{entry.name:<14} {entry.summary}{status}")
     return 0
 

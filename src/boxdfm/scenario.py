@@ -3,9 +3,9 @@
 A Scenario bundles everything one run needs: a builder of its base mesh,
 whose uniform refinements give every level, material laws, boundary data
 as expression strings, the source term, the intersection policy, solver
-settings, and the profile slices to extract afterwards. Builtin benchmark
-definitions live in benchmarks.py; user scenarios are JSON files following
-the schema documented in the README.
+settings, and the profile slices to extract afterwards. Scenarios are JSON
+files following the schema documented in the README; the builtin benchmarks
+are such files, shipped in data/scenarios (see benchmarks.py).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
-from importlib import resources
 from pathlib import Path
 from typing import Callable
 
@@ -38,8 +37,6 @@ __all__ = [
     "scalar_field",
     "boundary_flux",
     "load_scenario_file",
-    "data_file",
-    "load_geometry",
     "validate_against_mesh",
 ]
 
@@ -154,24 +151,6 @@ def boundary_flux(spec, dim: int) -> Callable:
         return fn(np.asarray(points, dtype=np.float64))
 
     return g
-
-
-def data_file(name: str) -> Path:
-    """Path of a shipped data file; raises MissingDataError if absent."""
-    root = resources.files("boxdfm").joinpath("data")
-    p = Path(str(root.joinpath(name)))
-    if not p.is_file():
-        raise MissingDataError(
-            f"data file {name!r} is not shipped with this package; "
-            "the geometry it describes comes from an external source"
-        )
-    return p
-
-
-def load_geometry(name: str) -> dict:
-    """Shipped geometry description (domain, segments or planes, boxes)."""
-    with open(data_file(name)) as fh:
-        return json.load(fh)
 
 
 def parse_segments(rows) -> list:

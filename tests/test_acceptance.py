@@ -4,6 +4,7 @@ Each test measures what the contract asks for, records a single summary
 line through conftest.record_criterion, and asserts the verdict.
 """
 
+import json
 import math
 import time
 from itertools import combinations
@@ -13,8 +14,8 @@ import numpy as np
 from boxdfm.assembly import (assemble_operator, assemble_system,
                              local_barrier_coupling, local_cell_matrices,
                              local_fracture_matrices)
-from boxdfm.benchmarks import (analytic_barrier_scenario, ex52_scenario,
-                               ex57_equidim_scenario, get_scenario,
+from boxdfm.benchmarks import (analytic_barrier_scenario, builtin_scenarios,
+                               ex52_scenario, ex57_equidim_scenario, get_scenario,
                                scenario_names)
 from boxdfm.dofspace import build_dof_map
 from boxdfm.driver import run_convergence, run_scenario
@@ -23,7 +24,6 @@ from boxdfm.generators import crossed_square_mesh
 from boxdfm.linalg import cg_solve, dense_spd_check
 from boxdfm.materials import BarrierLaw, FractureLaw, MaterialModel
 from boxdfm.mesh import FacetKind, build_mesh, facet_measures
-from boxdfm.scenario import load_geometry
 from boxdfm.solution import SolutionField, sample_slice
 from conftest import record_criterion
 
@@ -357,8 +357,9 @@ def test_criterion_8_qualitative_signatures():
     sl = res.scenario.slices[0]
     sample = sample_slice(res.field, sl.start, sl.end, sl.n)
     jumps = detect_jumps(sample["s"], sample["values"])
-    geo = load_geometry("ex53_network.json")
-    segs = [(s["from"], s["to"], s["tag"]) for s in geo["segments"]]
+    with open(builtin_scenarios()["ex53"].path) as fh:
+        rows = json.load(fh)["mesh"]["segments"]
+    segs = [(s["from"], s["to"], s["tag"]) for s in rows]
     expected = segment_crossings(sl.start, sl.end, segs)
     h_s = max_cell_diameter(res.mesh) / float(
         np.linalg.norm(np.subtract(sl.end, sl.start)))

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from scipy.sparse.csgraph import connected_components
 
 import boxdfm.assembly as assembly_module
 from boxdfm.assembly import collect_dirichlet
-from boxdfm.benchmarks import (builtin_scenarios, ex52_scenario, ex54_scenario,
-                               ex57_equidim_scenario, ex57_scenario, get_scenario,
-                               scenario_names)
+from boxdfm.benchmarks import (SCENARIO_DIR, builtin_scenarios, ex52_scenario,
+                               ex57_equidim_scenario, get_scenario, scenario_names)
 from boxdfm.cli import build_parser, main
 from boxdfm.dofspace import POLICIES, build_dof_map
 from boxdfm.driver import (_narrowed, load_solution, run_convergence, run_scenario,
@@ -63,8 +63,24 @@ def tiny_file(tmp_path):
 def test_registry_names():
     assert set(scenario_names()) == EXPECTED_NAMES
     assert len(scenario_names()) == len(EXPECTED_NAMES)
-    for entry in builtin_scenarios().values():
+    entries = builtin_scenarios().values()
+    for entry in entries:
         assert entry.summary
+    # every shipped file is a builtin; only ex55's file is not shipped
+    assert {e.path for e in entries if e.available} == set(SCENARIO_DIR.glob("*.json"))
+    assert [e.name for e in entries if not e.available] == ["ex55"]
+
+
+def test_every_data_file_is_package_data():
+    # a wheel ships only the files that match a package-data glob
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["boxdfm"]
+    package = root / "src" / "boxdfm"
+    files = [p.relative_to(package) for p in (package / "data").rglob("*") if p.is_file()]
+    assert files
+    assert [str(p) for p in files if not any(p.match(g) for g in globs)] == []
 
 
 def test_registry_builds():
@@ -314,14 +330,17 @@ def test_non_numeric_solver_tolerance_is_a_validation_error(tol):
         SolverSettings(tol=tol)
 
 
-@pytest.mark.parametrize("build, value, match", [
-    (ex52_scenario, "diagonal", r"^unknown ex52 orientation 'diagonal'; known are "),
-    (ex54_scenario, "c", r"^unknown ex54 sub-case 'c'; known are 'a', 'b'$"),
-    (ex57_scenario, "c", r"^unknown ex57 sub-case 'c'; known are 'a', 'b'$"),
-    (ex57_equidim_scenario, "c", r"^unknown ex57 sub-case 'c'; known are 'a', 'b'$"),
+@pytest.mark.parametrize("build, value, error, match", [
+    (ex52_scenario, "diagonal", ValidationError,
+     r"^unknown ex52 orientation 'diagonal'; known are "),
+    # sub-cases of ex54 and ex57 are builtin names, each a shipped file
+    (lambda sub: get_scenario(f"ex54{sub}"), "c", KeyError, r"^'ex54c'$"),
+    (lambda sub: get_scenario(f"ex57{sub}"), "c", KeyError, r"^'ex57c'$"),
+    (ex57_equidim_scenario, "c", ValidationError,
+     r"^unknown ex57 sub-case 'c'; known are 'a', 'b'$"),
 ], ids=["ex52", "ex54", "ex57", "ex57-equidim"])
-def test_builtin_builders_reject_an_unknown_sub_case(build, value, match):
-    with pytest.raises(ValidationError, match=match):
+def test_builtin_builders_reject_an_unknown_sub_case(build, value, error, match):
+    with pytest.raises(error, match=match):
         build(value)
 
 
@@ -608,6 +627,19 @@ def test_cli_run_writes_bundle(tmp_path, capsys):
     assert "setup" in stdout and "ms/iteration" in stdout
 
 
+def test_shipped_file_runs_as_its_builtin(tmp_path, monkeypatch):
+    # the file a user would copy is the builtin's own definition, and its
+    # relative mesh path resolves against the file's directory, not the cwd
+    monkeypatch.chdir(tmp_path)
+    shipped = builtin_scenarios()["ex52_vertical"].path
+    assert main(["run", str(shipped), "--out", "by_file"]) == 0
+    assert main(["run", "ex52_vertical", "--out", "by_name"]) == 0
+    with np.load("by_file/solution.npz") as by_file, np.load("by_name/solution.npz") as by_name:
+        assert sorted(by_file.files) == sorted(by_name.files)
+        for key in by_file.files:
+            assert np.array_equal(by_file[key], by_name[key]), key
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "nope"]) == 2
     assert main(["run", "nope.json"]) == 4
@@ -615,16 +647,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 2
     assert main(["run", "ex55", "--out", str(tmp_path / "x")]) == 4
+    assert "scenarios/ex55.json" in capsys.readouterr().err
+    assert main(["run", "ex54c"]) == 2
     err = capsys.readouterr().err
     assert "boxdfm list" in err
 
 
-def test_cli_list_marks_unavailable(capsys):
+def test_cli_list_marks_unavailable(capsys, monkeypatch):
+    # list builds no scenario: a builtin is available iff its file ships
+    def unbuildable(*args):
+        raise AssertionError(f"list built {args}")
+
+    monkeypatch.setattr("boxdfm.benchmarks.ScenarioEntry.build", unbuildable)
+    monkeypatch.setattr("boxdfm.cli.get_scenario", unbuildable)
     assert main(["list"]) == 0
     stdout = capsys.readouterr().out
     for name in sorted(EXPECTED_NAMES):
         assert name in stdout
-    assert "unavailable" in stdout
+    assert [line for line in stdout.splitlines() if "unavailable" in line] == [
+        "ex55           realistic 64-barrier network (geometry data required)"
+        "  [unavailable: data not shipped]"]
 
 
 def test_cli_slice_prints_csv(tmp_path, capsys):
