@@ -13,15 +13,18 @@ Neumann data integrates per boundary sub-facet. Dirichlet conditions are
 eliminated symmetrically, keeping the unconstrained operator for flux
 recovery.
 
-The operator's COO triplets are written once, into row, column and value
-arrays sized up front for nc (dim+1)^2 cell, nfr dim^2 fracture and
-nb (2 dim)^2 barrier entries; indices are int32 while the dof count
-allows. Cell blocks are computed over ranges of _CELL_RANGE cells and
-written into their slice of the values, so the per-cell gradients and
-tensors never exist for the whole mesh at once. Entries keep the order
-cells, fractures, barriers, row-major within each block, so the duplicate
-sums of the COO to CSR conversion, and with them A0, do not depend on the
-range size.
+The operator is written straight into CSR arrays, with no COO list.
+Each dof row's entry count comes first from the block dofs (a block row
+of k dofs adds k entries to its dof), then int32 column indices (int64
+only from 2**31 dofs or entries) and float64 values are allocated once.
+Cell blocks are computed over ranges of _CELL_RANGE cells, then fracture
+and barrier blocks follow; each block row writes its k entries after the
+earlier block rows of its dof (_fill_rows). A row thus holds its entries
+in the order cells, fractures, barriers, row-major within each block,
+which is the row layout scipy's COO to CSR conversion builds from that
+list, so the same sum_duplicates and sort_indices add the duplicates in
+the same order, and A0 depends neither on the range size nor on the
+route to CSR.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ _TRANSFER_W = {
 }
 
 # cells per range of the cell-block loop in assemble_operator
-_CELL_RANGE = 2 ** 15
+_CELL_RANGE = 2 ** 13
 
 # a compartment's net supply counts as zero up to this fraction of its
 # gross supply, far above the rounding of b0 and of its sum
@@ -146,17 +149,6 @@ def _barrier_blocks(coef: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([top, bot], axis=1)
 
 
-def _block_pattern(rows: np.ndarray, cols: np.ndarray, start: int,
-                   dofs: np.ndarray) -> int:
-    """Write the row-major (row, col) pattern of the local blocks over dofs
-    (m, k) from entry start on; returns the entry after the last block."""
-    m, k = dofs.shape
-    stop = start + m * k * k
-    rows[start:stop].reshape(m, k, k)[...] = dofs[:, :, None]
-    cols[start:stop].reshape(m, k, k)[...] = dofs[:, None, :]
-    return stop
-
-
 def assemble_operator(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
                       dual: DualBoxGeometry | None = None,
                       route: str = "gradients") -> sp.csr_matrix:
@@ -165,41 +157,84 @@ def assemble_operator(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
         raise ValidationError(f"unknown assembly route {route!r}")
     n = dofmap.n_dofs
     d = mesh.dim
-    nc, nloc = mesh.n_cells, d + 1
+    nc = mesh.n_cells
     fr, br = dofmap.fracture_facet_rows, dofmap.barrier_facet_rows
-    size = nc * nloc ** 2 + len(fr) * d ** 2 + len(br) * (2 * d) ** 2
-    index = np.int32 if n < 2 ** 31 else np.int64
-    rows = np.empty(size, dtype=index)
-    cols = np.empty(size, dtype=index)
+    bd = np.concatenate([dofmap.barrier_minus, dofmap.barrier_plus], axis=1)
+    kinds = [dofmap.cell_dofs, dofmap.fracture_dofs, bd]
+    # each dof row's entries: a block row of k dofs adds k to its dof
+    counts = sum(np.bincount(dofs.ravel(), minlength=n) * dofs.shape[1] for dofs in kinds)
+    size = int(counts.sum())
+    index = np.int32 if max(n, size) < 2 ** 31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    fill = indptr[:-1].copy()
+    indices = np.empty(size, dtype=index)
     data = np.empty(size)
 
-    end = _block_pattern(rows, cols, 0, dofmap.cell_dofs)
     if route == "gradients":
         for lo in range(0, nc, _CELL_RANGE):
             hi = min(lo + _CELL_RANGE, nc)
-            K = materials._region_tensors(mesh.cell_region[lo:hi], d)
-            block = _cell_matrices(mesh.vertices, mesh.cells[lo:hi], K)
-            data[lo * nloc ** 2:hi * nloc ** 2] = block.ravel()
+            block = _cell_matrices(mesh.vertices, mesh.cells[lo:hi],
+                                   materials._region_tensors(mesh.cell_region[lo:hi], d))
+            _fill_rows(indices, data, fill, dofmap.cell_dofs[lo:hi], block)
     else:
         if dual is None:
             dual = dual_geometry(mesh)
-        data[:end] = subface_flux_matrices(mesh, dual, materials.cell_tensors(mesh)).ravel()
-
+        blocks = subface_flux_matrices(mesh, dual, materials.cell_tensors(mesh))
+        for lo in range(0, nc, _CELL_RANGE):
+            _fill_rows(indices, data, fill, dofmap.cell_dofs[lo:lo + _CELL_RANGE],
+                       blocks[lo:lo + _CELL_RANGE])
     if len(fr):
         trans = materials.fracture_transmissivity(mesh.facet_tags[fr])
-        start, end = end, _block_pattern(rows, cols, end, dofmap.fracture_dofs)
-        data[start:end] = local_fracture_matrices(mesh, fr, trans).ravel()
-
+        _fill_rows(indices, data, fill, dofmap.fracture_dofs,
+                   local_fracture_matrices(mesh, fr, trans))
     if len(br):
         beta = materials.barrier_beta(mesh.facet_tags[br])
-        bd = np.concatenate([dofmap.barrier_minus, dofmap.barrier_plus], axis=1)
-        start, end = end, _block_pattern(rows, cols, end, bd)
-        data[start:end] = local_barrier_matrices(mesh, br, beta).ravel()
+        _fill_rows(indices, data, fill, bd, local_barrier_matrices(mesh, br, beta))
 
-    A0 = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    A0 = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     A0.sum_duplicates()
     A0.sort_indices()
     return A0
+
+
+def _fill_rows(indices: np.ndarray, data: np.ndarray, fill: np.ndarray,
+               dofs: np.ndarray, blocks: np.ndarray) -> None:
+    """Write the local blocks (m, k, k) over dofs (m, k) into their CSR rows.
+
+    Block row (b, i) puts its k entries at fill[dofs[b, i]] + k * rank + j,
+    where rank counts the earlier block rows of the same dof among these m
+    blocks; then fill moves past them. So the entries of a row stand in the
+    order of their block rows, as in a COO list of the blocks converted
+    to CSR.
+    """
+    m, k = dofs.shape
+    at = (_block_row_starts(dofs.ravel(), fill, k)[:, None] + np.arange(k)).ravel()
+    indices[at] = np.broadcast_to(dofs.astype(indices.dtype)[:, None, :], (m, k, k)).ravel()
+    data[at] = blocks.ravel()
+
+
+def _block_row_starts(row: np.ndarray, fill: np.ndarray, k: int) -> np.ndarray:
+    """The positions fill[row] + k * rank as intp, where rank (in fill's
+    dtype) counts the earlier entries of row equal to each; then fill moves
+    k past each entry."""
+    nrow = len(row)
+    # row sorted by value, then position: one packed int64 key per entry
+    shift = nrow.bit_length()
+    key = (row.astype(np.int64) << shift) | np.arange(nrow)
+    key.sort()
+    srow = key >> shift
+    order = np.bitwise_and(key, (1 << shift) - 1, out=key)
+    new = np.empty(nrow, dtype=bool)
+    new[0] = True
+    np.not_equal(srow[1:], srow[:-1], out=new[1:])
+    # a sorted entry's rank is its distance from the first of its value
+    pos = np.arange(nrow, dtype=fill.dtype)
+    rank = np.empty_like(pos)
+    rank[order] = pos - np.maximum.accumulate(np.where(new, pos, 0))
+    start = (fill[row] + k * rank).astype(np.intp)
+    fill[srow[new]] += k * np.diff(np.flatnonzero(new), append=nrow).astype(fill.dtype)
+    return start
 
 
 def assemble_rhs(mesh: Mesh, dofmap: DofMap, dual: DualBoxGeometry,

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._rows import rows
+from ._rows import write_rows
 from .errors import DofMapError, ValidationError
 from .mesh import FacetKind, Mesh
 
@@ -72,18 +71,19 @@ class DofMap:
 def _corner_nodes(cells: np.ndarray, cell_ids: np.ndarray,
                   facet_verts: np.ndarray) -> np.ndarray:
     """(n, dim) node ids cell * nloc + local of facet_verts[k] inside cell
-    cell_ids[k]; dofs are then cell_dofs.ravel()[nodes].
+    cell_ids[k], in the dtype of cell_ids; dofs are then
+    cell_dofs.ravel()[nodes].
 
-    Works in (dim, n) layout, so that each comparison of a local corner
-    with the facet vertices runs over contiguous rows of n entries.
+    Works in (dim, n) layout, one local corner at a time, so that each
+    comparison of a corner with the facet vertices runs over contiguous
+    rows of n entries.
     """
     nloc = cells.shape[1]
-    corners = np.take(cells, cell_ids, axis=0).T.copy()
     verts = facet_verts.T.copy()
-    found = verts == corners[0]
+    found = np.zeros(verts.shape, dtype=bool)
     local = np.zeros(verts.shape, dtype=np.int8)
-    for i in range(1, nloc):
-        hit = verts == corners[i]
+    for i in range(nloc):
+        hit = verts == cells[:, i].take(cell_ids)
         found |= hit
         local += hit.view(np.int8) * np.int8(i)
     if not found.all():
@@ -110,9 +110,13 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
     interior = mesh.ufacet_cells[:, 1] >= 0
     link = interior & ~barrier_uf
 
-    link_cells, link_verts = mesh.ufacet_cells[link], mesh.ufacets[link]
+    # node ids cell * nloc + local in int32 while they fit
+    n_nodes = nc * nloc
+    node = np.int32 if n_nodes < 2 ** 31 else np.int64
+    link_cells, link_verts = mesh.ufacet_cells[link].astype(node), mesh.ufacets[link]
     rows = [_corner_nodes(cells, link_cells[:, 0], link_verts).ravel()]
     cols = [_corner_nodes(cells, link_cells[:, 1], link_verts).ravel()]
+    del link_cells, link_verts
 
     has_barrier = np.zeros(nv, dtype=bool)
     has_fracture = np.zeros(nv, dtype=bool)
@@ -123,17 +127,17 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
     if policy == "fracture_penetrates" and crossing.any():
         # chain the nodes of each crossing vertex: over the nodes sorted by
         # vertex, link each node to the next one of the same vertex
-        order = np.argsort(cells.ravel(), kind="stable")
+        order = np.argsort(cells.ravel(), kind="stable").astype(node)
         sorted_v = cells.ravel()[order]
         link_next = (sorted_v[:-1] == sorted_v[1:]) & crossing[sorted_v[:-1]]
         rows.append(order[:-1][link_next])
         cols.append(order[1:][link_next])
 
-    n_nodes = nc * nloc
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    graph = coo_matrix((np.ones(len(r), dtype=np.int8), (r, c)), shape=(n_nodes, n_nodes))
+    graph = coo_matrix((np.ones(sum(map(len, rows)), dtype=np.int8),
+                        (np.concatenate(rows), np.concatenate(cols))), shape=(n_nodes, n_nodes))
+    del rows, cols
     n_comp, labels = connected_components(graph, directed=False)
+    del graph
 
     first = np.full(n_comp, n_nodes, dtype=np.int64)
     np.minimum.at(first, labels, np.arange(n_nodes, dtype=np.int64))
@@ -219,9 +223,7 @@ def boundary_dofs(mesh: Mesh, dofmap: DofMap, kind: FacetKind) -> np.ndarray:
 def write_vertex_report(mesh: Mesh, dofmap: DofMap, path) -> None:
     """Per-vertex classification and dof multiplicity as CSV."""
     names = np.array([_CLASS_NAMES[c] for c in VertexClass])[dofmap.vertex_class]
-    Path(path).write_text(
-        ",".join(["vertex", *"xyz"[: mesh.dim], "n_dofs", "class"]) + "\r\n"
-        + rows("%d," + "%r," * mesh.dim + "%d,%s\r\n", np.arange(mesh.n_vertices),
-               mesh.vertices, dofmap.vertex_ndofs, names),
-        newline="",
-    )
+    with open(path, "w", newline="") as f:
+        f.write(",".join(["vertex", *"xyz"[: mesh.dim], "n_dofs", "class"]) + "\r\n")
+        write_rows(f, "%d," + "%r," * mesh.dim + "%d,%s\r\n", np.arange(mesh.n_vertices),
+                   mesh.vertices, dofmap.vertex_ndofs, names)

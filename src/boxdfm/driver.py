@@ -13,14 +13,21 @@ topology as build_mesh does.
 from __future__ import annotations
 
 import json
+import sys
 import time
 import zipfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ._rows import rows
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
+
+from ._rows import write_rows
 from .assembly import (SparseSystem, _assemble_system, _pin_warning, floating_compartments,
                        flux_balance)
 from .dofspace import DofMap, _policy_key, build_dof_map, write_vertex_report
@@ -138,6 +145,7 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
     if scenario.exact is not None:
         report["l2_error"] = l2_error(field, scenario.exact)
     report["runtime_s"] = time.perf_counter() - t0
+    _note_peak_rss(report)
     if out_dir is not None:
         write_bundle(Path(out_dir), scenario, mesh, dofmap, field, report, pol)
     return RunResult(scenario=scenario, mesh=mesh, dofmap=dofmap,
@@ -146,26 +154,67 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
 
 def write_bundle(out: Path, scenario: Scenario, mesh: Mesh, dofmap: DofMap,
                  field: SolutionField, report: dict, policy: str) -> None:
-    """Write the output bundle of one solve into out.
+    """Write the output bundle of one solve into out, file by file
+    (_bundle_files).
 
     solution.npz holds the mesh, its TOPOLOGY, the field and the policy;
     each integer array is stored as int32 when every value fits, which
-    halves the bytes a load reads, and as int64 otherwise.
+    halves the bytes a load reads, and as int64 otherwise. report.json is
+    written last, with peak_rss_mb read again just before.
     """
+    for _, write in _bundle_files(out, scenario, mesh, dofmap, field, report, policy):
+        write()
+
+
+def _bundle_files(out: Path, scenario: Scenario, mesh: Mesh, dofmap: DofMap,
+                  field: SolutionField, report: dict, policy: str) -> list:
+    """The files of write_bundle in writing order, as (file name, writer
+    taking no argument) pairs; makes out."""
     out.mkdir(parents=True, exist_ok=True)
-    write_solution_vtk(out / "solution.vtk", field)
-    write_facets_vtk(out / "facets.vtk", mesh)
-    write_vertex_report(mesh, dofmap, out / "vertices.csv")
+    files = [("solution.vtk", partial(write_solution_vtk, out / "solution.vtk", field)),
+             ("facets.vtk", partial(write_facets_vtk, out / "facets.vtk", mesh)),
+             ("vertices.csv", partial(write_vertex_report, mesh, dofmap, out / "vertices.csv"))]
     for sl in scenario.slices:
-        sample = sample_slice(field, sl.start, sl.end, sl.n, side=sl.side)
-        write_profile_csv(out / f"profile_{sl.name}.csv", sample)
+        name = f"profile_{sl.name}.csv"
+        files.append((name, partial(_write_profile, out / name, field, sl)))
+    return files + [("solution.npz", partial(_write_npz, out / "solution.npz", mesh, field,
+                                             policy)),
+                    ("report.json", partial(_write_report, out / "report.json", report))]
+
+
+def _write_profile(path: Path, field: SolutionField, sl) -> None:
+    write_profile_csv(path, sample_slice(field, sl.start, sl.end, sl.n, side=sl.side))
+
+
+def _write_npz(path: Path, mesh: Mesh, field: SolutionField, policy: str) -> None:
     arrays = {**{k: getattr(mesh, k) for k in _MESH_ARRAYS},
               **{k: getattr(field, k) for k in _FIELD_ARRAYS}, "policy": np.array(policy),
               **{k: getattr(mesh, k) for k in TOPOLOGY}}
-    np.savez(out / "solution.npz", **{k: _narrowed(a) for k, a in arrays.items()})
-    with open(out / "report.json", "w", newline="\n") as f:
+    np.savez(path, **{k: _narrowed(a) for k, a in arrays.items()})
+
+
+def _write_report(path: Path, report: dict) -> None:
+    _note_peak_rss(report)
+    with open(path, "w", newline="\n") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _note_peak_rss(report: dict) -> None:
+    """Set report["peak_rss_mb"] where the peak is known (_peak_rss_mb)."""
+    peak = _peak_rss_mb()
+    if peak is not None:
+        report["peak_rss_mb"] = peak
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far in MiB, from ru_maxrss
+    (KiB on Linux, bytes on macOS); None without the resource module
+    (Windows)."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
 def _narrowed(a: np.ndarray) -> np.ndarray:
@@ -262,11 +311,10 @@ def run_convergence(scenario: Scenario, levels: int, policy: str | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "convergence.csv").write_text(
-            "level,ndof,l2_error,order\r\n"
-            + rows("%d,%d,%r,%s\r\n", np.arange(levels + 1), ndofs, errors,
-                   ["" if o is None else repr(o) for o in orders]),
-            newline="")
+        with open(out / "convergence.csv", "w", newline="") as f:
+            f.write("level,ndof,l2_error,order\r\n")
+            write_rows(f, "%d,%d,%r,%s\r\n", np.arange(levels + 1), ndofs, errors,
+                       ["" if o is None else repr(o) for o in orders])
         with open(out / "convergence.json", "w", newline="\n") as f:
             json.dump(result, f, indent=2, sort_keys=True)
             f.write("\n")

@@ -232,38 +232,47 @@ def _unique_facet_table(cells: np.ndarray, dim: int, nv: int):
     """
     nc = cells.shape[0]
     nloc = dim + 1
-    # row i*nc + c: the facet of cell c opposite its local vertex i
-    keep = [[j for j in range(nloc) if j != i] for i in range(nloc)]
-    all_facets = np.sort(np.concatenate([cells[:, k] for k in keep], axis=0), axis=1)
-    key = _facet_keys(all_facets, nv)
+    # key i*nc + c: the facet of cell c opposite its local vertex i, packed
+    # from the sorted ids of the cell's other vertices
+    key = np.empty(nloc * nc, dtype=np.int64)
+    for i in range(nloc):
+        others = [j for j in range(nloc) if j != i]
+        key[i * nc:(i + 1) * nc] = _facet_keys(np.sort(cells[:, others], axis=1), nv)
     order = np.argsort(key, kind="stable")
     skey = key[order]
-    new = np.ones(skey.shape[0], dtype=bool)
-    new[1:] = skey[1:] != skey[:-1]
-    first = np.nonzero(new)[0]
+    del key
+    new = np.empty(skey.shape[0], dtype=bool)
+    new[0] = True
+    np.not_equal(skey[1:], skey[:-1], out=new[1:])
+    first = np.flatnonzero(new)
     nu = first.shape[0]
 
     # unpack the unique keys instead of gathering rows
     ufacets = _unpack_keys(skey[first], nv, dim)
+    del skey
 
-    counts = np.diff(np.append(first, skey.shape[0]))
+    counts = np.diff(first, append=order.shape[0])
     if counts.max(initial=0) > 2:
         bad = ufacets[np.argmax(counts)]
         raise ValidationError(
             f"facet {tuple(bad.tolist())} is shared by {counts.max()} cells; "
             "mesh is not a manifold complex"
         )
-    local, owner = np.divmod(order, nc)
-    ufacet_cells = np.full((nu, 2), -1, dtype=np.int64)
-    ufacet_cells[:, 0] = owner[first]
     shared = counts == 2
-    ufacet_cells[shared, 1] = owner[first[shared] + 1]
+    # rows i*nc + c of the facets' first and second cells
+    a = order[first]
+    b = order[first[shared] + 1]
+    del order, first
+    ufacet_cells = np.full((nu, 2), -1, dtype=np.int64)
+    ufacet_cells[:, 0] = a % nc
+    ufacet_cells[shared, 1] = b % nc
 
     # the two cells of a shared facet are neighbours across it
-    a, b = first[shared], first[shared] + 1
+    local_a, owner_a = np.divmod(a[shared], nc)
+    local_b, owner_b = np.divmod(b, nc)
     neighbors = np.full((nc, nloc), -1, dtype=np.int64)
-    neighbors[owner[a], local[a]] = owner[b]
-    neighbors[owner[b], local[b]] = owner[a]
+    neighbors[owner_a, local_a] = owner_b
+    neighbors[owner_b, local_b] = owner_a
     return ufacets, ufacet_cells, neighbors
 
 
@@ -352,9 +361,11 @@ def build_mesh(
     """
     vertices, cells, vol = _checked_cells(vertices, np.asarray(cells, dtype=np.int64))
     nv, dim = vertices.shape
-    # a cell with negative volume gets its first two vertices swapped
-    cells, neg = cells.copy(), vol < 0
-    cells[neg, 0], cells[neg, 1] = cells[neg, 1], cells[neg, 0]
+    # a cell with negative volume gets its first two vertices swapped, in a copy
+    neg = vol < 0
+    if neg.any():
+        cells = cells.copy()
+        cells[neg, 0], cells[neg, 1] = cells[neg, 1], cells[neg, 0]
 
     if facets is None:
         facets, facet_tags = [], []

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rows import rows
+from ._rows import write_rows
 from .errors import MeshFormatError, ValidationError
 from .mesh import Mesh, build_mesh
 
@@ -242,17 +242,15 @@ def write_msh22(path, vertices, cells, cell_region, facets, facet_tags) -> None:
     if len(facets) and (facets.ndim != 2 or facets.shape[1] != dim):
         raise ValidationError(f"facets has shape {facets.shape}; {dim}d facets need {dim} vertices")
 
-    def elements(etype, conn, tags, first):
+    def elements(f, etype, conn, tags, first):
         fmt = f"%d {etype} 2 %d %d" + " %d" * _NODES_PER_TYPE[etype] + "\n"
-        return rows(fmt, np.arange(first, first + len(conn)), tags, tags, conn + 1)
+        write_rows(f, fmt, np.arange(first, first + len(conn)), tags, tags, conn + 1)
 
-    Path(path).write_text(
-        f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n{len(vertices)}\n"
-        + rows("%d" + " %r" * dim + " 0.0" * (3 - dim) + "\n",
-               np.arange(1, len(vertices) + 1), vertices)
-        + f"$EndNodes\n$Elements\n{len(facets) + len(cells)}\n"
-        + elements(_LINE if dim == 2 else _TRIANGLE, facets, facet_tags, 1)
-        + elements(_TRIANGLE if dim == 2 else _TETRAHEDRON, cells, cell_region, len(facets) + 1)
-        + "$EndElements\n",
-        newline="\n",
-    )
+    with open(path, "w", newline="\n") as f:
+        f.write(f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n{len(vertices)}\n")
+        write_rows(f, "%d" + " %r" * dim + " 0.0" * (3 - dim) + "\n",
+                   np.arange(1, len(vertices) + 1), vertices)
+        f.write(f"$EndNodes\n$Elements\n{len(facets) + len(cells)}\n")
+        elements(f, _LINE if dim == 2 else _TRIANGLE, facets, facet_tags, 1)
+        elements(f, _TRIANGLE if dim == 2 else _TETRAHEDRON, cells, cell_region, len(facets) + 1)
+        f.write("$EndElements\n")

@@ -324,13 +324,19 @@ def _tensor_entry(v):
 
 
 def load_scenario_file(path) -> Scenario:
-    """Scenario from a JSON file (schema in the README)."""
+    """Scenario from a UTF-8 JSON file (schema in the README). A missing
+    file or a directory raises MissingDataError, text that is not UTF-8 or
+    not JSON ValidationError, each naming the path."""
     path = Path(path)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise MissingDataError(f"scenario file not found: {path}") from None
+    except IsADirectoryError:
+        raise MissingDataError(f"scenario file {path} is a directory") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"scenario file {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"scenario file {path} is not valid JSON: {exc}") from None
     return scenario_from_dict(raw, base_dir=path.parent,

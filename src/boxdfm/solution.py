@@ -14,15 +14,15 @@ k-d tree over the bounding boxes of the facets near the samples.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import roots_jacobi
 
-from ._rows import rows
+from ._rows import write_rows
 from .errors import ValidationError, as_int
 from .mesh import FacetKind, Mesh, _edge_volumes, facet_normals
 
@@ -34,6 +34,7 @@ _SIDE_EPS_REL = 1e-9  # side-rule offset relative to the domain diameter
 _LOCATE_TOL = -1e-12  # smallest barycentric coordinate that counts as inside
 _NEAR_VERTICES = 8    # nearest vertices whose cells are tested before a full scan
 _WALK_STEPS = 32      # walk steps before a point goes to the brute-force scan
+_L2_RANGE = 2 ** 14   # cells per range of l2_error
 
 
 def _gauss_jacobi_01(n: int, alpha: int):
@@ -280,12 +281,10 @@ def write_profile_csv(path, sample: dict) -> None:
     path may also be an open text stream (stdout for the CLI).
     """
     dim = sample["points"].shape[1]
-    text = (",".join(["s", *"xyz"[:dim], "p"]) + "\r\n"
-            + rows("%r," * (dim + 1) + "%r\r\n", sample["s"], sample["points"], sample["values"]))
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        Path(path).write_text(text, newline="")
+    with nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as f:
+        f.write(",".join(["s", *"xyz"[:dim], "p"]) + "\r\n")
+        write_rows(f, "%r," * (dim + 1) + "%r\r\n", sample["s"], sample["points"],
+                   sample["values"])
 
 
 def l2_error(fieldobj: SolutionField, exact) -> float:
@@ -294,21 +293,27 @@ def l2_error(fieldobj: SolutionField, exact) -> float:
     Integrated cell by cell with the conical-product rule (degree 5), so
     the quadrature is exact for the squared error of linear fields against
     quadratic exact data and accurate far beyond the discretization error
-    otherwise.
+    otherwise. exact is called once per range of _L2_RANGE cells; the
+    quadrature sum runs once over all cells, so the value does not depend
+    on the range size.
     """
     mesh = fieldobj.mesh
     bary, w = simplex_quadrature(mesh.dim, 3)
-    verts = mesh.vertices[mesh.cells]          # (nc, nloc, dim)
-    pts = np.einsum("qj,cjd->cqd", bary, verts)
-    dofvals = fieldobj.values[fieldobj.cell_dofs]  # (nc, nloc)
-    ph = np.einsum("qj,cj->cq", bary, dofvals)
-    nq = len(w)
-    flat = pts.reshape(-1, mesh.dim)
-    regs = np.repeat(mesh.cell_region, nq)
-    pe = np.asarray(exact(flat, regs), dtype=np.float64).reshape(mesh.n_cells, nq)
-    vol = np.abs(_edge_volumes(verts[:, 1:, :] - verts[:, :1, :]))
-    err2 = np.einsum("cq,q,c->", (ph - pe) ** 2, w, vol)
-    return float(np.sqrt(err2))
+    nc, nq = mesh.n_cells, len(w)
+    # squared errors at the quadrature points and cell volumes, range by range
+    sq = np.empty((nc, nq))
+    vol = np.empty(nc)
+    for lo in range(0, nc, _L2_RANGE):
+        hi = min(lo + _L2_RANGE, nc)
+        verts = mesh.vertices[mesh.cells[lo:hi]]          # (n, nloc, dim)
+        pts = np.einsum("qj,cjd->cqd", bary, verts)
+        ph = np.einsum("qj,cj->cq", bary, fieldobj.values[fieldobj.cell_dofs[lo:hi]])
+        regs = np.repeat(mesh.cell_region[lo:hi], nq)
+        pe = np.asarray(exact(pts.reshape(-1, mesh.dim), regs),
+                        dtype=np.float64).reshape(hi - lo, nq)
+        sq[lo:hi] = (ph - pe) ** 2
+        vol[lo:hi] = np.abs(_edge_volumes(verts[:, 1:, :] - verts[:, :1, :]))
+    return float(np.sqrt(np.einsum("cq,q,c->", sq, w, vol)))
 
 
 def convergence_order(errors, ratio: float = 2.0):

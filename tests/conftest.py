@@ -1,5 +1,7 @@
 """Shared helpers: small meshes and the acceptance summary hook."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,25 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes of the allocations it traced."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def array_bytes(*values) -> int:
+    """Bytes of the numpy arrays among values and their dataclass fields."""
+    total = 0
+    for v in values:
+        fields = vars(v).values() if hasattr(v, "__dataclass_fields__") else [v]
+        total += sum(a.nbytes for a in fields if isinstance(a, np.ndarray))
+    return total
 
 
 TAGS_BARRIER = {1: "dirichlet", 2: "dirichlet", 3: "neumann", 4: "neumann",

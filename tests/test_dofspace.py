@@ -9,7 +9,7 @@ from boxdfm.dofspace import (DofMap, _corner_nodes, build_dof_map, boundary_dofs
 from boxdfm.errors import DofMapError, ValidationError
 from boxdfm.generators import crossed_square_mesh
 from boxdfm.mesh import FacetKind, build_mesh
-from conftest import TAGS_BARRIER, barrier_square
+from conftest import TAGS_BARRIER, array_bytes, barrier_square, traced_peak
 
 
 def fan_components(mesh, vertex):
@@ -212,3 +212,13 @@ def test_vertex_report(tmp_path, barrier_square_mesh):
     assert len(lines) == mesh.n_vertices + 1
     # all five vertices on the line split (the barrier spans the domain)
     assert dm.class_counts()["barrier_interior"] == 5
+
+
+def test_dof_map_peak_memory_stays_near_its_output():
+    # ex56 r1: 24,576 tetrahedra, 3 barrier planes. int32 corner nodes and
+    # a graph built from one pair of node lists measure 5.7 times the
+    # DofMap's arrays; int64 nodes with (nloc, n) corner tables take 11.7
+    sc = get_scenario("ex56")
+    mesh = sc.mesh_factory(sc.default_refine + 1)
+    dm, peak = traced_peak(build_dof_map, mesh, sc.policy)
+    assert peak / array_bytes(dm) <= 6.2

@@ -12,6 +12,7 @@ from boxdfm.errors import ValidationError
 from boxdfm.generators import crossed_square_mesh
 from boxdfm.mesh import (TOPOLOGY, FacetKind, _locate_tagged, _orientation_volumes,
                          _unique_facet_table, build_mesh, restore_mesh)
+from conftest import array_bytes, traced_peak
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TWO_TRIS = np.array([[0, 1, 2], [0, 2, 3]])
@@ -275,3 +276,13 @@ def test_mesh_input_errors_are_named(change, msg):
 def test_facet_out_of_range_is_an_error_even_when_its_tag_is_dropped():
     with pytest.raises(ValidationError, match=re.escape("facets holds values outside 0..3")):
         build_mesh(SQUARE, TWO_TRIS, [[0, 1], [2, 4]], [7, 99], tag_map={7: "neumann"})
+
+
+def test_facet_table_peak_memory_stays_near_its_output():
+    # ex56 r1: 24,576 tetrahedra. Keys packed one local vertex at a time
+    # from each cell's sorted vertex ids measure 2.0 times the three output
+    # arrays; sorting one (4 nc, 3) array of facet rows takes 4.3
+    sc = get_scenario("ex56")
+    mesh = sc.mesh_factory(sc.default_refine + 1)
+    table, peak = traced_peak(_unique_facet_table, mesh.cells, mesh.dim, mesh.n_vertices)
+    assert peak / array_bytes(*table) <= 2.2

@@ -3,14 +3,20 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+import boxdfm
 import boxdfm.assembly as assembly_module
+import boxdfm.driver as driver_module
 from boxdfm.assembly import collect_dirichlet
 from boxdfm.benchmarks import (SCENARIO_DIR, builtin_scenarios, ex52_scenario,
                                ex57_equidim_scenario, get_scenario, scenario_names)
@@ -627,6 +633,26 @@ def test_cli_run_writes_bundle(tmp_path, capsys):
     assert "setup" in stdout and "ms/iteration" in stdout
 
 
+def test_report_peak_rss_is_read_again_for_the_bundle(tmp_path, monkeypatch):
+    # ru_maxrss counts KiB on Linux and bytes on macOS; write_bundle reads it
+    # again just before report.json, and without resource the key stays out
+    readings = iter([100 * 2 ** 10, 120 * 2 ** 10, 150 * 2 ** 10, 200 * 2 ** 20])
+    usage = SimpleNamespace(RUSAGE_SELF=0,
+                            getrusage=lambda who: SimpleNamespace(ru_maxrss=next(readings)))
+    monkeypatch.setattr(driver_module, "resource", usage)
+    monkeypatch.setattr(driver_module, "sys", SimpleNamespace(platform="linux"))
+    sc = load_scenario_file(tiny_file(tmp_path))
+    assert run_scenario(sc).report["peak_rss_mb"] == 100.0
+    res = run_scenario(sc, out_dir=tmp_path / "out")
+    on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert on_disk["peak_rss_mb"] == res.report["peak_rss_mb"] == 150.0
+    monkeypatch.setattr(driver_module, "sys", SimpleNamespace(platform="darwin"))
+    assert run_scenario(sc).report["peak_rss_mb"] == 200.0
+    monkeypatch.setattr(driver_module, "resource", None)
+    run_scenario(sc, out_dir=tmp_path / "none")
+    assert "peak_rss_mb" not in json.loads((tmp_path / "none" / "report.json").read_text())
+
+
 def test_shipped_file_runs_as_its_builtin(tmp_path, monkeypatch):
     # the file a user would copy is the builtin's own definition, and its
     # relative mesh path resolves against the file's directory, not the cwd
@@ -651,6 +677,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "ex54c"]) == 2
     err = capsys.readouterr().err
     assert "boxdfm list" in err
+
+
+@pytest.mark.parametrize("make, code, phrase", [
+    (Path.mkdir, 4, "is a directory"),
+    (lambda p: p.write_bytes(b'{"name": "caf\xe9"}'), 2, "is not UTF-8 text"),
+], ids=["directory", "latin-1"])
+def test_cli_unreadable_scenario_file_exits_without_traceback(tmp_path, make, code, phrase):
+    path = tmp_path / "scenario.json"
+    make(path)
+    env = {**os.environ, "PYTHONPATH": str(Path(boxdfm.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "boxdfm.cli", "run", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert phrase in proc.stderr and str(path) in proc.stderr
 
 
 def test_cli_list_marks_unavailable(capsys, monkeypatch):
