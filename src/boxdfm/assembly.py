@@ -252,7 +252,7 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, dual: DualBoxGeometry,
         nloc = mesh.dim + 1
         pts = cent.reshape(-1, mesh.dim)
         regs = np.repeat(mesh.cell_region, nloc)
-        q = _values("source", source(pts, regs), len(pts)).reshape(mesh.n_cells, nloc)
+        q = _values("source", source(pts, regs), pts).reshape(mesh.n_cells, nloc)
         np.add.at(b, dofmap.cell_dofs, q * dual.subvol)
     if neumann:
         for tag, g in neumann.items():
@@ -263,20 +263,27 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, dual: DualBoxGeometry,
             meas, cents = boundary_subfaces(mesh, rows)
             dofs, _ = facet_vertex_dofs(mesh, dofmap, rows)
             pts = cents.reshape(-1, mesh.dim)
-            vals = _values(f"neumann tag {tag}", g(pts), len(pts))
+            vals = _values(f"neumann tag {tag}", g(pts), pts)
             np.add.at(b, dofs.ravel(), -vals * meas.ravel())
     return b
 
 
-def _values(what: str, result, n: int) -> np.ndarray:
-    """A boundary or source callable's result as n floats, one per point."""
+def _values(what: str, result, pts: np.ndarray) -> np.ndarray:
+    """A boundary or source callable's result at the (n, dim) points pts
+    as n finite floats; the one check of callable data."""
+    n = len(pts)
     v = np.asarray(result, dtype=np.float64)
     if v.size != n:
         raise ValidationError(
             f"{what} returned values of shape {v.shape} for {n} points; "
             f"expected shape ({n},)"
         )
-    return v.reshape(n)
+    v = v.reshape(n)
+    if not np.isfinite(v).all():
+        i = int(np.argmin(np.isfinite(v)))
+        raise ValidationError(f"{what} is not finite at point {tuple(pts[i].tolist())}: "
+                              f"{v[i]}")
+    return v
 
 
 def collect_dirichlet(mesh: Mesh, dofmap: DofMap, dirichlet: dict):
@@ -298,7 +305,7 @@ def collect_dirichlet(mesh: Mesh, dofmap: DofMap, dirichlet: dict):
         d, cells_r = facet_vertex_dofs(mesh, dofmap, rows)
         pts = mesh.vertices[mesh.facets[rows]].reshape(-1, mesh.dim)
         regs = np.repeat(mesh.cell_region[cells_r], mesh.dim)
-        v = _values(f"dirichlet tag {tag}", g(pts, regs), len(pts))
+        v = _values(f"dirichlet tag {tag}", g(pts, regs), pts)
         dofs.append(d.ravel())
         vals.append(v)
         scales.append(np.full(len(v), max(1.0, float(np.abs(v).max()))))

@@ -93,13 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_point(text: str):
+    """The coordinates of X,Y[,Z]; sample_slice checks their count."""
     try:
-        vals = tuple(float(t) for t in text.split(","))
+        return tuple(float(t) for t in text.split(","))
     except ValueError:
         raise ValidationError(f"cannot parse coordinates {text!r}") from None
-    if len(vals) not in (2, 3):
-        raise ValidationError(f"expected 2 or 3 coordinates, got {text!r}")
-    return vals
 
 
 def _cmd_run(args) -> int:
@@ -159,14 +157,8 @@ def _cmd_list(args) -> int:
 
 def _cmd_slice(args) -> int:
     field = load_solution(args.rundir)
-    start = _parse_point(args.start)
-    end = _parse_point(args.end)
-    if len(start) != field.mesh.dim or len(end) != field.mesh.dim:
-        raise ValidationError(
-            f"solution is {field.mesh.dim}d but endpoints have "
-            f"{len(start)} coordinates"
-        )
-    sample = sample_slice(field, start, end, args.n, side=args.side)
+    sample = sample_slice(field, _parse_point(args.start), _parse_point(args.end), args.n,
+                          side=args.side)
     if args.out:
         write_profile_csv(args.out, sample)
         print(f"wrote {args.out}", file=sys.stderr)

@@ -1,13 +1,13 @@
 """Scenario execution: mesh, assemble, solve, write artifacts.
 
-run_scenario does one solve and optionally writes the output bundle
-(solution.vtk, facets.vtk, profile CSVs, vertices.csv, solution.npz,
-report.json). run_convergence repeats it over refinement levels and
-tabulates L2 errors and observed orders. load_solution rebuilds a
-SolutionField from a bundle for later slicing. Every load goes through
-restore_mesh: solution.npz stores the mesh topology next to the mesh and
-the field, so a load only checks it, and a bundle without it derives the
-topology as build_mesh does.
+run_scenario does one solve, timing each of its stages (_stage), and
+optionally writes the output bundle (solution.vtk, facets.vtk,
+vertices.csv, profile CSVs, solution.npz, report.json). run_convergence
+repeats it over refinement levels and tabulates L2 errors and observed
+orders. load_solution rebuilds a SolutionField from a bundle for later
+slicing. Every load goes through restore_mesh: solution.npz stores the
+mesh topology next to the mesh and the field, so a load only checks it,
+and a bundle without it derives the topology as build_mesh does.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import json
 import sys
 import time
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +88,10 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
     the mesh is built, and a compartment without Dirichlet data that has
     a net supply raises it before the solve (assemble_system); SolverError
     if the iteration does not reach the requested tolerance.
+
+    report["timings"] maps each stage to its seconds, in run order: mesh,
+    dof_map, assembly, cg, balance, then write_bundle's files. runtime_s is
+    the wall time from entry to the end, or to just before report.json.
     """
     t0 = time.perf_counter()
     refine = as_int(refine, "refine must be an integer")
@@ -104,15 +108,19 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
                        else preconditioner)
     pol = policy if policy is not None else scenario.policy
     _policy_key(pol)
-    mesh = scenario.mesh_factory(level)
-    validate_against_mesh(scenario, mesh)
-    dofmap = build_dof_map(mesh, pol)
-    # the warnings of scenario_warnings, without building the compartment graph twice
-    system, pinned = _assemble_system(mesh, dofmap, scenario.materials, scenario.source,
-                                      scenario.neumann, scenario.dirichlet)
-    warn = _barrier_warnings(scenario.materials) + pinned
-    x, solver_report = cg_solve(system.A, system.b, tol=s.tol,
-                                max_iter=s.max_iter, preconditioner=s.preconditioner)
+    timings = {}
+    with _stage(timings, "mesh"):
+        mesh = scenario.mesh_factory(level)
+        validate_against_mesh(scenario, mesh)
+    with _stage(timings, "dof_map"):
+        dofmap = build_dof_map(mesh, pol)
+    with _stage(timings, "assembly"):
+        # the warnings of scenario_warnings, without building the compartment graph twice
+        system, pinned = _assemble_system(mesh, dofmap, scenario.materials, scenario.source,
+                                          scenario.neumann, scenario.dirichlet)
+    with _stage(timings, "cg"):
+        x, solver_report = cg_solve(system.A, system.b, tol=s.tol, max_iter=s.max_iter,
+                                    preconditioner=s.preconditioner)
     if not solver_report.converged:
         raise SolverError(
             f"conjugate gradients stopped at relative residual "
@@ -120,6 +128,9 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
             f"{solver_report.iterations} iterations (tol {s.tol:g})"
         )
     field = SolutionField(mesh, dofmap.cell_dofs, dofmap.dof_vertex, x)
+    with _stage(timings, "balance"):
+        balance = flux_balance(system, x)
+        l2 = None if scenario.exact is None else l2_error(field, scenario.exact)
     report = {
         "scenario": scenario.name,
         "description": scenario.description,
@@ -139,64 +150,62 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
             "setup_s": solver_report.setup_s,
             "iterate_s": solver_report.iterate_s,
         },
-        "balance": flux_balance(system, x),
-        "warnings": warn,
+        "balance": balance,
+        "warnings": _barrier_warnings(scenario.materials) + pinned,
     }
-    if scenario.exact is not None:
-        report["l2_error"] = l2_error(field, scenario.exact)
-    report["runtime_s"] = time.perf_counter() - t0
+    if l2 is not None:
+        report["l2_error"] = l2
+    report["timings"] = timings
     _note_peak_rss(report)
+    report["runtime_s"] = time.perf_counter() - t0
     if out_dir is not None:
         write_bundle(Path(out_dir), scenario, mesh, dofmap, field, report, pol)
     return RunResult(scenario=scenario, mesh=mesh, dofmap=dofmap,
                      system=system, field=field, report=report)
 
 
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Time the block into timings[name], in perf_counter seconds."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - t0
+
+
 def write_bundle(out: Path, scenario: Scenario, mesh: Mesh, dofmap: DofMap,
                  field: SolutionField, report: dict, policy: str) -> None:
-    """Write the output bundle of one solve into out, file by file
-    (_bundle_files).
+    """Write the output bundle of one solve into out, file by file.
 
     solution.npz holds the mesh, its TOPOLOGY, the field and the policy;
     each integer array is stored as int32 when every value fits, which
-    halves the bytes a load reads, and as int64 otherwise. report.json is
-    written last, with peak_rss_mb read again just before.
+    halves the bytes a load reads, and as int64 otherwise. Each file but
+    report.json is timed into report["timings"] under its name (_stage).
+    report.json is written last: report["runtime_s"] first grows by the
+    time spent here, and peak_rss_mb is read again.
     """
-    for _, write in _bundle_files(out, scenario, mesh, dofmap, field, report, policy):
-        write()
-
-
-def _bundle_files(out: Path, scenario: Scenario, mesh: Mesh, dofmap: DofMap,
-                  field: SolutionField, report: dict, policy: str) -> list:
-    """The files of write_bundle in writing order, as (file name, writer
-    taking no argument) pairs; makes out."""
+    t0 = time.perf_counter()
+    timings = report["timings"]
     out.mkdir(parents=True, exist_ok=True)
-    files = [("solution.vtk", partial(write_solution_vtk, out / "solution.vtk", field)),
-             ("facets.vtk", partial(write_facets_vtk, out / "facets.vtk", mesh)),
-             ("vertices.csv", partial(write_vertex_report, mesh, dofmap, out / "vertices.csv"))]
+    with _stage(timings, "solution.vtk"):
+        write_solution_vtk(out / "solution.vtk", field)
+    with _stage(timings, "facets.vtk"):
+        write_facets_vtk(out / "facets.vtk", mesh)
+    with _stage(timings, "vertices.csv"):
+        write_vertex_report(mesh, dofmap, out / "vertices.csv")
     for sl in scenario.slices:
         name = f"profile_{sl.name}.csv"
-        files.append((name, partial(_write_profile, out / name, field, sl)))
-    return files + [("solution.npz", partial(_write_npz, out / "solution.npz", mesh, field,
-                                             policy)),
-                    ("report.json", partial(_write_report, out / "report.json", report))]
-
-
-def _write_profile(path: Path, field: SolutionField, sl) -> None:
-    write_profile_csv(path, sample_slice(field, sl.start, sl.end, sl.n, side=sl.side))
-
-
-def _write_npz(path: Path, mesh: Mesh, field: SolutionField, policy: str) -> None:
-    arrays = {**{k: getattr(mesh, k) for k in _MESH_ARRAYS},
-              **{k: getattr(field, k) for k in _FIELD_ARRAYS}, "policy": np.array(policy),
-              **{k: getattr(mesh, k) for k in TOPOLOGY}}
-    np.savez(path, **{k: _narrowed(a) for k, a in arrays.items()})
-
-
-def _write_report(path: Path, report: dict) -> None:
+        with _stage(timings, name):
+            write_profile_csv(out / name,
+                              sample_slice(field, sl.start, sl.end, sl.n, side=sl.side))
+    with _stage(timings, "solution.npz"):
+        arrays = {**{k: getattr(mesh, k) for k in _MESH_ARRAYS},
+                  **{k: getattr(field, k) for k in _FIELD_ARRAYS}, "policy": np.array(policy),
+                  **{k: getattr(mesh, k) for k in TOPOLOGY}}
+        np.savez(out / "solution.npz", **{k: _narrowed(a) for k, a in arrays.items()})
+    report["runtime_s"] += time.perf_counter() - t0
     _note_peak_rss(report)
-    with open(path, "w", newline="\n") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
+    with open(out / "report.json", "w", newline="\n") as f:
+        json.dump(report, f, indent=2)
         f.write("\n")
 
 

@@ -3,7 +3,8 @@
 Grammar: numeric literals, the coordinates x, y, z, the functions sin and
 cos, +, -, *, /, unary minus, parentheses. Compiled through the ast module
 with a strict whitelist; anything else is rejected. Compiled expressions
-evaluate vectorized over (n, dim) point arrays.
+evaluate vectorized over (n, dim) point arrays. Literals are numpy doubles,
+so 1/0 gives inf as x/0 does; assembly rejects non-finite data values.
 """
 
 from __future__ import annotations
@@ -19,10 +20,17 @@ __all__ = ["compile_expression"]
 _FUNCS = {"sin": np.sin, "cos": np.cos}
 
 
+def _double(value, src) -> np.float64:
+    try:
+        return np.float64(value)
+    except OverflowError:
+        raise ValidationError(f"numeric constant out of range in expression {src!r}") from None
+
+
 def compile_expression(src, dim: int):
     """Compile a scalar expression of x, y[, z] into f(points) -> values."""
     if isinstance(src, (int, float)):
-        const = float(src)
+        const = _double(src, src)
         return lambda pts: np.full(np.asarray(pts).shape[0], const)
     if not isinstance(src, str):
         raise ValidationError(f"expression must be a string or number, got {type(src).__name__}")
@@ -37,7 +45,7 @@ def compile_expression(src, dim: int):
             return build(node.body)
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-                v = float(node.value)
+                v = _double(node.value, src)
                 return lambda env: v
             raise ValidationError(f"non-numeric constant in expression {src!r}")
         if isinstance(node, ast.Name):

@@ -18,10 +18,10 @@ class FractureLaw:
     k: float  # tangential permeability of a conductive feature
 
     def __post_init__(self):
-        if self.aperture <= 0:
-            raise ValidationError(f"fracture aperture must be positive, got {self.aperture}")
-        if self.k <= 0:
-            raise ValidationError(f"fracture permeability must be positive, got {self.k}")
+        if not 0 < self.aperture < np.inf:
+            raise ValidationError(f"fracture aperture must be finite and > 0, got {self.aperture}")
+        if not 0 < self.k < np.inf:
+            raise ValidationError(f"fracture permeability must be finite and > 0, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,13 @@ class BarrierLaw:
     k_tangential: float | None = None  # recorded, not used by the hybrid operator
 
     def __post_init__(self):
-        if self.aperture <= 0:
-            raise ValidationError(f"barrier aperture must be positive, got {self.aperture}")
-        if self.k < 0:
-            raise ValidationError(f"barrier permeability must be >= 0, got {self.k}")
-        if self.k_tangential is not None and self.k_tangential < 0:
-            raise ValidationError("barrier tangential permeability must be >= 0")
+        if not 0 < self.aperture < np.inf:
+            raise ValidationError(f"barrier aperture must be finite and > 0, got {self.aperture}")
+        if not 0 <= self.k < np.inf:
+            raise ValidationError(f"barrier permeability must be finite and >= 0, got {self.k}")
+        if self.k_tangential is not None and not 0 <= self.k_tangential < np.inf:
+            raise ValidationError("barrier tangential permeability must be finite and >= 0, "
+                                  f"got {self.k_tangential}")
 
     @property
     def beta(self) -> float:
@@ -46,6 +47,8 @@ class BarrierLaw:
 
 def _as_tensor(value, dim: int) -> np.ndarray:
     K = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(K).all():
+        raise ValidationError(f"permeability must be finite, got {K.tolist()}")
     if K.ndim == 0:
         K = float(K) * np.eye(dim)
     if K.shape != (dim, dim):
@@ -74,7 +77,8 @@ class MaterialModel:
     """Region and tag resolved material laws.
 
     matrix maps region id -> permeability (scalar or tensor); fractures and
-    barriers map facet tag -> law. Construction validates positivity/SPD.
+    barriers map facet tag -> law, which checks its own values. Construction
+    validates that each permeability is finite and SPD.
     """
 
     matrix: dict = field(default_factory=dict)
@@ -84,14 +88,8 @@ class MaterialModel:
 
     def __post_init__(self):
         self.matrix = {int(r): _as_tensor(K, self.dim) for r, K in self.matrix.items()}
-        fr = {}
-        for t, v in self.fractures.items():
-            fr[int(t)] = v if isinstance(v, FractureLaw) else FractureLaw(**v)
-        self.fractures = fr
-        br = {}
-        for t, v in self.barriers.items():
-            br[int(t)] = v if isinstance(v, BarrierLaw) else BarrierLaw(**v)
-        self.barriers = br
+        self.fractures = {int(t): law for t, law in self.fractures.items()}
+        self.barriers = {int(t): law for t, law in self.barriers.items()}
 
     def cell_tensors(self, mesh: Mesh) -> np.ndarray:
         """(nc, dim, dim) permeability per cell, resolved by region."""

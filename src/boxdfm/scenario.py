@@ -303,7 +303,7 @@ def _base_mesh_from_spec(spec: dict, tag_map: dict, base_dir: Path) -> Callable:
 
 def _parse_materials(raw: dict, dim: int) -> MaterialModel:
     _known_keys(raw, "scenario entry 'materials'", ("matrix", "fractures", "barriers"))
-    matrix = {int(r): _tensor_entry(v) for r, v in raw.get("matrix", {"1": 1.0}).items()}
+    matrix = {int(r): v for r, v in raw.get("matrix", {"1": 1.0}).items()}
     fractures = {}
     for t, v in raw.get("fractures", {}).items():
         _known_keys(v, f"fracture law {t}", ("aperture", "k"))
@@ -315,12 +315,6 @@ def _parse_materials(raw: dict, dim: int) -> MaterialModel:
         barriers[int(t)] = BarrierLaw(float(v["aperture"]), float(v["k"]),
                                       None if kt is None else float(kt))
     return MaterialModel(matrix=matrix, fractures=fractures, barriers=barriers, dim=dim)
-
-
-def _tensor_entry(v):
-    if isinstance(v, (int, float)):
-        return float(v)
-    return np.asarray(v, dtype=np.float64)
 
 
 def load_scenario_file(path) -> Scenario:
@@ -381,12 +375,21 @@ def _parse_slice(s: dict, default_name: str, dim: int) -> SliceSpec:
                      **{k: s[k] for k in ("n", "side") if k in s})
     spec.n = _file_int(spec.n)
     try:
-        if not len(spec.start) == len(spec.end) == dim:
-            raise ValidationError(f"from and to need {dim} coordinates each")
-        _check_slice(np.array(spec.start), np.array(spec.end), spec.n, spec.side)
+        _check_slice(np.array(spec.start), np.array(spec.end), spec.n, spec.side, dim)
     except ValidationError as e:
         raise ValidationError(f"slice {spec.name!r}: {e}") from None
     return spec
+
+
+def _order_window(window) -> tuple:
+    """(lo, hi) from two finite numbers lo < hi."""
+    with suppress(TypeError, ValueError):
+        if isinstance(window, (list, tuple)):
+            lo, hi = _floats(window)
+            if -np.inf < lo < hi < np.inf:
+                return lo, hi
+    raise ValidationError(f"scenario entry 'order_window' needs two finite numbers lo < hi, "
+                          f"got {window!r}")
 
 
 def scenario_from_dict(raw: dict, base_dir: Path | None = None,
@@ -411,7 +414,7 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
         "policy": _parse_policy,
         "solver": _parse_solver,
         "slices": lambda rows: tuple(_parse_slice(s, f"slice{i}", dim) for i, s in enumerate(rows)),
-        "order_window": tuple,
+        "order_window": _order_window,
         # negative is legal: run's refine may lift the level to 0 or more
         "refine": _integer("scenario entry 'refine'", None),
     }

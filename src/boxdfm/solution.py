@@ -251,11 +251,13 @@ def sample_slice(fieldobj: SolutionField, p0, p1, n: int, side: str = SIDES[0]):
     the domain diameter) along the facet's canonical normal: 'plus' toward
     it, 'minus' away. This pins down which pressure trace is reported on a
     discontinuity. Returns a dict of arrays: s (arclength fraction in
-    [0, 1]), points, values.
+    [0, 1]), points, values. A bad side or n, endpoints that are not finite
+    or whose coordinate count is not the mesh's dim, or a degenerate
+    segment raise ValidationError (_check_slice).
     """
     p0 = np.asarray(p0, dtype=np.float64)
     p1 = np.asarray(p1, dtype=np.float64)
-    _check_slice(p0, p1, n, side)
+    _check_slice(p0, p1, n, side, fieldobj.mesh.dim)
     s = np.linspace(0.0, 1.0, n)
     pts = p0 + np.outer(s, p1 - p0)
     eval_pts = _apply_side_rule(fieldobj, pts, side)
@@ -263,10 +265,13 @@ def sample_slice(fieldobj: SolutionField, p0, p1, n: int, side: str = SIDES[0]):
     return {"s": s, "points": pts, "values": vals}
 
 
-def _check_slice(p0: np.ndarray, p1: np.ndarray, n, side) -> None:
+def _check_slice(p0: np.ndarray, p1: np.ndarray, n, side, dim: int) -> None:
     if side not in SIDES:
         raise ValidationError(f"side must be {SIDES[0]!r} or {SIDES[1]!r}, got {side!r}")
     as_int(n, "number of samples must be an integer", 1)
+    if not p0.shape == p1.shape == (dim,):
+        raise ValidationError(f"from and to need {dim} coordinates each, "
+                              f"got {p0.size} and {p1.size}")
     if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
         raise ValidationError(
             f"slice endpoints must be finite, got {p0.tolist()} and {p1.tolist()}"

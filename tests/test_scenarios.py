@@ -148,6 +148,20 @@ def _slice(**changes):
     return _with(slices=[{**TINY["slices"][0], **changes}])
 
 
+NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
+
+
+def _law(kind: str, **changes):
+    """TINY with one barrier or fracture law, its entries replaced."""
+    law = {"aperture": 1e-2, "k": 1e-2, **changes}
+    return _with(materials={**TINY["materials"], kind: {"10": law}})
+
+
+def _matrix(k):
+    """TINY with the permeability k in region 1."""
+    return _with(materials={**TINY["materials"], "matrix": {"1": k, "2": 1.0}})
+
+
 @pytest.mark.parametrize("raw, match", [
     (5, r"a scenario must be a JSON object with a 'mesh' entry"),
     (_with(mesh="oops"), r"mesh spec must be an object, got 'oops'"),
@@ -211,6 +225,23 @@ def _slice(**changes):
     (_with(mesh={"generator": "delaunay_rect", "h": "inf"}), r"h must be finite and > 0, got inf"),
     (_with(dim=4), r"scenario entry 'dim' must be 2 or 3, got 4"),
     (_with(dim="3d"), r"scenario entry 'dim' must be 2 or 3, got '3d'"),
+    (_law("barriers", k=NAN), r"barrier permeability must be finite and >= 0, got nan"),
+    (_law("barriers", k=INF), r"barrier permeability must be finite and >= 0, got inf"),
+    (_law("barriers", aperture=INF), r"barrier aperture must be finite and > 0, got inf"),
+    (_law("barriers", k_tangential=NAN),
+     r"barrier tangential permeability must be finite and >= 0, got nan"),
+    (_law("fractures", k=NAN), r"fracture permeability must be finite and > 0, got nan"),
+    (_law("fractures", aperture=INF), r"fracture aperture must be finite and > 0, got inf"),
+    (_matrix(NAN), r"permeability must be finite, got nan"),
+    (_matrix(INF), r"permeability must be finite, got inf"),
+    (_matrix([[1.0, INF], [INF, 1.0]]), r"permeability must be finite, got \[\[1\.0, inf\]"),
+    (_with(order_window="ab"), r"'order_window' needs two finite numbers lo < hi, got 'ab'"),
+    (_with(order_window=["x", "y"]), r"'order_window' needs two .*got \['x', 'y'\]"),
+    (_with(order_window=[1]), r"'order_window' needs two finite numbers lo < hi, got \[1\]"),
+    (_with(order_window=[2.1, 1.9]), r"'order_window' needs two .*got \[2\.1, 1\.9\]"),
+    (_with(order_window=[1.9, INF]), r"'order_window' needs two .*got \[1\.9, inf\]"),
+    (_with(dirichlet={"1": 10 ** 400, "2": "1"}), r"numeric constant out of range in expression"),
+    (_with(source="2*1" + "0" * 400), r"numeric constant out of range in expression '2\*10"),
 ], ids=["not-an-object", "mesh-not-an-object", "barrier-without-aperture", "non-numeric-n",
         "boundary-div-of-three", "boundary-div-zero", "boundary-div-fractional",
         "boundary-div-bool", "unknown-preconditioner",
@@ -223,7 +254,12 @@ def _slice(**changes):
         "unknown-barrier-law-key", "unknown-fracture-law-key", "unknown-materials-key",
         "fractional-refine", "bool-refine", "fractional-n", "fractional-n-below-2", "bool-n",
         "negative-n", "negative-seed", "delaunay-without-h", "zero-h", "nan-h", "negative-h",
-        "infinite-h", "dim-4", "dim-text"])
+        "infinite-h", "dim-4", "dim-text", "nan-barrier-k", "infinite-barrier-k",
+        "infinite-barrier-aperture", "nan-barrier-k-tangential", "nan-fracture-k",
+        "infinite-fracture-aperture", "nan-matrix-k", "infinite-matrix-k",
+        "infinite-matrix-tensor", "text-order-window", "word-order-window",
+        "one-number-order-window", "reversed-order-window", "infinite-order-window",
+        "huge-integer-data", "huge-integer-literal"])
 def test_scenario_of_the_wrong_shape_fails_on_load(tmp_path, capsys, raw, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
@@ -361,7 +397,7 @@ def test_convergence_levels_must_be_a_positive_integer(tmp_path, levels):
      r"^refinement levels must be an integer >= 0, got -1$"),
     (lambda sc: run_convergence(sc, levels=np.int64(0)),
      r"^a convergence study needs levels >= 1, got 0$"),
-    (lambda sc: sample_slice(None, (0.0, 0.5), (1.0, 0.5), np.int32(0)),
+    (lambda sc: sample_slice(run_scenario(sc).field, (0.0, 0.5), (1.0, 0.5), np.int32(0)),
      r"^number of samples must be an integer >= 1, got 0$"),
 ], ids=["uniform-refine", "run-convergence", "sample-slice"])
 def test_numpy_integers_are_named_in_plain_numbers(tmp_path, call, match):
@@ -607,7 +643,8 @@ def test_cli_slice_rejects_bad_counts_and_endpoints(tmp_path, capsys):
     target = tmp_path / "profile.csv"
     for args, msg in ((["-n", "-3"], "number of samples"),
                       (["-n", "0"], "number of samples"),
-                      (["--from", "0,nan"], "finite")):
+                      (["--from", "0,nan"], "finite"),
+                      (["--to", "1,0.25,0"], "from and to need 2 coordinates each, got 2 and 3")):
         argv = ["slice", str(out), "--from", "0,0.25", "--to", "1,0.25",
                 "--out", str(target), *args]
         assert main(argv) == 2
@@ -651,6 +688,47 @@ def test_report_peak_rss_is_read_again_for_the_bundle(tmp_path, monkeypatch):
     monkeypatch.setattr(driver_module, "resource", None)
     run_scenario(sc, out_dir=tmp_path / "none")
     assert "peak_rss_mb" not in json.loads((tmp_path / "none" / "report.json").read_text())
+
+
+@pytest.mark.parametrize("raw, match", [
+    (_with(dirichlet={"1": "1/0", "2": "1"}), r"dirichlet tag 1 is not finite at point \(0\.0, "),
+    (_with(dirichlet={"1": "0", "2": "x/0"}), r"dirichlet tag 2 is not finite at point \(1\.0, "),
+    (_with(dirichlet={"1": NAN, "2": "1"}), r"dirichlet tag 1 is not finite at point .*: nan"),
+    (_with(neumann={"3": "0", "4": "1/(x - x)"}), r"neumann tag 4 is not finite at point"),
+    (_with(source="-1/0"), r"source is not finite at point .*: -inf"),
+], ids=["one-over-zero", "x-over-zero", "nan-number", "neumann", "source"])
+def test_cli_non_finite_data_exits_2_where_it_enters(tmp_path, capsys, raw, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(match, err) and "Traceback" not in err
+
+
+STAGES = ["mesh", "dof_map", "assembly", "cg", "balance", "solution.vtk", "facets.vtk",
+          "vertices.csv"]
+
+
+def test_report_timings_are_the_stages_and_add_up_to_the_runtime(tmp_path):
+    res = run_scenario(get_scenario("ex51"), refine=2, out_dir=tmp_path)
+    timings, runtime = res.report["timings"], res.report["runtime_s"]
+    assert list(timings) == STAGES + ["solution.npz"]
+    assert all(t >= 0 for t in timings.values())
+    assert 0.95 * runtime <= sum(timings.values()) <= runtime
+    on_disk = json.loads((tmp_path / "report.json").read_text())
+    assert on_disk["timings"] == timings and on_disk["runtime_s"] == runtime
+
+
+def test_stage_memory_prints_one_row_per_timed_stage(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "stage_memory.py"
+    proc = subprocess.run([sys.executable, str(script), "ex52_vertical", "0"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[3:-1]  # after the title, header and import rows
+    names = run_scenario(get_scenario("ex52_vertical"), out_dir=tmp_path).report["timings"]
+    assert [row.split()[0] for row in rows] == list(names)
+    assert list(names) == STAGES + ["profile_profile.csv", "solution.npz"]
+    assert all(len(row.split()) == 5 for row in rows)
 
 
 def test_shipped_file_runs_as_its_builtin(tmp_path, monkeypatch):

@@ -271,6 +271,17 @@ def test_slice_endpoints_must_be_finite():
     assert one["points"].tolist() == [[0.2, 0.3]]
 
 
+@pytest.mark.parametrize("p0, p1, counts", [
+    ((0.0, 0.5, 0.1), (1.0, 0.5, 0.1), "3 and 3"),
+    ((0.0,), (1.0,), "1 and 1"),
+    ((0.0, 0.5), (1.0, 0.5, 0.1), "2 and 3"),
+], ids=["3d-in-2d", "1d-in-2d", "mixed"])
+def test_slice_endpoints_need_the_mesh_dimension(p0, p1, counts):
+    mesh, field = linear_field()
+    with pytest.raises(ValidationError, match=f"from and to need 2 coordinates each, got {counts}"):
+        sample_slice(field, p0, p1, 10)
+
+
 def test_profile_csv_is_deterministic():
     mesh, field = linear_field()
     sample = sample_slice(field, (0.0, 0.2), (1.0, 0.8), 9)
