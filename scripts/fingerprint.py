@@ -1,18 +1,20 @@
-"""Bitwise fingerprint of the whole pipeline, one SHA-256 per case.
+"""Bitwise fingerprint of the whole pipeline, one SHA-256 per case and part.
 
     python3 scripts/fingerprint.py [SRC]
 
 Imports boxdfm from SRC (default: this checkout's src/) and runs every
 builtin scenario except ex55 at its default level under both intersection
-policies, plus ex51 r4, ex54a r2 and ex56 r2 with Jacobi. Each digest covers
-the Mesh and DofMap arrays, A0, b0, A, the solution and the CG iteration
-count, every bundle file except report.json (which carries timings), the
-arrays of solution.npz, compared as arrays because its zip headers carry
-timestamps, and the Mesh, cell_dofs, dof_vertex and values that
-load_solution reads back from the bundle. One more digest per builtin
-except ex55 covers the Mesh arrays of its mesh factory one level above the
-default, without a solve, so every mesh source (generated, Delaunay,
-crossed-square, MSH file) is checked through refinement.
+policies, plus ex51 r4, ex54a r2 and ex56 r2 with Jacobi. Each case prints
+one digest of its numbers, labelled "run": the Mesh and DofMap arrays, A0,
+b0, A, the solution and the CG iteration count, the arrays of solution.npz
+(compared as arrays because its zip headers carry timestamps), and the
+Mesh, cell_dofs, dof_vertex and values that load_solution reads back from
+the bundle. Then it prints one digest per other bundle file but report.json
+(which carries timings), labelled with the file name, so a diff names the
+file that changed. One more digest per builtin except ex55 covers the Mesh
+arrays of its mesh factory one level above the default, without a solve,
+so every mesh source (generated, Delaunay, crossed-square, MSH file) is
+checked through refinement.
 Run it on two source trees and diff the outputs to show that a change keeps
 the numbers bit for bit.
 """
@@ -63,8 +65,12 @@ def mesh_fingerprint(name: str) -> str:
     return h.hexdigest()
 
 
-def fingerprint(name: str, refine: int, policy: str | None, preconditioner: str | None) -> str:
+def fingerprint(name: str, refine: int, policy: str | None,
+                preconditioner: str | None) -> list[tuple[str, str]]:
+    """(digest, part) pairs: the run's numbers, then each bundle file but
+    solution.npz and report.json, in name order."""
     h = hashlib.sha256()
+    parts = []
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         res = run_scenario(get_scenario(name), refine=refine, policy=policy, out_dir=out,
@@ -81,12 +87,12 @@ def fingerprint(name: str, refine: int, policy: str | None, preconditioner: str 
                     for key in sorted(z.files):
                         _feed(h, f"npz.{key}", z[key])
             elif path.name != "report.json":
-                _feed(h, path.name, path.read_bytes())
+                parts.append((hashlib.sha256(path.read_bytes()).hexdigest(), path.name))
         loaded = load_solution(out)
         _feed_fields(h, "loaded.Mesh", loaded.mesh)
         for key in ("cell_dofs", "dof_vertex", "values"):
             _feed(h, f"loaded.{key}", getattr(loaded, key))
-    return h.hexdigest()
+    return [(h.hexdigest(), "run")] + parts
 
 
 def main() -> None:
@@ -95,7 +101,8 @@ def main() -> None:
     cases += [(n, r, None, pc) for n, r, pc in LADDER]
     for name, refine, policy, pc in cases:
         label = f"{name} r+{refine} {policy or 'default'} {pc or 'default'}"
-        print(f"{fingerprint(name, refine, policy, pc)}  {label}", flush=True)
+        for digest, part in fingerprint(name, refine, policy, pc):
+            print(f"{digest}  {label} {part}", flush=True)
     for name in names:
         print(f"{mesh_fingerprint(name)}  {name} r+1 mesh", flush=True)
 

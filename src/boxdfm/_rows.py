@@ -1,4 +1,5 @@
-"""Text rows for every file the solver writes (legacy VTK, CSV, MSH 2.2).
+"""Text rows for every text file the solver writes (CSV, MSH 2.2; the VTK
+files are binary, see vtkout).
 
 Each file is header text plus blocks of rows whose fields are round-trip
 `repr` floats and `%d` integers. `write_rows` writes a block to an open

@@ -38,7 +38,7 @@ from scipy.sparse.csgraph import connected_components
 from .dofspace import DofMap, facet_vertex_dofs
 from .dual import (DualBoxGeometry, _cell_gradients, _hat_gradients, boundary_subfaces,
                    dual_geometry, subface_flux_matrices)
-from .errors import ValidationError
+from .errors import ValidationError, finite_values
 from .materials import MaterialModel
 from .mesh import FacetKind, Mesh, facet_measures
 
@@ -252,7 +252,7 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, dual: DualBoxGeometry,
         nloc = mesh.dim + 1
         pts = cent.reshape(-1, mesh.dim)
         regs = np.repeat(mesh.cell_region, nloc)
-        q = _values("source", source(pts, regs), pts).reshape(mesh.n_cells, nloc)
+        q = finite_values("source", source(pts, regs), pts).reshape(mesh.n_cells, nloc)
         np.add.at(b, dofmap.cell_dofs, q * dual.subvol)
     if neumann:
         for tag, g in neumann.items():
@@ -263,27 +263,9 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, dual: DualBoxGeometry,
             meas, cents = boundary_subfaces(mesh, rows)
             dofs, _ = facet_vertex_dofs(mesh, dofmap, rows)
             pts = cents.reshape(-1, mesh.dim)
-            vals = _values(f"neumann tag {tag}", g(pts), pts)
+            vals = finite_values(f"neumann tag {tag}", g(pts), pts)
             np.add.at(b, dofs.ravel(), -vals * meas.ravel())
     return b
-
-
-def _values(what: str, result, pts: np.ndarray) -> np.ndarray:
-    """A boundary or source callable's result at the (n, dim) points pts
-    as n finite floats; the one check of callable data."""
-    n = len(pts)
-    v = np.asarray(result, dtype=np.float64)
-    if v.size != n:
-        raise ValidationError(
-            f"{what} returned values of shape {v.shape} for {n} points; "
-            f"expected shape ({n},)"
-        )
-    v = v.reshape(n)
-    if not np.isfinite(v).all():
-        i = int(np.argmin(np.isfinite(v)))
-        raise ValidationError(f"{what} is not finite at point {tuple(pts[i].tolist())}: "
-                              f"{v[i]}")
-    return v
 
 
 def collect_dirichlet(mesh: Mesh, dofmap: DofMap, dirichlet: dict):
@@ -305,7 +287,7 @@ def collect_dirichlet(mesh: Mesh, dofmap: DofMap, dirichlet: dict):
         d, cells_r = facet_vertex_dofs(mesh, dofmap, rows)
         pts = mesh.vertices[mesh.facets[rows]].reshape(-1, mesh.dim)
         regs = np.repeat(mesh.cell_region[cells_r], mesh.dim)
-        v = _values(f"dirichlet tag {tag}", g(pts, regs), pts)
+        v = finite_values(f"dirichlet tag {tag}", g(pts, regs), pts)
         dofs.append(d.ravel())
         vals.append(v)
         scales.append(np.full(len(v), max(1.0, float(np.abs(v).max()))))

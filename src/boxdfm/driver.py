@@ -201,7 +201,11 @@ def write_bundle(out: Path, scenario: Scenario, mesh: Mesh, dofmap: DofMap,
         arrays = {**{k: getattr(mesh, k) for k in _MESH_ARRAYS},
                   **{k: getattr(field, k) for k in _FIELD_ARRAYS}, "policy": np.array(policy),
                   **{k: getattr(mesh, k) for k in TOPOLOGY}}
-        np.savez(out / "solution.npz", **{k: _narrowed(a) for k, a in arrays.items()})
+        # the zip np.savez writes, one entry at a time, so one narrowed copy lives at once
+        with zipfile.ZipFile(out / "solution.npz", "w", zipfile.ZIP_STORED) as zf:
+            for k, a in arrays.items():
+                with zf.open(k + ".npy", "w", force_zip64=True) as f:
+                    np.lib.format.write_array(f, _narrowed(a), allow_pickle=False)
     report["runtime_s"] += time.perf_counter() - t0
     _note_peak_rss(report)
     with open(out / "report.json", "w", newline="\n") as f:

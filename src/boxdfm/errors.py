@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the integer check
-every integer argument goes through.
+"""Exception hierarchy shared across the package, the integer check every
+integer argument goes through, and the check of every callable's data.
 
 The CLI maps these onto exit codes: ValidationError and subclasses -> 2,
 SolverError and subclasses -> 3, MissingDataError -> 4.
@@ -50,3 +50,22 @@ def as_int(value, rule: str, least: int | None = None) -> int:
         bound = "" if least is None else f" >= {least}"
         raise ValidationError(f"{rule}{bound}, got {shown!r}")
     return int(value)
+
+
+def finite_values(what: str, result, pts: np.ndarray) -> np.ndarray:
+    """A data callable's result at the (n, dim) points pts as n finite
+    floats; otherwise ValidationError naming what and the first bad point.
+    The one check of source, boundary and exact-solution data."""
+    n = len(pts)
+    v = np.asarray(result, dtype=np.float64)
+    if v.size != n:
+        raise ValidationError(
+            f"{what} returned values of shape {v.shape} for {n} points; "
+            f"expected shape ({n},)"
+        )
+    v = v.reshape(n)
+    if not np.isfinite(v).all():
+        i = int(np.argmin(np.isfinite(v)))
+        raise ValidationError(f"{what} is not finite at point {tuple(pts[i].tolist())}: "
+                              f"{v[i]}")
+    return v

@@ -4,7 +4,8 @@ Grammar: numeric literals, the coordinates x, y, z, the functions sin and
 cos, +, -, *, /, unary minus, parentheses. Compiled through the ast module
 with a strict whitelist; anything else is rejected. Compiled expressions
 evaluate vectorized over (n, dim) point arrays. Literals are numpy doubles,
-so 1/0 gives inf as x/0 does; assembly rejects non-finite data values.
+so 1/0 gives inf as x/0 does, without a numpy warning; every consumer
+of the values rejects non-finite ones (errors.finite_values).
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def compile_expression(src, dim: int):
     def evaluate(pts):
         pts = np.asarray(pts, dtype=np.float64)
         env = tuple(pts[:, i] for i in range(dim))
-        out = fn(env)
+        with np.errstate(all="ignore"):  # non-finite values are reported by finite_values
+            out = fn(env)
         return np.broadcast_to(np.asarray(out, dtype=np.float64), (pts.shape[0],)).copy()
 
     return evaluate

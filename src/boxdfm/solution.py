@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 from scipy.special import roots_jacobi
 
 from ._rows import write_rows
-from .errors import ValidationError, as_int
+from .errors import ValidationError, as_int, finite_values
 from .mesh import FacetKind, Mesh, _edge_volumes, facet_normals
 
 __all__ = ["SIDES", "SolutionField", "sample_slice", "write_profile_csv", "l2_error",
@@ -298,7 +298,8 @@ def l2_error(fieldobj: SolutionField, exact) -> float:
     Integrated cell by cell with the conical-product rule (degree 5), so
     the quadrature is exact for the squared error of linear fields against
     quadratic exact data and accurate far beyond the discretization error
-    otherwise. exact is called once per range of _L2_RANGE cells; the
+    otherwise. exact is called once per range of _L2_RANGE cells, and a
+    value that is not finite raises ValidationError naming the point; the
     quadrature sum runs once over all cells, so the value does not depend
     on the range size.
     """
@@ -314,8 +315,8 @@ def l2_error(fieldobj: SolutionField, exact) -> float:
         pts = np.einsum("qj,cjd->cqd", bary, verts)
         ph = np.einsum("qj,cj->cq", bary, fieldobj.values[fieldobj.cell_dofs[lo:hi]])
         regs = np.repeat(mesh.cell_region[lo:hi], nq)
-        pe = np.asarray(exact(pts.reshape(-1, mesh.dim), regs),
-                        dtype=np.float64).reshape(hi - lo, nq)
+        qpts = pts.reshape(-1, mesh.dim)
+        pe = finite_values("exact", exact(qpts, regs), qpts).reshape(hi - lo, nq)
         sq[lo:hi] = (ph - pe) ** 2
         vol[lo:hi] = np.abs(_edge_volumes(verts[:, 1:, :] - verts[:, :1, :]))
     return float(np.sqrt(np.einsum("cq,q,c->", sq, w, vol)))

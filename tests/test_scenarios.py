@@ -696,13 +696,23 @@ def test_report_peak_rss_is_read_again_for_the_bundle(tmp_path, monkeypatch):
     (_with(dirichlet={"1": NAN, "2": "1"}), r"dirichlet tag 1 is not finite at point .*: nan"),
     (_with(neumann={"3": "0", "4": "1/(x - x)"}), r"neumann tag 4 is not finite at point"),
     (_with(source="-1/0"), r"source is not finite at point .*: -inf"),
-], ids=["one-over-zero", "x-over-zero", "nan-number", "neumann", "source"])
+    (_with(exact="1/(x - x)"), r"exact is not finite at point .*: inf"),
+], ids=["one-over-zero", "x-over-zero", "nan-number", "neumann", "source", "exact"])
 def test_cli_non_finite_data_exits_2_where_it_enters(tmp_path, capsys, raw, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert re.search(match, err) and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_non_finite_data_is_reported_once_without_a_numpy_warning(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_with(dirichlet={"1": "0", "2": "x/0"})))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "dirichlet tag 2 is not finite" in err and "Warning" not in err
 
 
 STAGES = ["mesh", "dof_map", "assembly", "cg", "balance", "solution.vtk", "facets.vtk",

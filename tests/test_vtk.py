@@ -1,13 +1,16 @@
-"""Legacy VTK export: structure, determinism, dof-resolved points."""
+"""Legacy VTK export: structure, determinism, dof-resolved points, the
+32-bit limit of legacy ints. Files are parsed with conftest.read_vtk."""
 
 import numpy as np
+import pytest
 
 from boxdfm.dofspace import build_dof_map
+from boxdfm.errors import ValidationError
 from boxdfm.generators import kuhn_cube_mesh
 from boxdfm.mesh import FacetKind
 from boxdfm.solution import SolutionField
 from boxdfm.vtkout import write_facets_vtk, write_solution_vtk
-from conftest import barrier_square
+from conftest import barrier_square, read_vtk
 
 
 def field_on_barrier_square():
@@ -17,43 +20,27 @@ def field_on_barrier_square():
     return mesh, dm, SolutionField(mesh, dm.cell_dofs, dm.dof_vertex, values)
 
 
-def vtk_section(lines, header_prefix):
-    for i, ln in enumerate(lines):
-        if ln.startswith(header_prefix):
-            return i
-    raise AssertionError(f"section {header_prefix!r} not found")
-
-
 def test_solution_vtk_structure(tmp_path):
     mesh, dm, field = field_on_barrier_square()
     path = tmp_path / "solution.vtk"
     write_solution_vtk(path, field)
-    lines = path.read_text().splitlines()
+    head = path.read_bytes().split(b"\n")[:5]
+    assert head == [b"# vtk DataFile Version 3.0", b"box method pressure field", b"BINARY",
+                    b"DATASET UNSTRUCTURED_GRID", f"POINTS {dm.n_dofs} double".encode()]
+    grid = read_vtk(path)
 
-    i = vtk_section(lines, "POINTS")
-    n_pts = int(lines[i].split()[1])
-    assert n_pts == dm.n_dofs
-    coords = np.array([[float(t) for t in ln.split()]
-                       for ln in lines[i + 1:i + 1 + n_pts]])
+    coords = grid["points"]
+    assert coords.dtype == np.dtype(">f8") and coords.shape == (dm.n_dofs, 3)
     assert np.array_equal(coords[:, :2], mesh.vertices[dm.dof_vertex])
     assert np.all(coords[:, 2] == 0.0)
 
-    i = vtk_section(lines, "CELLS")
-    n_cells = int(lines[i].split()[1])
-    assert n_cells == mesh.n_cells
-    first = [int(t) for t in lines[i + 1].split()]
-    assert first[0] == 3 and first[1:] == list(map(int, dm.cell_dofs[0]))
+    cells = grid["cells"].reshape(mesh.n_cells, 4)
+    assert cells.dtype == np.dtype(">i4")
+    assert np.all(cells[:, 0] == 3) and np.array_equal(cells[:, 1:], dm.cell_dofs)
+    assert set(grid["cell_types"].tolist()) == {5}
 
-    i = vtk_section(lines, "CELL_TYPES")
-    assert set(lines[i + 1:i + 1 + n_cells]) == {"5"}
-
-    i = vtk_section(lines, "SCALARS pressure")
-    vals = np.array([float(v) for v in lines[i + 2:i + 2 + n_pts]])
-    assert np.array_equal(vals, field.values)
-
-    i = vtk_section(lines, "SCALARS region")
-    regs = np.array([int(v) for v in lines[i + 2:i + 2 + n_cells]])
-    assert np.array_equal(regs, mesh.cell_region)
+    assert np.array_equal(grid["point_data"]["pressure"], field.values)
+    assert np.array_equal(grid["cell_data"]["region"], mesh.cell_region)
 
 
 def test_solution_vtk_deterministic(tmp_path):
@@ -68,28 +55,19 @@ def test_facets_vtk_tags_and_kinds(tmp_path):
     mesh, dm, field = field_on_barrier_square()
     path = tmp_path / "facets.vtk"
     write_facets_vtk(path, mesh)
-    lines = path.read_text().splitlines()
+    grid = read_vtk(path)
 
-    i = vtk_section(lines, "CELLS")
-    nf = int(lines[i].split()[1])
-    assert nf == mesh.n_tagged_facets
-    assert all(ln.startswith("2 ") for ln in lines[i + 1:i + 1 + nf])
-
-    i = vtk_section(lines, "POINTS")
-    n_pts = int(lines[i].split()[1])
+    nf = mesh.n_tagged_facets
+    cells = grid["cells"].reshape(nf, 3)
+    assert np.all(cells[:, 0] == 2)
     used = np.unique(mesh.facets.ravel())
-    assert n_pts == len(used)
-    coords = np.array([[float(t) for t in ln.split()]
-                       for ln in lines[i + 1:i + 1 + n_pts]])
-    assert np.array_equal(coords[:, :2], mesh.vertices[used])
+    assert np.array_equal(used[cells[:, 1:]], mesh.facets)
+    assert np.array_equal(grid["points"][:, :2], mesh.vertices[used])
 
-    i = vtk_section(lines, "SCALARS tag")
-    tags = np.array([int(v) for v in lines[i + 2:i + 2 + nf]])
+    tags = grid["cell_data"]["tag"]
     assert np.array_equal(tags, mesh.facet_tags)
     assert 10 in tags
-
-    i = vtk_section(lines, "SCALARS kind")
-    kinds = np.array([int(v) for v in lines[i + 2:i + 2 + nf]])
+    kinds = grid["cell_data"]["kind"]
     assert np.array_equal(kinds, mesh.facet_kinds)
     assert int(FacetKind.BARRIER) in kinds
 
@@ -106,14 +84,25 @@ def test_three_dimensional_cell_types(tmp_path):
     write_solution_vtk(spath, field)
     write_facets_vtk(fpath, mesh)
 
-    slines = spath.read_text().splitlines()
-    i = vtk_section(slines, "CELL_TYPES")
-    assert slines[i + 1] == "10"
-    i = vtk_section(slines, "POINTS")
-    coords = np.array([[float(t) for t in ln.split()]
-                       for ln in slines[i + 1:i + 4]])
-    assert coords.shape[1] == 3
+    sgrid = read_vtk(spath)
+    assert set(sgrid["cell_types"].tolist()) == {10}
+    assert np.array_equal(sgrid["points"], mesh.vertices[dm.dof_vertex])
+    assert np.all(sgrid["cells"].reshape(-1, 5)[:, 0] == 4)
 
-    flines = fpath.read_text().splitlines()
-    i = vtk_section(flines, "CELL_TYPES")
-    assert flines[i + 1] == "5"
+    fgrid = read_vtk(fpath)
+    assert set(fgrid["cell_types"].tolist()) == {5}
+    assert np.all(fgrid["cells"].reshape(-1, 4)[:, 0] == 3)
+
+
+def test_ids_beyond_int32_are_rejected(tmp_path):
+    mesh, dm, field = field_on_barrier_square()
+    cell_dofs = dm.cell_dofs.copy()
+    cell_dofs[0, 0] = 2**31
+    path = tmp_path / "solution.vtk"
+    with pytest.raises(ValidationError, match=r"dof id 2147483648 .*32-bit"):
+        write_solution_vtk(path, SolutionField(mesh, cell_dofs, dm.dof_vertex, field.values))
+    assert not path.exists()
+
+    mesh.facet_tags[0] = -2**31 - 1
+    with pytest.raises(ValidationError, match=r"facet tag -2147483649 .*32-bit"):
+        write_facets_vtk(tmp_path / "facets.vtk", mesh)

@@ -1,9 +1,12 @@
-"""Every output file, byte for byte, against the per-value writers that the
-row formatter replaced (kept here as reference_* functions)."""
+"""Every output file against an independent oracle: the text files byte for
+byte against the per-value writers that the row formatter replaced (kept
+here as reference_* functions), the binary VTK files array for array
+through the legacy-format reader of conftest."""
 
 import csv
 import io
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,69 +20,10 @@ from boxdfm.mesh import build_mesh
 from boxdfm.msh_io import write_msh22
 from boxdfm.solution import SolutionField, sample_slice, write_profile_csv
 from boxdfm.vtkout import write_facets_vtk, write_solution_vtk
+from conftest import assert_facets_vtk, assert_solution_vtk
 
 SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, 1e300,
            5e-324, -1.7976931348623157e308, 0.1, 1 / 3]
-
-
-def _fmt(v):
-    return repr(float(v))
-
-
-def _write_points(out, coords, dim):
-    out.append(f"POINTS {len(coords)} double")
-    for p in coords:
-        z = p[2] if dim == 3 else 0.0
-        out.append(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(z)}")
-
-
-def reference_write_solution_vtk(path, fieldobj, name="pressure"):
-    mesh = fieldobj.mesh
-    coords = mesh.vertices[fieldobj.dof_vertex]
-    cells = fieldobj.cell_dofs
-    nloc = mesh.dim + 1
-    out = ["# vtk DataFile Version 3.0", "box method pressure field", "ASCII",
-           "DATASET UNSTRUCTURED_GRID"]
-    _write_points(out, coords, mesh.dim)
-    out.append(f"CELLS {len(cells)} {len(cells) * (nloc + 1)}")
-    for c in cells:
-        out.append(f"{nloc} " + " ".join(str(int(v)) for v in c))
-    out.append(f"CELL_TYPES {len(cells)}")
-    out.extend([str({2: 5, 3: 10}[mesh.dim])] * len(cells))
-    out.append(f"POINT_DATA {len(coords)}")
-    out.append(f"SCALARS {name} double 1")
-    out.append("LOOKUP_TABLE default")
-    out.extend(_fmt(v) for v in fieldobj.values)
-    out.append(f"CELL_DATA {len(cells)}")
-    out.append("SCALARS region int 1")
-    out.append("LOOKUP_TABLE default")
-    out.extend(str(int(r)) for r in mesh.cell_region)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
-
-
-def reference_write_facets_vtk(path, mesh):
-    d = mesh.dim
-    used = np.unique(mesh.facets.ravel()) if mesh.n_tagged_facets else np.zeros(0, np.int64)
-    renum = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    renum[used] = np.arange(len(used))
-    out = ["# vtk DataFile Version 3.0", "tagged facets", "ASCII", "DATASET UNSTRUCTURED_GRID"]
-    _write_points(out, mesh.vertices[used], mesh.dim)
-    nf = mesh.n_tagged_facets
-    out.append(f"CELLS {nf} {nf * (d + 1)}")
-    for f in mesh.facets:
-        out.append(f"{d} " + " ".join(str(int(renum[v])) for v in f))
-    out.append(f"CELL_TYPES {nf}")
-    out.extend([str({2: 3, 3: 5}[mesh.dim])] * nf)
-    out.append(f"CELL_DATA {nf}")
-    out.append("SCALARS tag int 1")
-    out.append("LOOKUP_TABLE default")
-    out.extend(str(int(t)) for t in mesh.facet_tags)
-    out.append("SCALARS kind int 1")
-    out.append("LOOKUP_TABLE default")
-    out.extend(str(int(k)) for k in mesh.facet_kinds)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
 
 
 def reference_write_vertex_report(mesh, dofmap, path):
@@ -139,14 +83,16 @@ def assert_same_bytes(tmp_path, new, old, *args):
 
 
 def assert_same_mesh_files(tmp_path, mesh):
-    assert_same_bytes(tmp_path, write_facets_vtk, reference_write_facets_vtk, mesh)
+    write_facets_vtk(tmp_path / "facets.vtk", mesh)
+    assert_facets_vtk(tmp_path / "facets.vtk", mesh)
     assert_same_bytes(tmp_path, write_msh22, reference_write_msh22, mesh.vertices,
                       mesh.cells, mesh.cell_region, mesh.facets, mesh.facet_tags)
 
 
 def assert_same_field_files(tmp_path, field, dofmap, samples=()):
     mesh = field.mesh
-    assert_same_bytes(tmp_path, write_solution_vtk, reference_write_solution_vtk, field)
+    write_solution_vtk(tmp_path / "solution.vtk", field)
+    assert_solution_vtk(tmp_path / "solution.vtk", field)
     assert_same_bytes(tmp_path, lambda p: write_vertex_report(mesh, dofmap, p),
                       lambda p: reference_write_vertex_report(mesh, dofmap, p))
     for sample in samples:
@@ -211,6 +157,16 @@ def test_special_values_in_every_float_field(tmp_path):
         facets = np.arange(2 * dim).reshape(2, dim)
         assert_same_bytes(tmp_path, write_msh22, reference_write_msh22, pts[:, :dim], cells,
                           np.arange(len(cells)) - 1, facets, np.array([-3, 10**12]))
+        # the VTK writers read only these Mesh attributes
+        mesh = SimpleNamespace(dim=dim, vertices=pts[:, :dim], n_vertices=n, n_cells=len(cells),
+                               cell_region=np.arange(len(cells)) - 2**31, facets=facets,
+                               n_tagged_facets=2, facet_tags=np.array([-3, 2**31 - 1]),
+                               facet_kinds=np.array([0, 4]))
+        field = SolutionField(mesh, cells, np.arange(n)[::-1], np.roll(SPECIAL, 2))
+        write_solution_vtk(tmp_path / "solution.vtk", field)
+        assert_solution_vtk(tmp_path / "solution.vtk", field)
+        write_facets_vtk(tmp_path / "facets.vtk", mesh)
+        assert_facets_vtk(tmp_path / "facets.vtk", mesh)
 
 
 def test_cli_slice_stdout_matches_reference(tmp_path, capsys):
