@@ -25,8 +25,7 @@ from .mesh import FacetKind, Mesh, build_mesh
 from .msh_io import load_msh, read_msh_arrays, write_msh22
 from .refine import uniform_refine
 from .scenario import Scenario, SliceSpec, SolverSettings, load_scenario_file
-from .solution import (SolutionField, convergence_order, l2_error,
-                       sample_slice, write_profile_csv)
+from .solution import SolutionField, l2_error, sample_slice, write_profile_csv
 from .vtkout import write_facets_vtk, write_solution_vtk
 
 __version__ = "0.1.0"
@@ -47,7 +46,7 @@ __all__ = [
     # linear algebra
     "SolverReport", "cg_solve",
     # solutions and studies
-    "SolutionField", "l2_error", "convergence_order", "sample_slice",
+    "SolutionField", "l2_error", "sample_slice",
     "write_profile_csv", "write_solution_vtk", "write_facets_vtk",
     # scenarios
     "Scenario", "SliceSpec", "SolverSettings", "load_scenario_file",

@@ -36,11 +36,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .dofspace import DofMap, facet_vertex_dofs
-from .dual import (DualBoxGeometry, _cell_gradients, _hat_gradients, boundary_subfaces,
-                   dual_geometry, subface_flux_matrices)
+from .dual import (DualBoxGeometry, _hat_gradients, boundary_subfaces, dual_geometry,
+                   p1_gradients, subface_flux_matrices)
 from .errors import ValidationError, finite_values
 from .materials import MaterialModel
-from .mesh import FacetKind, Mesh, facet_measures
+from .mesh import FacetKind, Mesh, _index_dtype, facet_measures
 
 __all__ = [
     "SparseSystem",
@@ -52,6 +52,7 @@ __all__ = [
     "assemble_rhs",
     "apply_dirichlet",
     "floating_compartments",
+    "scenario_warnings",
     "assemble_system",
     "flux_balance",
 ]
@@ -78,7 +79,7 @@ def local_cell_matrices(mesh: Mesh, K_cells: np.ndarray) -> np.ndarray:
 
 def _cell_matrices(vertices: np.ndarray, cells: np.ndarray, K_cells: np.ndarray) -> np.ndarray:
     """local_cell_matrices of the given cells over the vertex array."""
-    grads, vol = _cell_gradients(vertices, cells)
+    grads, vol = p1_gradients(vertices, cells)
     Kg = np.einsum("cde,cje->cjd", K_cells, grads)
     return np.einsum("cid,cjd,c->cij", grads, Kg, vol)
 
@@ -164,7 +165,7 @@ def assemble_operator(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
     # each dof row's entries: a block row of k dofs adds k to its dof
     counts = sum(np.bincount(dofs.ravel(), minlength=n) * dofs.shape[1] for dofs in kinds)
     size = int(counts.sum())
-    index = np.int32 if max(n, size) < 2 ** 31 else np.int64
+    index = _index_dtype(max(n, size))
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(counts, out=indptr[1:])
     fill = indptr[:-1].copy()
@@ -242,9 +243,10 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, dual: DualBoxGeometry,
     """Source and Neumann contributions.
 
     source(points, regions) -> values, integrated by midpoint rule over
-    each box piece. neumann maps facet tag -> g(points) -> outward normal
-    flux density; its contribution is -g * sub-facet measure at the
-    sub-facet centroid (positive g drains the box).
+    each box piece. neumann maps facet tag -> g(points, regions) -> outward
+    normal flux density, evaluated with the region of each facet's
+    resolving cell as in collect_dirichlet; its contribution is -g *
+    sub-facet measure at the sub-facet centroid (positive g drains the box).
     """
     b = np.zeros(dofmap.n_dofs)
     if source is not None:
@@ -261,9 +263,10 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, dual: DualBoxGeometry,
             if len(rows) == 0:
                 raise ValidationError(f"neumann tag {tag} matches no facets")
             meas, cents = boundary_subfaces(mesh, rows)
-            dofs, _ = facet_vertex_dofs(mesh, dofmap, rows)
+            dofs, cells_r = facet_vertex_dofs(mesh, dofmap, rows)
             pts = cents.reshape(-1, mesh.dim)
-            vals = finite_values(f"neumann tag {tag}", g(pts), pts)
+            regs = np.repeat(mesh.cell_region[cells_r], mesh.dim)
+            vals = finite_values(f"neumann tag {tag}", g(pts, regs), pts)
             np.add.at(b, dofs.ravel(), -vals * meas.ravel())
     return b
 
@@ -364,7 +367,7 @@ def floating_compartments(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
     with a phrase naming the compartment.
     """
     n = dofmap.n_dofs
-    index = np.int32 if n < 2 ** 31 else np.int64
+    index = _index_dtype(n)
     first, second = np.triu_indices(mesh.dim + 1, 1)
     live = materials.barrier_beta(mesh.facet_tags[dofmap.barrier_facet_rows]) > 0.0
     rows = np.concatenate([dofmap.cell_dofs[:, i] for i in first]
@@ -383,8 +386,23 @@ def floating_compartments(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
     return labels, pins, where
 
 
-def _pin_warning(where: str) -> str:
-    return f"{where}; its pressure is pinned to 0 at that vertex"
+def scenario_warnings(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
+                      dirichlet_dofs: np.ndarray) -> list[str]:
+    """The warnings of a run with these Dirichlet dofs: barriers whose
+    tangential permeability exceeds the matrix permeability, then the
+    compartments the dofs leave without Dirichlet data, which get pinned."""
+    return _warnings(materials, floating_compartments(mesh, dofmap, materials, dirichlet_dofs)[2])
+
+
+def _warnings(materials: MaterialModel, where: list[str]) -> list[str]:
+    """scenario_warnings, given the phrases of floating_compartments."""
+    kmax = materials.matrix_norm()
+    barriers = [f"barrier tag {tag}: tangential permeability {law.k_tangential:g} exceeds "
+                f"the matrix permeability {kmax:g}; the model neglects in-plane barrier "
+                "flow, expect visible model error"
+                for tag, law in sorted(materials.barriers.items())
+                if law.k_tangential is not None and law.k_tangential > kmax]
+    return barriers + [f"{w}; its pressure is pinned to 0 at that vertex" for w in where]
 
 
 def assemble_system(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
@@ -401,7 +419,7 @@ def assemble_system(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
 
 
 def _assemble_system(mesh, dofmap, materials, source, neumann, dirichlet):
-    """assemble_system, and the warnings of its pins."""
+    """assemble_system, and the run's warnings (scenario_warnings)."""
     dual = dual_geometry(mesh)
     A0 = assemble_operator(mesh, dofmap, materials, dual)
     b0 = assemble_rhs(mesh, dofmap, dual, source=source, neumann=neumann)
@@ -417,7 +435,7 @@ def _assemble_system(mesh, dofmap, materials, source, neumann, dirichlet):
     dofs, values = np.concatenate([dofs, pins]), np.concatenate([values, np.zeros(len(pins))])
     A, b = apply_dirichlet(A0, b0, dofs, values)
     return (SparseSystem(A=A, b=b, A0=A0, b0=b0, dirichlet_dofs=dofs, dirichlet_values=values),
-            [_pin_warning(w) for w in where])
+            _warnings(materials, where))
 
 
 def flux_balance(system: SparseSystem, x: np.ndarray) -> dict:

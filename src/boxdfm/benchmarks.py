@@ -159,9 +159,6 @@ class ScenarioEntry:
         """Whether its file ships; ex55's geometry is not redistributable."""
         return self.path.is_file()
 
-    def build(self) -> Scenario:
-        return get_scenario(self.name)
-
 
 _REGISTRY = (
     ScenarioEntry("ex51", "convergence test, manufactured jump solution"),

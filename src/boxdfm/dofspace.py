@@ -24,7 +24,7 @@ from scipy.sparse.csgraph import connected_components
 
 from ._rows import write_rows
 from .errors import DofMapError, ValidationError
-from .mesh import FacetKind, Mesh
+from .mesh import FacetKind, Mesh, _index_dtype
 
 __all__ = ["POLICIES", "VertexClass", "DofMap", "build_dof_map", "boundary_dofs",
            "facet_vertex_dofs", "write_vertex_report"]
@@ -39,12 +39,7 @@ class VertexClass(IntEnum):
     INTERSECTION = 3
 
 
-_CLASS_NAMES = {
-    VertexClass.PLAIN: "plain",
-    VertexClass.BARRIER_TIP: "barrier_tip",
-    VertexClass.BARRIER_INTERIOR: "barrier_interior",
-    VertexClass.INTERSECTION: "intersection",
-}
+_CLASS_NAMES = {c: c.name.lower() for c in VertexClass}
 
 
 @dataclass
@@ -112,7 +107,7 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
 
     # node ids cell * nloc + local in int32 while they fit
     n_nodes = nc * nloc
-    node = np.int32 if n_nodes < 2 ** 31 else np.int64
+    node = _index_dtype(n_nodes)
     link_cells, link_verts = mesh.ufacet_cells[link].astype(node), mesh.ufacets[link]
     rows = [_corner_nodes(cells, link_cells[:, 0], link_verts).ravel()]
     cols = [_corner_nodes(cells, link_cells[:, 1], link_verts).ravel()]
@@ -222,7 +217,7 @@ def boundary_dofs(mesh: Mesh, dofmap: DofMap, kind: FacetKind) -> np.ndarray:
 
 def write_vertex_report(mesh: Mesh, dofmap: DofMap, path) -> None:
     """Per-vertex classification and dof multiplicity as CSV."""
-    names = np.array([_CLASS_NAMES[c] for c in VertexClass])[dofmap.vertex_class]
+    names = np.array(list(_CLASS_NAMES.values()))[dofmap.vertex_class]
     with open(path, "w", newline="") as f:
         f.write(",".join(["vertex", *"xyz"[: mesh.dim], "n_dofs", "class"]) + "\r\n")
         write_rows(f, "%d," + "%r," * mesh.dim + "%d,%s\r\n", np.arange(mesh.n_vertices),

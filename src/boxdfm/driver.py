@@ -28,12 +28,11 @@ except ImportError:  # Windows
     resource = None
 
 from ._rows import write_rows
-from .assembly import (SparseSystem, _assemble_system, _pin_warning, floating_compartments,
-                       flux_balance)
+# scenario_warnings is exported here too, for callers that replay run_scenario
+from .assembly import SparseSystem, _assemble_system, flux_balance, scenario_warnings
 from .dofspace import DofMap, _policy_key, build_dof_map, write_vertex_report
 from .errors import SolverError, ValidationError, as_int
 from .linalg import cg_solve
-from .materials import MaterialModel
 from .mesh import TOPOLOGY, Mesh, _int_array, restore_mesh
 from .scenario import Scenario, SolverSettings, validate_against_mesh
 from .solution import (SolutionField, l2_error, sample_slice,
@@ -56,24 +55,6 @@ class RunResult:
     system: SparseSystem
     field: SolutionField
     report: dict
-
-
-def scenario_warnings(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
-                      dirichlet_dofs: np.ndarray) -> list[str]:
-    """The warnings run_scenario reports for these Dirichlet dofs: barriers
-    whose tangential permeability exceeds the matrix permeability, then the
-    compartments the dofs leave without Dirichlet data, which get pinned."""
-    where = floating_compartments(mesh, dofmap, materials, dirichlet_dofs)[2]
-    return _barrier_warnings(materials) + [_pin_warning(w) for w in where]
-
-
-def _barrier_warnings(materials: MaterialModel) -> list[str]:
-    kmax = materials.matrix_norm()
-    return [f"barrier tag {tag}: tangential permeability {law.k_tangential:g} exceeds "
-            f"the matrix permeability {kmax:g}; the model neglects in-plane barrier "
-            "flow, expect visible model error"
-            for tag, law in sorted(materials.barriers.items())
-            if law.k_tangential is not None and law.k_tangential > kmax]
 
 
 def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
@@ -116,8 +97,8 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
         dofmap = build_dof_map(mesh, pol)
     with _stage(timings, "assembly"):
         # the warnings of scenario_warnings, without building the compartment graph twice
-        system, pinned = _assemble_system(mesh, dofmap, scenario.materials, scenario.source,
-                                          scenario.neumann, scenario.dirichlet)
+        system, warnings = _assemble_system(mesh, dofmap, scenario.materials, scenario.source,
+                                            scenario.neumann, scenario.dirichlet)
     with _stage(timings, "cg"):
         x, solver_report = cg_solve(system.A, system.b, tol=s.tol, max_iter=s.max_iter,
                                     preconditioner=s.preconditioner)
@@ -151,7 +132,7 @@ def run_scenario(scenario: Scenario, refine: int = 0, policy: str | None = None,
             "iterate_s": solver_report.iterate_s,
         },
         "balance": balance,
-        "warnings": _barrier_warnings(scenario.materials) + pinned,
+        "warnings": warnings,
     }
     if l2 is not None:
         report["l2_error"] = l2

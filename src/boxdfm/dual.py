@@ -102,17 +102,14 @@ def _subface_vectors(p: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def p1_gradients(mesh: Mesh):
-    """Gradients of the linear hat functions per cell.
+def p1_gradients(vertices: np.ndarray, cells: np.ndarray):
+    """Gradients of the linear hat functions of the given cells over the
+    vertex array.
 
     Returns (grads, vol): grads has shape (nc, dim+1, dim) with row i the
-    constant gradient of the hat function of local vertex i.
+    constant gradient of the hat function of local vertex i; vol holds the
+    signed cell volumes.
     """
-    return _cell_gradients(mesh.vertices, mesh.cells)
-
-
-def _cell_gradients(vertices: np.ndarray, cells: np.ndarray):
-    """p1_gradients of the given cells over the vertex array."""
     p = vertices[cells]
     edges = p[:, 1:, :] - p[:, :1, :]  # (nc, dim, dim)
     return _hat_gradients(edges), _edge_volumes(edges)
@@ -156,7 +153,7 @@ def subface_flux_matrices(mesh: Mesh, dual: DualBoxGeometry, K_cells: np.ndarray
     second route to the same matrices the assembly produces from hat
     gradients; the two must agree to rounding.
     """
-    grads, _ = p1_gradients(mesh)
+    grads, _ = p1_gradients(mesh.vertices, mesh.cells)
     Kg = np.einsum("cde,cme->cmd", K_cells, grads)  # (nc, nloc, dim)
     nloc = mesh.dim + 1
     out = np.zeros((mesh.n_cells, nloc, nloc))

@@ -252,9 +252,10 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, *, tol: float, preconditioner: str
              max_iter: int | None = None):
     """Preconditioned CG from x = 0. Returns (x, SolverReport).
 
-    Convergence means ||b - Ax|| <= tol * ||b||. Hitting max_iter returns
-    the best iterate with converged=False; a nonpositive curvature
-    direction raises NotPositiveDefiniteError.
+    Convergence means ||b - Ax|| <= tol * ||b||; from x = 0 that takes at
+    least one iteration unless b = 0, so a useful tol lies below 1. Hitting
+    max_iter returns the best iterate with converged=False; a nonpositive
+    curvature direction raises NotPositiveDefiniteError.
     """
     n = A.shape[0]
     if A.shape != (n, n):
@@ -277,10 +278,8 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, *, tol: float, preconditioner: str
                                setup_s=t1 - t0, iterate_s=time.perf_counter() - t1)
 
     x = np.zeros(n)
-    r = b - A @ x
-    relres = float(np.linalg.norm(r)) / bnorm
-    if relres <= tol:
-        return done(True, 0, relres)
+    r = b.copy()  # b - A @ x at x = 0
+    relres = 1.0
     z = M.apply(r)
     p = z.copy()
     tmp = np.empty(n)

@@ -33,12 +33,7 @@ class FacetKind(IntEnum):
     NEUMANN = 4
 
 
-_KIND_NAMES = {
-    "fracture": FacetKind.FRACTURE,
-    "barrier": FacetKind.BARRIER,
-    "dirichlet": FacetKind.DIRICHLET,
-    "neumann": FacetKind.NEUMANN,
-}
+_KIND_NAMES = {k.name.lower(): k for k in FacetKind}
 
 
 def parse_kind(name: str) -> FacetKind:
@@ -88,7 +83,8 @@ class Mesh:
         return self.facets.shape[0]
 
     def cell_volumes(self) -> np.ndarray:
-        return _signed_volumes(self.vertices, self.cells)
+        p = self.vertices[self.cells]
+        return _edge_volumes(p[:, 1:, :] - p[:, :1, :])
 
     def cell_centroids(self) -> np.ndarray:
         return self.vertices[self.cells].mean(axis=1)
@@ -107,11 +103,6 @@ class Mesh:
         sel = self.facet_kinds == int(kind)
         mask[self.facet_to_ufacet[sel]] = True
         return mask
-
-
-def _signed_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    p = vertices[cells]
-    return _edge_volumes(p[:, 1:, :] - p[:, :1, :])
 
 
 def _edge_volumes(edges: np.ndarray) -> np.ndarray:
@@ -148,7 +139,7 @@ def _orientation_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
     Computed over ranges of _ORIENT_RANGE cells, one coordinate at a time
     (takes from the rows of vertices.T), so that the temporaries stay small.
-    In 2d these are _signed_volumes, bit for bit. In 3d the triple product
+    In 2d these are cell_volumes(), bit for bit. In 3d the triple product
     replaces np.linalg.det: about 3x faster, with the same sign but not
     always the same last bits, so cell_volumes() and assembly keep det.
     """
@@ -438,6 +429,11 @@ def _int_array(name: str, a: np.ndarray, shape: tuple, lo: int | None = None,
     if lo is not None and a.size and (a.min() < lo or a.max() >= hi):
         raise ValidationError(f"{name} holds values outside {lo}..{hi - 1}")
     return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def _index_dtype(n: int) -> type:
+    """The integer dtype of indices below n: int32 while n fits, else int64."""
+    return np.int32 if n < 2 ** 31 else np.int64
 
 
 def restore_mesh(vertices, cells, facets, facet_tags, facet_kinds, cell_region,

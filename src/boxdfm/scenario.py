@@ -35,7 +35,6 @@ __all__ = [
     "SliceSpec",
     "SolverSettings",
     "scalar_field",
-    "boundary_flux",
     "load_scenario_file",
     "validate_against_mesh",
 ]
@@ -62,6 +61,9 @@ class SolverSettings:
 
     def __post_init__(self):
         self.tol = _positive(self.tol, "solver tolerance")
+        if self.tol >= 1:
+            # CG starts from x = 0, where the relative residual is 1
+            raise ValidationError(f"solver tolerance must be below 1, got {self.tol!r}")
         if self.max_iter is not None:
             self.max_iter = as_int(self.max_iter, "solver max_iter must be an integer", 1)
         _check_preconditioner(self.preconditioner)
@@ -80,10 +82,11 @@ class SliceSpec:
 class Scenario:
     """One fully specified run.
 
-    dirichlet maps tag -> g(points, regions); neumann maps tag -> g(points)
-    where g is the outward normal flux density (positive drains the
-    domain). exact, when present, enables convergence studies and carries
-    the target order window. base_mesh builds the level-0 mesh; level l is
+    Every data callable takes (points, regions): dirichlet and neumann map
+    tag -> g(points, regions), where the Neumann g is the outward normal
+    flux density (positive drains the domain), and source and exact are
+    such callables too. exact, when present, enables convergence studies
+    and carries the target order window. base_mesh builds the level-0 mesh; level l is
     its uniform refinement l times (mesh_factory).
     """
 
@@ -137,20 +140,10 @@ def scalar_field(spec, dim: int) -> Callable:
 
     fn = compile_expression(spec, dim)
 
-    def uniform(points, regions=None):
+    def uniform(points, regions):
         return fn(np.asarray(points, dtype=np.float64))
 
     return uniform
-
-
-def boundary_flux(spec, dim: int) -> Callable:
-    """(points,) callable for Neumann data (no region argument)."""
-    fn = compile_expression(spec, dim)
-
-    def g(points):
-        return fn(np.asarray(points, dtype=np.float64))
-
-    return g
 
 
 def parse_segments(rows) -> list:
@@ -356,7 +349,7 @@ def _known_keys(raw: dict, where: str, known: tuple) -> None:
 
 
 def _parse_solver(sv: dict) -> SolverSettings:
-    coerce = {"tol": float, "max_iter": lambda m: m, "preconditioner": str}
+    coerce = {"tol": float, "max_iter": _file_int, "preconditioner": str}
     _known_keys(sv, "scenario entry 'solver'", tuple(coerce))
     return SolverSettings(**{k: coerce[k](v) for k, v in sv.items()})
 
@@ -408,7 +401,7 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
     parsers = {
         "description": str,
         "dirichlet": lambda d: {int(t): scalar_field(e, dim) for t, e in d.items()},
-        "neumann": lambda d: {int(t): boundary_flux(e, dim) for t, e in d.items()},
+        "neumann": lambda d: {int(t): scalar_field(e, dim) for t, e in d.items()},
         "source": lambda e: scalar_field(e, dim),
         "exact": lambda e: scalar_field(e, dim),
         "policy": _parse_policy,

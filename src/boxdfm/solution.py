@@ -27,7 +27,7 @@ from .errors import ValidationError, as_int, finite_values
 from .mesh import FacetKind, Mesh, _edge_volumes, facet_normals
 
 __all__ = ["SIDES", "SolutionField", "sample_slice", "write_profile_csv", "l2_error",
-           "convergence_order", "simplex_quadrature"]
+           "simplex_quadrature"]
 
 SIDES = ("plus", "minus")  # which trace a slice reports on a barrier
 _SIDE_EPS_REL = 1e-9  # side-rule offset relative to the domain diameter
@@ -321,10 +321,3 @@ def l2_error(fieldobj: SolutionField, exact) -> float:
         vol[lo:hi] = np.abs(_edge_volumes(verts[:, 1:, :] - verts[:, :1, :]))
     return float(np.sqrt(np.einsum("cq,q,c->", sq, w, vol)))
 
-
-def convergence_order(errors, ratio: float = 2.0):
-    """Observed orders log(e_i / e_{i+1}) / log(ratio) between levels."""
-    errors = np.asarray(errors, dtype=np.float64)
-    if np.any(errors <= 0):
-        raise ValidationError("convergence orders need positive errors")
-    return list(np.log(errors[:-1] / errors[1:]) / np.log(ratio))

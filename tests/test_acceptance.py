@@ -138,7 +138,7 @@ def _random_barrier_system(case: int):
     def g(p, r):
         return p[:, 0] + 2 * p[:, 1]
 
-    def zero(p):
+    def zero(p, r):
         return np.zeros(len(p))
 
     system = assemble_system(
@@ -284,7 +284,7 @@ def test_criterion_6_limit_consistency():
         mesh_free, dm_free, MaterialModel(matrix={1: 1.0}, dim=2),
         dirichlet={1: lambda p, r: np.zeros(len(p)),
                    2: lambda p, r: np.ones(len(p))},
-        neumann={3: lambda p: np.zeros(len(p)), 4: lambda p: np.zeros(len(p))})
+        neumann={3: lambda p, r: np.zeros(len(p)), 4: lambda p, r: np.zeros(len(p))})
     x, rep = cg_solve(system.A, system.b, tol=1e-12, preconditioner="ic0")
     assert rep.converged
     free = SolutionField(mesh_free, dm_free.cell_dofs, dm_free.dof_vertex, x)

@@ -124,8 +124,8 @@ def test_patch_test_linear_exact():
         return points[:, 0]
 
     system = assemble_system(mesh, dm, matrix_only(),
-                             dirichlet={1: g, 2: g}, neumann={3: lambda p: np.zeros(len(p)),
-                                                              4: lambda p: np.zeros(len(p))})
+                             dirichlet={1: g, 2: g}, neumann={3: lambda p, r: np.zeros(len(p)),
+                                                              4: lambda p, r: np.zeros(len(p))})
     x, rep = cg_solve(system.A, system.b, tol=1e-14, preconditioner="ic0")
     assert rep.converged
     exact = mesh.vertices[dm.dof_vertex, 0]
@@ -137,9 +137,9 @@ def test_neumann_rhs_weights():
                                            3: "neumann", 4: "neumann"})
     dm = build_dof_map(mesh, "barrier_cuts")
     dual = dual_geometry(mesh)
-    b = assemble_rhs(mesh, dm, dual, neumann={2: lambda p: np.ones(len(p)),
-                                              3: lambda p: np.zeros(len(p)),
-                                              4: lambda p: np.zeros(len(p))})
+    b = assemble_rhs(mesh, dm, dual, neumann={2: lambda p, r: np.ones(len(p)),
+                                              3: lambda p, r: np.zeros(len(p)),
+                                              4: lambda p, r: np.zeros(len(p))})
     # outflow-positive convention: g = 1 on the right side drains the
     # boxes there by their sub-edge measures
     assert b.sum() == pytest.approx(-1.0, abs=1e-14)
@@ -156,7 +156,7 @@ def test_unmatched_neumann_tag_rejected():
     dm = build_dof_map(mesh, "barrier_cuts")
     dual = dual_geometry(mesh)
     with pytest.raises(ValidationError):
-        assemble_rhs(mesh, dm, dual, neumann={9: lambda p: np.ones(len(p))})
+        assemble_rhs(mesh, dm, dual, neumann={9: lambda p, r: np.ones(len(p))})
 
 
 def test_source_midpoint_rule_exact_for_linear():
@@ -236,7 +236,7 @@ def test_dirichlet_elimination_symmetric():
         mesh, dm, mats,
         dirichlet={1: lambda p, r: np.zeros(len(p)),
                    2: lambda p, r: np.ones(len(p))},
-        neumann={3: lambda p: np.zeros(len(p)), 4: lambda p: np.zeros(len(p))},
+        neumann={3: lambda p, r: np.zeros(len(p)), 4: lambda p, r: np.zeros(len(p))},
     )
     A = system.A.toarray()
     assert np.abs(A - A.T).max() == 0.0
@@ -413,7 +413,7 @@ def test_callable_results_must_match_point_count():
     with pytest.raises(ValidationError, match=r"dirichlet tag 1 .* shape \(\) .* \(4,\)"):
         collect_dirichlet(mesh, dm, {1: lambda p, r: 1.0})
     with pytest.raises(ValidationError, match=r"neumann tag 3 .* shape \(5,\) .* \(4,\)"):
-        assemble_rhs(mesh, dm, dual, neumann={3: lambda p: np.ones(len(p) + 1)})
+        assemble_rhs(mesh, dm, dual, neumann={3: lambda p, r: np.ones(len(p) + 1)})
     with pytest.raises(ValidationError, match=r"source .* shape \(3,\) .* \(48,\)"):
         assemble_rhs(mesh, dm, dual, source=lambda p, r: np.ones(3))
 

@@ -71,7 +71,7 @@ def test_subface_vectors_close_each_box():
     dual = dual_geometry(mesh)
     K = np.broadcast_to(np.eye(2), (mesh.n_cells, 2, 2))
     A_sub = subface_flux_matrices(mesh, dual, np.ascontiguousarray(K))
-    grads, vol = p1_gradients(mesh)
+    grads, vol = p1_gradients(mesh.vertices, mesh.cells)
     A_gal = np.einsum("cid,cjd,c->cij", grads, grads, vol)
     assert np.allclose(A_sub, A_gal, atol=1e-13)
 
@@ -84,13 +84,13 @@ def test_subface_route_matches_galerkin_anisotropic_3d():
     K = (M @ M.T + 3 * np.eye(3))[None, :, :]
     dual = dual_geometry(mesh)
     A_sub = subface_flux_matrices(mesh, dual, np.ascontiguousarray(K))
-    grads, vol = p1_gradients(mesh)
+    grads, vol = p1_gradients(mesh.vertices, mesh.cells)
     A_gal = np.einsum("cid,cde,cje,c->cij", grads, K, grads, vol)
     assert np.allclose(A_sub, A_gal, atol=1e-12)
 
 
 def test_p1_gradients_reference_triangle():
-    grads, vol = p1_gradients(REF_TRI)
+    grads, vol = p1_gradients(REF_TRI.vertices, REF_TRI.cells)
     assert vol[0] == pytest.approx(0.5)
     assert np.allclose(grads[0], [[-1, -1], [1, 0], [0, 1]])
 

@@ -26,7 +26,7 @@ def assembled_system(n=6, beta_scale=1e-3):
         mesh, dm, mats,
         dirichlet={1: lambda p, r: np.zeros(len(p)),
                    2: lambda p, r: np.ones(len(p))},
-        neumann={3: lambda p: np.zeros(len(p)), 4: lambda p: np.zeros(len(p))},
+        neumann={3: lambda p, r: np.zeros(len(p)), 4: lambda p, r: np.zeros(len(p))},
     )
 
 

@@ -184,6 +184,8 @@ def _matrix(k):
     (_with(policy="bogus"), r"unknown intersection policy 'bogus'"),
     (_with(solver={"tol": -1}), r"solver tolerance must be finite and > 0, got -1\.0"),
     (_with(solver={"tol": "nan"}), r"solver tolerance must be finite and > 0, got nan"),
+    (_with(solver={"tol": 1}), r"solver tolerance must be below 1, got 1\.0"),
+    (_with(solver={"tol": True}), r"solver tolerance must be below 1, got 1\.0"),
     (_with(solver={"max_iter": 0}), r"solver max_iter must be an integer >= 1, got 0"),
     (_with(solver={"max_iter": 2.5}), r"solver max_iter must be an integer >= 1, got 2\.5"),
     (_slice(n=0), r"slice 'mid': number of samples must be an integer >= 1, got 0"),
@@ -246,7 +248,8 @@ def _matrix(k):
         "boundary-div-of-three", "boundary-div-zero", "boundary-div-fractional",
         "boundary-div-bool", "unknown-preconditioner",
         "none-preconditioner", "unknown-solver-key", "unknown-policy",
-        "negative-tol", "nan-tol", "zero-max-iter", "fractional-max-iter",
+        "negative-tol", "nan-tol", "unit-tol", "bool-tol", "zero-max-iter",
+        "fractional-max-iter",
         "slice-zero-n", "slice-fractional-n", "slice-bool-n", "slice-bad-side",
         "slice-3d-endpoint", "slice-infinite-endpoint", "slice-degenerate",
         "slice-unknown-key", "unknown-top-level-key", "allow-pure-neumann",
@@ -278,8 +281,34 @@ def test_integral_float_slice_count_loads_as_int():
 
 @pytest.mark.parametrize("value", [2, 2.0, "2", " 2 "], ids=["int", "float", "text", "spaced"])
 def test_file_integers_may_be_integral_floats_or_strings(value):
-    sc = scenario_from_dict(_with(refine=value, dim=value, mesh={**TINY["mesh"], "n": value}))
-    assert (sc.default_refine, sc.dim) == (2, 2) and sc.base_mesh().n_cells == 16
+    sc = scenario_from_dict(_with(refine=value, dim=value, mesh={**TINY["mesh"], "n": value},
+                                  solver={"max_iter": value}))
+    assert (sc.default_refine, sc.dim, sc.solver.max_iter) == (2, 2, 2)
+    assert sc.base_mesh().n_cells == 16
+
+
+def test_file_policy_runs_with_that_policy():
+    raw = json.loads((SCENARIO_DIR / "ex54a.json").read_text())
+    sc = scenario_from_dict({**raw, "policy": "fracture-penetrates"}, base_dir=SCENARIO_DIR)
+    res = run_scenario(sc)
+    assert res.report["policy"] == "fracture-penetrates"
+    want = run_scenario(get_scenario("ex54a"), policy="fracture_penetrates").report["n_dofs"]
+    assert res.report["n_dofs"] == want
+    # the policies differ on ex54a, so the count shows which one ran
+    assert want != run_scenario(get_scenario("ex54a")).report["n_dofs"]
+
+
+def test_file_order_window_reaches_the_convergence_study():
+    sc = scenario_from_dict(_with(order_window=[1.5, 2.5]))
+    assert run_convergence(sc, levels=1)["order_window"] == [1.5, 2.5]
+
+
+def test_by_region_neumann_data_loads_and_is_evaluated_per_side():
+    # tags 3 and 4 are the bottom and top edges; the barrier at x = 0.5
+    # splits each into a half of region 1 and a half of region 2
+    flux = {"by_region": {"1": "1", "2": "2"}}
+    res = run_scenario(scenario_from_dict(_with(neumann={"3": flux, "4": flux})))
+    assert res.system.b0.sum() == pytest.approx(-2 * (0.5 * 1 + 0.5 * 2), abs=1e-13)
 
 
 def test_absent_entries_take_the_dataclass_defaults():
@@ -410,12 +439,14 @@ def test_numpy_integers_are_named_in_plain_numbers(tmp_path, call, match):
     (["run", "--refine", "-1"], r"refinement level -1 is below 0"),
     (["run", "--tol", "-1", "--max-iter", "50"], r"tolerance must be finite and > 0"),
     (["run", "--tol", "nan"], r"tolerance must be finite and > 0"),
+    (["run", "--tol", "1"], r"solver tolerance must be below 1, got 1\.0"),
+    (["run", "--tol", "5"], r"solver tolerance must be below 1, got 5\.0"),
     (["run", "--max-iter", "-5"], r"max_iter must be an integer >= 1, got -5"),
     (["convergence", "--levels", "-1"], r"levels >= 1, got -1"),
     (["convergence", "--levels", "0"], r"levels >= 1, got 0"),
     (["convergence", "--levels", "1", "--max-iter", "0"], r"max_iter must be an integer >= 1"),
-], ids=["refine", "negative-tol", "nan-tol", "negative-max-iter", "negative-levels",
-        "zero-levels", "convergence-max-iter"])
+], ids=["refine", "negative-tol", "nan-tol", "unit-tol", "large-tol", "negative-max-iter",
+        "negative-levels", "zero-levels", "convergence-max-iter"])
 def test_cli_rejects_bad_run_settings(tmp_path, capsys, argv, match):
     out = tmp_path / "out"
     assert main([argv[0], str(tiny_file(tmp_path)), *argv[1:], "--out", str(out)]) == 2
@@ -788,7 +819,6 @@ def test_cli_list_marks_unavailable(capsys, monkeypatch):
     def unbuildable(*args):
         raise AssertionError(f"list built {args}")
 
-    monkeypatch.setattr("boxdfm.benchmarks.ScenarioEntry.build", unbuildable)
     monkeypatch.setattr("boxdfm.cli.get_scenario", unbuildable)
     assert main(["list"]) == 0
     stdout = capsys.readouterr().out

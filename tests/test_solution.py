@@ -19,7 +19,7 @@ from boxdfm.generators import crossed_square_mesh
 from boxdfm.mesh import FacetKind
 from boxdfm.solution import (_LOCATE_TOL, _SIDE_EPS_REL, SIDES, SolutionField,
                              _apply_side_rule, _canonical_normals,
-                             convergence_order, l2_error, sample_slice,
+                             l2_error, sample_slice,
                              simplex_quadrature, write_profile_csv)
 from conftest import barrier_square
 
@@ -305,14 +305,6 @@ def test_profile_csv_to_path(tmp_path):
     target = tmp_path / "profile.csv"
     write_profile_csv(target, sample)
     assert target.read_text().startswith("s,x,y,p\n")
-
-
-def test_convergence_order_math():
-    orders = convergence_order([1.0, 0.25, 0.0625])
-    assert np.allclose(orders, [2.0, 2.0])
-    assert convergence_order([1.0, 1.0 / 3.0], ratio=3.0)[0] == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        convergence_order([1.0, 0.0])
 
 
 def _oracle_mesh(case):
