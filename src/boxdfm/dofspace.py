@@ -66,8 +66,8 @@ class DofMap:
 def _corner_nodes(cells: np.ndarray, cell_ids: np.ndarray,
                   facet_verts: np.ndarray) -> np.ndarray:
     """(n, dim) node ids cell * nloc + local of facet_verts[k] inside cell
-    cell_ids[k], in the dtype of cell_ids; dofs are then
-    cell_dofs.ravel()[nodes].
+    cell_ids[k], at the node width _index_dtype(cells.size) whatever the
+    width of cell_ids; dofs are then cell_dofs.ravel()[nodes].
 
     Works in (dim, n) layout, one local corner at a time, so that each
     comparison of a corner with the facet vertices runs over contiguous
@@ -83,7 +83,8 @@ def _corner_nodes(cells: np.ndarray, cell_ids: np.ndarray,
         local += hit.view(np.int8) * np.int8(i)
     if not found.all():
         raise DofMapError("vertex not found in its supposed cell")
-    return np.ascontiguousarray((cell_ids * nloc + local).T)
+    node = cell_ids.astype(_index_dtype(cells.size), copy=False)
+    return np.ascontiguousarray((node * nloc + local).T)
 
 
 def _policy_key(policy: str) -> str:
@@ -105,10 +106,10 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
     interior = mesh.ufacet_cells[:, 1] >= 0
     link = interior & ~barrier_uf
 
-    # node ids cell * nloc + local in int32 while they fit
+    # node ids cell * nloc + local in int32 while they fit (_corner_nodes)
     n_nodes = nc * nloc
     node = _index_dtype(n_nodes)
-    link_cells, link_verts = mesh.ufacet_cells[link].astype(node), mesh.ufacets[link]
+    link_cells, link_verts = mesh.ufacet_cells[link], mesh.ufacets[link]
     rows = [_corner_nodes(cells, link_cells[:, 0], link_verts).ravel()]
     cols = [_corner_nodes(cells, link_cells[:, 1], link_verts).ravel()]
     del link_cells, link_verts
@@ -141,7 +142,8 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
     rank = np.empty(n_comp, dtype=np.int64)
     rank[order] = np.arange(n_comp, dtype=np.int64)
     cell_dofs = rank[labels].reshape(nc, nloc)
-    dof_vertex = vertex_of_label[order]
+    # the DofMap holds int64 ids; the mesh's cells come at their index width
+    dof_vertex = vertex_of_label[order].astype(np.int64)
 
     vertex_ndofs = np.bincount(dof_vertex, minlength=nv)
     in_use = np.zeros(nv, dtype=bool)

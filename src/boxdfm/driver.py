@@ -227,8 +227,11 @@ def load_solution(run_dir) -> SolutionField:
     topology as build_mesh does, more slowly. The cells must be stored
     positively oriented. cell_dofs must index the values and dof_vertex
     the vertices. Integer arrays may be stored in any integer dtype (int32
-    where they fit, int64 in earlier versions) and come back as int64. A
-    broken bundle raises ValidationError naming solution.npz.
+    where they fit, int64 in earlier versions). The index arrays, cell_dofs
+    and dof_vertex among them, come back at the width _int_array gives
+    their range, int32 below 2**31, so an int32 bundle is read without a
+    widened copy; the labels come back as int64. A broken bundle raises
+    ValidationError naming solution.npz.
     """
     path = Path(run_dir) / "solution.npz"
     if not path.exists():

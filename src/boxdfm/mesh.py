@@ -53,22 +53,24 @@ class Mesh:
     downstream: the unique-facet table, facet-to-cell incidence, and
     cell neighbor lists. Construct through :func:`build_mesh`, or
     :func:`restore_mesh` from stored arrays; both end in the one
-    validating constructor ``_mesh``.
+    validating constructor ``_mesh``. Index arrays are held at the width
+    _index_dtype gives their range (int32 below 2**31), label arrays as
+    int64 (_int_array, _labels).
     """
 
     dim: int
     vertices: np.ndarray          # (nv, dim) float64
-    cells: np.ndarray             # (nc, dim+1) int64, positively oriented
-    cell_region: np.ndarray       # (nc,) int64
-    facets: np.ndarray            # (nf, dim) int64, tagged facets only
-    facet_tags: np.ndarray        # (nf,) int64
+    cells: np.ndarray             # (nc, dim+1) vertex ids, positively oriented
+    cell_region: np.ndarray       # (nc,) int64 labels
+    facets: np.ndarray            # (nf, dim) vertex ids, tagged facets only
+    facet_tags: np.ndarray        # (nf,) int64 labels
     facet_kinds: np.ndarray       # (nf,) int64, FacetKind values
 
-    # derived topology (TOPOLOGY)
+    # derived topology (TOPOLOGY), index arrays
     ufacets: np.ndarray = field(repr=False)          # (nu, dim) sorted vertex ids
     ufacet_cells: np.ndarray = field(repr=False)     # (nu, 2) cell ids, -1 pad
-    facet_to_ufacet: np.ndarray = field(repr=False)  # (nf,)
-    cell_neighbors: np.ndarray = field(repr=False)   # (nc, dim+1)
+    facet_to_ufacet: np.ndarray = field(repr=False)  # (nf,) unique facet ids
+    cell_neighbors: np.ndarray = field(repr=False)   # (nc, dim+1) cell ids, -1 pad
 
     @property
     def n_vertices(self) -> int:
@@ -176,7 +178,8 @@ def _facet_keys(rows: np.ndarray, nv: int) -> np.ndarray:
     """Sorted facet rows packed into one integer each: (a*nv + b)*nv + c.
 
     The key is monotone in the rows' lexicographic order, so sorting keys
-    sorts rows. Vertex ids must lie below nv.
+    sorts rows. Vertex ids must lie below nv. Keys are int64 whatever the
+    rows' width.
     """
     dim = rows.shape[1]
     if nv ** dim > np.iinfo(np.int64).max:
@@ -184,7 +187,7 @@ def _facet_keys(rows: np.ndarray, nv: int) -> np.ndarray:
             f"{nv} vertices are too many for packed {dim}-vertex keys: "
             f"{nv}**{dim} must fit in a signed 64-bit integer"
         )
-    key = rows[:, 0].copy()
+    key = rows[:, 0].astype(np.int64)
     for j in range(1, dim):
         key *= nv
         key += rows[:, j]
@@ -192,12 +195,14 @@ def _facet_keys(rows: np.ndarray, nv: int) -> np.ndarray:
 
 
 def _unpack_keys(keys: np.ndarray, nv: int, dim: int) -> np.ndarray:
-    """Inverse of :func:`_facet_keys`: the (n, dim) sorted rows of keys."""
-    rows = np.empty((keys.shape[0], dim), dtype=np.int64)
-    rest = keys
+    """Inverse of :func:`_facet_keys`: the (n, dim) sorted rows of keys at
+    the vertex-id width _index_dtype(nv). Overwrites keys; each column is
+    written straight into the rows, with no temporary of keys' size."""
+    rows = np.empty((keys.shape[0], dim), dtype=_index_dtype(nv))
     for j in range(dim - 1, 0, -1):
-        rest, rows[:, j] = np.divmod(rest, nv)
-    rows[:, 0] = rest
+        np.remainder(keys, nv, out=rows[:, j])
+        np.floor_divide(keys, nv, out=keys)
+    rows[:, 0] = keys
     return rows
 
 
@@ -219,12 +224,14 @@ def _unique_facet_table(cells: np.ndarray, dim: int, nv: int):
     Returns (ufacets, ufacet_cells, cell_neighbors): ufacets holds sorted
     vertex ids in lexicographic row order, ufacet_cells the one or two
     cells of each (-1 pad), and cell_neighbors[c, i] the cell across the
-    facet opposite local vertex i of cell c (-1 on the boundary).
+    facet opposite local vertex i of cell c (-1 on the boundary). The
+    cells may come at any integer width; ufacets are returned at the width
+    _index_dtype(nv), the cell ids at _index_dtype(nc).
     """
     nc = cells.shape[0]
     nloc = dim + 1
-    # key i*nc + c: the facet of cell c opposite its local vertex i, packed
-    # from the sorted ids of the cell's other vertices
+    # slot i*nc + c: the facet of cell c opposite its local vertex i, its key
+    # packed from the sorted ids of the cell's other vertices
     key = np.empty(nloc * nc, dtype=np.int64)
     for i in range(nloc):
         others = [j for j in range(nloc) if j != i]
@@ -232,57 +239,66 @@ def _unique_facet_table(cells: np.ndarray, dim: int, nv: int):
     order = np.argsort(key, kind="stable")
     skey = key[order]
     del key
+    order = order.astype(_index_dtype(order.shape[0]))  # slots at their index width
     new = np.empty(skey.shape[0], dtype=bool)
     new[0] = True
     np.not_equal(skey[1:], skey[:-1], out=new[1:])
     first = np.flatnonzero(new)
     nu = first.shape[0]
-
-    # unpack the unique keys instead of gathering rows
-    ufacets = _unpack_keys(skey[first], nv, dim)
+    ukey = skey[first]
     del skey
-
-    counts = np.diff(first, append=order.shape[0])
-    if counts.max(initial=0) > 2:
-        bad = ufacets[np.argmax(counts)]
+    # a facet is shared when the slot after its first is no new facet
+    shared = ~np.append(new[1:], True)[first]
+    del new
+    # facets of one or two cells fill exactly nu + (shared facets) slots
+    if nu + np.count_nonzero(shared) != order.shape[0]:
+        counts = np.diff(first, append=order.shape[0])
+        bad = _unpack_keys(ukey[[np.argmax(counts)]], nv, dim)[0]
         raise ValidationError(
             f"facet {tuple(bad.tolist())} is shared by {counts.max()} cells; "
             "mesh is not a manifold complex"
         )
-    shared = counts == 2
-    # rows i*nc + c of the facets' first and second cells
+    # the slots of the facets' first and second cells
     a = order[first]
-    b = order[first[shared] + 1]
+    b = first[shared]
+    b += 1
+    b = order[b]
     del order, first
-    ufacet_cells = np.full((nu, 2), -1, dtype=np.int64)
-    ufacet_cells[:, 0] = a % nc
+
+    # unpack the unique keys instead of gathering rows
+    ufacets = _unpack_keys(ukey, nv, dim)
+    del ukey
+    cell = _index_dtype(nc)
+    ufacet_cells = np.full((nu, 2), -1, dtype=cell)
+    np.remainder(a, nc, out=ufacet_cells[:, 0])
     ufacet_cells[shared, 1] = b % nc
 
-    # the two cells of a shared facet are neighbours across it
-    local_a, owner_a = np.divmod(a[shared], nc)
-    local_b, owner_b = np.divmod(b, nc)
-    neighbors = np.full((nc, nloc), -1, dtype=np.int64)
-    neighbors[owner_a, local_a] = owner_b
-    neighbors[owner_b, local_b] = owner_a
-    return ufacets, ufacet_cells, neighbors
+    # the two cells of a shared facet are neighbours across it; a boundary
+    # facet's second cell is -1. Scattered by slot, that is in (nloc, nc) order
+    across = np.empty(nloc * nc, dtype=cell)
+    across[a] = ufacet_cells[:, 1]
+    del a
+    across[b] = ufacet_cells[shared, 0]
+    del b
+    return ufacets, ufacet_cells, np.ascontiguousarray(across.reshape(nloc, nc).T)
 
 
 def _locate_tagged(ufacets: np.ndarray, tagged: np.ndarray, nv: int) -> np.ndarray:
     """Index of each tagged facet row in the sorted unique-facet table."""
     if tagged.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=_index_dtype(ufacets.shape[0]))
     pos, found = _search_keys(_facet_keys(ufacets, nv), tagged, nv)
     if not found.all():
         i = int(np.argmin(found))
         raise ValidationError(
             f"tagged facet {tuple(tagged[i].tolist())} does not coincide with any cell facet"
         )
-    return pos.astype(np.int64, copy=False)
+    return pos.astype(_index_dtype(ufacets.shape[0]))
 
 
 def _checked_cells(vertices, cells):
-    """Vertices as float64, cells checked as an int64 (n, dim+1) index
-    array, and the cells' signed volumes for the orientation test."""
+    """Vertices as float64, cells checked as an (n, dim+1) index array
+    (_int_array), and the cells' signed volumes for the orientation test."""
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     if vertices.ndim != 2 or vertices.shape[1] not in (2, 3):
         raise ValidationError(f"vertices must be (n, 2) or (n, 3), got {vertices.shape}")
@@ -301,11 +317,11 @@ def _mesh(vertices, cells, vol, cell_region, facets, facet_tags, facet_kinds,
     _check_degenerate(vol)
     nv, dim = vertices.shape
     nc = cells.shape[0]
-    cell_region = _int_array("cell_region", cell_region, (nc,))
+    cell_region = _labels("cell_region", cell_region, nc)
     facets = _int_array("facets", facets, (None, dim), 0, nv)
     nf = facets.shape[0]
-    facet_tags = _int_array("facet_tags", facet_tags, (nf,))
-    facet_kinds = _int_array("facet_kinds", facet_kinds, (nf,))
+    facet_tags = _labels("facet_tags", facet_tags, nf)
+    facet_kinds = _labels("facet_kinds", facet_kinds, nf)
     if topology is None:
         ufacets, ufacet_cells, cell_neighbors = _unique_facet_table(cells, dim, nv)
         facet_to_ufacet = _locate_tagged(ufacets, facets, nv)
@@ -350,7 +366,7 @@ def build_mesh(
     are dropped (a mesh file may carry tags a scenario does not use).
     Cells are reoriented to positive volume; degenerate cells are an error.
     """
-    vertices, cells, vol = _checked_cells(vertices, np.asarray(cells, dtype=np.int64))
+    vertices, cells, vol = _checked_cells(vertices, _raw_ints(cells))
     nv, dim = vertices.shape
     # a cell with negative volume gets its first two vertices swapped, in a copy
     neg = vol < 0
@@ -360,15 +376,15 @@ def build_mesh(
 
     if facets is None:
         facets, facet_tags = [], []
-    facets = np.asarray(facets, dtype=np.int64)
+    facets = _raw_ints(facets)
     if facets.ndim in (1, 2) and facets.shape[0] == 0:
         facets = facets.reshape(0, dim)
     if facets.ndim != 2 or facets.shape[1] != dim:
         raise ValidationError(f"facets must be (n, {dim}) for dim={dim}, got {facets.shape}")
     # checked before tag_map drops any row
     facets = _int_array("facets", facets, (None, dim), 0, nv)
-    facet_tags = _int_array("facet_tags", np.asarray(facet_tags, dtype=np.int64),
-                            (facets.shape[0],))
+    facet_tags = _labels("facet_tags", np.asarray(facet_tags, dtype=np.int64),
+                         facets.shape[0])
 
     if facet_kinds is None:
         kind_of_tag = {int(t): parse_kind(k) if isinstance(k, str) else FacetKind(k)
@@ -416,19 +432,35 @@ def _check_tagged(facets, facet_tags, facet_kinds, ufacets, ufacet_cells,
 
 def _int_array(name: str, a: np.ndarray, shape: tuple, lo: int | None = None,
                hi: int | None = None) -> np.ndarray:
-    """A stored integer array as int64, checked for shape (None: any
-    length) and, given lo and hi, for values in lo..hi-1. The range is
-    checked in the stored dtype, before the conversion: a narrower array
-    is cheaper to scan."""
+    """An integer array checked for shape (None: any length) and, given lo
+    and hi, for values in lo..hi-1. Given a range it is an index array and
+    comes back C-contiguous at the width _index_dtype(hi): the range is
+    checked in the dtype a comes in, so any narrowing is exact, and an
+    array already at that width is returned as it is, never widened.
+    Without a range a comes back as it is (see _labels)."""
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.integer):
         raise ValidationError(f"{name} must hold integers, got dtype {a.dtype}")
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = ", ".join("n" if n is None else str(n) for n in shape)
         raise ValidationError(f"{name} has shape {a.shape}, expected ({want})")
-    if lo is not None and a.size and (a.min() < lo or a.max() >= hi):
+    if hi is None:
+        return a
+    if a.size and (a.min() < lo or a.max() >= hi):
         raise ValidationError(f"{name} holds values outside {lo}..{hi - 1}")
-    return np.ascontiguousarray(a, dtype=np.int64)
+    return np.ascontiguousarray(a, dtype=_index_dtype(hi))
+
+
+def _labels(name: str, a: np.ndarray, n: int) -> np.ndarray:
+    """Labels (cell regions, facet tags and kinds): n integers, as int64."""
+    return np.ascontiguousarray(_int_array(name, a, (n,)), dtype=np.int64)
+
+
+def _raw_ints(a) -> np.ndarray:
+    """Raw input ids as an array: an integer array as it comes, anything
+    else (a list, a float array) cast to int64."""
+    a = np.asarray(a)
+    return a if np.issubdtype(a.dtype, np.integer) else a.astype(np.int64)
 
 
 def _index_dtype(n: int) -> type:
@@ -449,7 +481,9 @@ def restore_mesh(vertices, cells, facets, facet_tags, facet_kinds, cell_region,
     cell_neighbors are the cells' own facet table, which costs about as
     much as deriving it. Without them, derives the topology as build_mesh
     does. Either way the other arrays pass the checks and tag rules of
-    build_mesh.
+    build_mesh. The index arrays come back at the width _int_array gives
+    them (int32, as write_bundle stores them, is kept without a copy), the
+    labels as int64.
     """
     vertices, cells, vol = _checked_cells(vertices, cells)
     if np.any(vol < 0):

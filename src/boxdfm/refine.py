@@ -13,7 +13,9 @@ the final build_mesh swaps nothing.
 Edges use the packed int64 keys of :mod:`.mesh`: the midpoint of edge
 (a, b) is vertex n_vertices + the position of its key in the sorted unique
 keys of all cell edges. Keys ascend in the lexicographic order of the
-sorted edge rows, so midpoints are numbered in that order.
+sorted edge rows, so midpoints are numbered in that order. Every level's
+vertex ids are held at the width _index_dtype gives the finer vertex
+count, so the final build_mesh takes its cells without a copy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import as_int
-from .mesh import Mesh, _facet_keys, _unpack_keys, build_mesh
+from .mesh import Mesh, _facet_keys, _index_dtype, _unpack_keys, build_mesh
 
 __all__ = ["uniform_refine"]
 
@@ -59,24 +61,30 @@ def _refine_once(vertices, cells, cell_region, facets, facet_tags, facet_kinds):
     nv, dim = vertices.shape
     key = _pair_keys(cells, nv)
     ekey = np.unique(key)
-    edges = _unpack_keys(ekey, nv, 2)
+    edges = _unpack_keys(ekey.copy(), nv, 2)
     vertices = np.vstack([vertices, 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])])
-    fmids = nv + np.searchsorted(ekey, _pair_keys(facets, nv))
+    del edges
+    index = _index_dtype(len(vertices))
     nfc = len(_FACET_CHILDREN[dim])
-    return (vertices, _children(cells, nv + np.searchsorted(ekey, key), _CELL_CHILDREN[dim]),
-            np.tile(cell_region, 2 ** dim), _children(facets, fmids, _FACET_CHILDREN[dim]),
+    cmids = nv + np.searchsorted(ekey, key)
+    del key
+    fmids = nv + np.searchsorted(ekey, _pair_keys(facets, nv))
+    return (vertices, _children(cells, cmids, _CELL_CHILDREN[dim], index),
+            np.tile(cell_region, 2 ** dim), _children(facets, fmids, _FACET_CHILDREN[dim], index),
             np.tile(facet_tags, nfc), np.tile(facet_kinds, nfc))
 
 
 def _pair_keys(rows: np.ndarray, nv: int) -> np.ndarray:
-    """Packed keys of each row's vertex pairs (0, 1), (0, 2), ...: (pairs, rows)."""
+    """Packed int64 keys of each row's vertex pairs (0, 1), (0, 2), ...:
+    (pairs, rows), from rows of any integer width."""
     k = rows.shape[1]
     pairs = np.stack([rows[:, [i, j]] for i in range(k) for j in range(i + 1, k)])
     return _facet_keys(np.sort(pairs, axis=2).reshape(-1, 2), nv).reshape(pairs.shape[:2])
 
 
-def _children(rows: np.ndarray, mids: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The child rows of table, child-major: row c*n + p is child c of row
-    p, whose nodes are p's vertices, then the midpoint ids mids[:, p]."""
-    nodes = np.concatenate([rows.T, mids])
+def _children(rows: np.ndarray, mids: np.ndarray, table: np.ndarray, index) -> np.ndarray:
+    """The child rows of table at the integer dtype index, child-major: row
+    c*n + p is child c of row p, whose nodes are p's vertices, then the
+    midpoint ids mids[:, p]."""
+    nodes = np.concatenate([rows.T, mids], dtype=index)
     return nodes[table].transpose(0, 2, 1).reshape(-1, table.shape[1])

@@ -24,7 +24,7 @@ from scipy.special import roots_jacobi
 
 from ._rows import write_rows
 from .errors import ValidationError, as_int, finite_values
-from .mesh import FacetKind, Mesh, _edge_volumes, facet_normals
+from .mesh import FacetKind, Mesh, _edge_volumes, _index_dtype, facet_normals
 
 __all__ = ["SIDES", "SolutionField", "sample_slice", "write_profile_csv", "l2_error",
            "simplex_quadrature"]
@@ -92,9 +92,10 @@ class SolutionField:
 
     @cached_property
     def _vertex_cell(self) -> np.ndarray:  # (nv,) an incident cell, the walk start
-        vc = np.full(self.mesh.n_vertices, -1, dtype=np.int64)
+        cell = _index_dtype(self.mesh.n_cells)
+        vc = np.full(self.mesh.n_vertices, -1, dtype=cell)
         vc[self.mesh.cells.ravel()] = np.repeat(
-            np.arange(self.mesh.n_cells, dtype=np.int64), self.mesh.dim + 1
+            np.arange(self.mesh.n_cells, dtype=cell), self.mesh.dim + 1
         )
         return vc
 

@@ -182,11 +182,13 @@ def test_corner_nodes_match_broadcast_search(name):
     cases = [(mesh.ufacet_cells[:, 0], mesh.ufacets),
              (mesh.ufacet_cells[both, 1], mesh.ufacets[both]),
              (tagged, mesh.facets), (tagged, mesh.facets[:, ::-1]),
-             (tagged, np.roll(mesh.facets, 1, axis=1))]
+             (tagged, np.roll(mesh.facets, 1, axis=1)), (tagged.astype(np.int64), mesh.facets)]
     for cell_ids, verts in cases:
         got = _corner_nodes(mesh.cells, cell_ids, verts)
         want = reference_corner_nodes(mesh.cells, cell_ids, verts)
-        assert got.dtype == want.dtype and got.flags.c_contiguous
+        # node ids at the node width, int32 below 2**31 nodes, whatever the
+        # width of cell_ids
+        assert got.dtype == np.int32 and got.flags.c_contiguous
         assert np.array_equal(got, want)
 
 

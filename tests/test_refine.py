@@ -11,7 +11,7 @@ from boxdfm.benchmarks import get_scenario
 from boxdfm.errors import ValidationError
 from boxdfm.generators import crossed_square_mesh, kuhn_cube_mesh
 from boxdfm.mesh import FacetKind, _orientation_volumes, facet_measures
-from boxdfm.refine import _ARRAYS, _CELL_CHILDREN, _refine_once, uniform_refine
+from boxdfm.refine import _ARRAYS, _CELL_CHILDREN, _pair_keys, _refine_once, uniform_refine
 from conftest import barrier_square
 from test_mesh import _shuffled
 
@@ -121,6 +121,16 @@ def _fields_equal(a, b):
             assert x.tobytes() == y.tobytes(), f.name
         else:
             assert x == y, f.name
+
+
+def test_pair_keys_from_int32_rows_do_not_overflow():
+    # nv = 50,000: keys reach nv**2 = 2.5e9, past the int32 range
+    nv = 50_000
+    rows = np.random.default_rng(5).integers(0, nv, (1000, 4))
+    want = _pair_keys(rows, nv)
+    assert want.max() > 2 ** 31
+    got = _pair_keys(rows.astype(np.int32), nv)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_two_levels_at_once_equal_two_calls():

@@ -33,7 +33,7 @@ from boxdfm.scenario import (Scenario, SliceSpec, SolverSettings, load_scenario_
                              scenario_from_dict, validate_against_mesh)
 from boxdfm.refine import uniform_refine
 from boxdfm.solution import SIDES, sample_slice
-from conftest import barrier_square
+from conftest import barrier_square, traced_peak
 
 EXPECTED_NAMES = {
     "ex51", "ex52_vertical", "ex52_slanted", "ex53", "ex54a", "ex54b",
@@ -561,18 +561,21 @@ def test_load_solution_returns_the_mesh_the_run_wrote(tmp_path):
             back = load_solution(bundle)
             pairs = [(f.name, getattr(back.mesh, f.name), getattr(res.mesh, f.name))
                      for f in dataclasses.fields(res.mesh)]
-            pairs += [(k, getattr(back, k), getattr(res.field, k))
-                      for k in ("cell_dofs", "dof_vertex", "values")]
+            pairs.append(("values", back.values, res.field.values))
             for key, got, want in pairs:
                 if isinstance(want, np.ndarray):
                     assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, key)
                     assert got.tobytes() == want.tobytes(), (name, key)
                 else:
                     assert got == want, (name, key)
+            # the run's DofMap holds int64; the loaded dofs come at the index width
+            for key in ("cell_dofs", "dof_vertex"):
+                got, want = getattr(back, key), getattr(res.field, key)
+                assert got.dtype == np.int32 and np.array_equal(got, want), (name, key)
     assert dims == {2, 3}
 
 
-def test_load_solution_returns_int64_indices_whatever_dtype_is_stored(tmp_path):
+def test_load_solution_returns_int32_indices_whatever_dtype_is_stored(tmp_path):
     sc = load_scenario_file(tiny_file(tmp_path))
     out = tmp_path / "run"
     res = run_scenario(sc, out_dir=out)
@@ -586,15 +589,40 @@ def test_load_solution_returns_int64_indices_whatever_dtype_is_stored(tmp_path):
             k: v.astype(dtype) if v.dtype.kind in "iu" and v.min() >= np.iinfo(dtype).min
             else v for k, v in stored.items()})
         back = load_solution(d)
-        for got, want in ((back.cell_dofs, res.field.cell_dofs),
-                          (back.dof_vertex, res.field.dof_vertex),
-                          (back.mesh.cells, res.mesh.cells)):
-            assert got.dtype == np.int64 and np.array_equal(got, want), dtype
+        pairs = [(back.cell_dofs, res.field.cell_dofs), (back.dof_vertex, res.field.dof_vertex)]
+        pairs += [(getattr(back.mesh, k), getattr(res.mesh, k))
+                  for k in ("cells", "facets") + TOPOLOGY]
+        for got, want in pairs:
+            assert got.dtype == np.int32 and np.array_equal(got, want), dtype
+        for k in ("cell_region", "facet_tags", "facet_kinds"):
+            got, want = getattr(back.mesh, k), getattr(res.mesh, k)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (dtype, k)
     # write_bundle stores int32 only where every value fits
     for a, want in ((np.array([-2 ** 31, 2 ** 31 - 1]), np.int32),
                     (np.array([0, 2 ** 31]), np.int64), (np.array([-2 ** 31 - 1]), np.int64),
                     (np.zeros((0, 3), dtype=np.int64), np.int32), (np.zeros(3), np.float64)):
         assert _narrowed(a).dtype == want
+
+
+def test_load_solution_holds_no_widened_copy(tmp_path):
+    # ex56 r1: 24,576 tetrahedra, every integer array stored as int32. Each
+    # index array loads at its stored bytes; the labels (regions, tags,
+    # kinds) load as int64. Widening every index array to int64 held 4.81
+    # MiB for 2.49 MiB read, at a traced peak of 2.88 times those bytes
+    out = tmp_path / "ex56"
+    run_scenario(get_scenario("ex56"), refine=1, out_dir=out, tol=1e-3,
+                 preconditioner="jacobi")
+    with np.load(out / "solution.npz") as z:
+        stored = {k: z[k] for k in z.files}
+    field, peak = traced_peak(load_solution, out)
+    loaded = {f.name: getattr(field.mesh, f.name) for f in dataclasses.fields(field.mesh)}
+    loaded.update({k: getattr(field, k) for k in ("cell_dofs", "dof_vertex", "values")})
+    labels = ("cell_region", "facet_tags", "facet_kinds")
+    for k, a in loaded.items():
+        if isinstance(a, np.ndarray):
+            width = 8 if k in labels else stored[k].itemsize
+            assert a.nbytes <= stored[k].size * width, k
+    assert peak <= 2.3 * sum(a.nbytes for a in stored.values())
 
 
 def test_load_solution_rejects_broken_bundles(tmp_path, capsys):
