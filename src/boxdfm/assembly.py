@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
-from .dofspace import DofMap, facet_vertex_dofs
+from .dofspace import DofMap, components, facet_dofs
 from .dual import (DualBoxGeometry, _hat_gradients, boundary_subfaces, dual_geometry,
                    p1_gradients, subface_flux_matrices)
 from .errors import ValidationError, finite_values
@@ -256,19 +255,23 @@ def assemble_rhs(mesh: Mesh, dofmap: DofMap, dual: DualBoxGeometry,
         regs = np.repeat(mesh.cell_region, nloc)
         q = finite_values("source", source(pts, regs), pts).reshape(mesh.n_cells, nloc)
         np.add.at(b, dofmap.cell_dofs, q * dual.subvol)
-    if neumann:
-        for tag, g in neumann.items():
-            rows = np.nonzero((mesh.facet_tags == int(tag))
-                              & (mesh.facet_kinds == int(FacetKind.NEUMANN)))[0]
-            if len(rows) == 0:
-                raise ValidationError(f"neumann tag {tag} matches no facets")
-            meas, cents = boundary_subfaces(mesh, rows)
-            dofs, cells_r = facet_vertex_dofs(mesh, dofmap, rows)
-            pts = cents.reshape(-1, mesh.dim)
-            regs = np.repeat(mesh.cell_region[cells_r], mesh.dim)
-            vals = finite_values(f"neumann tag {tag}", g(pts, regs), pts)
-            np.add.at(b, dofs.ravel(), -vals * meas.ravel())
+    for tag, g in (neumann or {}).items():
+        rows, dofs, regs = _tagged_facets(mesh, dofmap, FacetKind.NEUMANN, tag)
+        meas, cents = boundary_subfaces(mesh, rows)
+        pts = cents.reshape(-1, mesh.dim)
+        vals = finite_values(f"neumann tag {tag}", g(pts, regs), pts)
+        np.add.at(b, dofs.ravel(), -vals * meas.ravel())
     return b
+
+
+def _tagged_facets(mesh: Mesh, dofmap: DofMap, kind: FacetKind, tag):
+    """The rows of the facets of this kind and tag, the dofs of their
+    vertices (facet_dofs) and the region of each vertex's resolving cell."""
+    rows = np.nonzero((mesh.facet_tags == int(tag)) & (mesh.facet_kinds == int(kind)))[0]
+    if len(rows) == 0:
+        raise ValidationError(f"{kind.name.lower()} tag {tag} matches no facets")
+    dofs, cells = facet_dofs(mesh, dofmap.cell_dofs, rows)
+    return rows, dofs, np.repeat(mesh.cell_region[cells], mesh.dim)
 
 
 def collect_dirichlet(mesh: Mesh, dofmap: DofMap, dirichlet: dict):
@@ -283,13 +286,8 @@ def collect_dirichlet(mesh: Mesh, dofmap: DofMap, dirichlet: dict):
     """
     dofs, vals, scales = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
     for tag, g in (dirichlet or {}).items():
-        rows = np.nonzero((mesh.facet_tags == int(tag))
-                          & (mesh.facet_kinds == int(FacetKind.DIRICHLET)))[0]
-        if len(rows) == 0:
-            raise ValidationError(f"dirichlet tag {tag} matches no facets")
-        d, cells_r = facet_vertex_dofs(mesh, dofmap, rows)
+        rows, d, regs = _tagged_facets(mesh, dofmap, FacetKind.DIRICHLET, tag)
         pts = mesh.vertices[mesh.facets[rows]].reshape(-1, mesh.dim)
-        regs = np.repeat(mesh.cell_region[cells_r], mesh.dim)
         v = finite_values(f"dirichlet tag {tag}", g(pts, regs), pts)
         dofs.append(d.ravel())
         vals.append(v)
@@ -374,8 +372,7 @@ def floating_compartments(mesh: Mesh, dofmap: DofMap, materials: MaterialModel,
                           + [dofmap.barrier_minus[live].ravel()], dtype=index)
     cols = np.concatenate([dofmap.cell_dofs[:, j] for j in second]
                           + [dofmap.barrier_plus[live].ravel()], dtype=index)
-    graph = sp.coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    ncomp, labels = connected_components(graph, directed=False)
+    ncomp, labels = components(n, rows, cols)
     floating = np.bincount(labels[dirichlet_dofs], minlength=ncomp) == 0
     dofs = np.flatnonzero(floating[labels])
     dofs = dofs[np.lexsort((dofmap.vertex_ndofs[dofmap.dof_vertex[dofs]] > 1, labels[dofs]))]

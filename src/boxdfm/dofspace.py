@@ -11,6 +11,10 @@ Where a fracture crosses a barrier the policy decides: fracture_penetrates
 merges all components at the crossing vertex (continuous pressure, the
 fracture wins), barrier_cuts keeps them separate (the barrier cuts the
 fracture).
+
+facet_dofs is the one lookup from tagged facets to the dofs of their
+vertices on a given side; components is the one connected-component
+search, of the cell fans here and of assembly's compartments.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from ._rows import write_rows
 from .errors import DofMapError, ValidationError
 from .mesh import FacetKind, Mesh, _index_dtype
 
-__all__ = ["POLICIES", "VertexClass", "DofMap", "build_dof_map", "boundary_dofs",
-           "facet_vertex_dofs", "write_vertex_report"]
+__all__ = ["POLICIES", "VertexClass", "DofMap", "build_dof_map", "components", "facet_dofs",
+           "write_vertex_report"]
 
 POLICIES = ("fracture_penetrates", "barrier_cuts")
 
@@ -87,6 +91,22 @@ def _corner_nodes(cells: np.ndarray, cell_ids: np.ndarray,
     return np.ascontiguousarray((node * nloc + local).T)
 
 
+def facet_dofs(mesh: Mesh, cell_dofs: np.ndarray, facet_rows: np.ndarray, side: int = 0):
+    """(dofs, cells) of the tagged facets mesh.facets[facet_rows]: the dofs
+    (len(facet_rows), dim) of their vertices in the cell on one side (0: the
+    first cell of the unique facet, 1: the second, interior facets only),
+    and that cell per facet, for region-dependent data."""
+    cells = mesh.ufacet_cells[mesh.facet_to_ufacet[facet_rows], side]
+    return cell_dofs.ravel()[_corner_nodes(mesh.cells, cells, mesh.facets[facet_rows])], cells
+
+
+def components(n: int, rows: np.ndarray, cols: np.ndarray):
+    """(count, labels) of the connected components of the undirected graph
+    on n nodes with the edges rows[k] - cols[k]."""
+    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
 def _policy_key(policy: str) -> str:
     """The POLICIES entry that policy names, hyphens read as underscores."""
     key = policy.replace("-", "_")
@@ -114,10 +134,12 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
     cols = [_corner_nodes(cells, link_cells[:, 1], link_verts).ravel()]
     del link_cells, link_verts
 
+    bar_rows = mesh.facets_of_kind(FacetKind.BARRIER)
+    fr_rows = mesh.facets_of_kind(FacetKind.FRACTURE)
     has_barrier = np.zeros(nv, dtype=bool)
     has_fracture = np.zeros(nv, dtype=bool)
-    has_barrier[mesh.facets[mesh.facets_of_kind(FacetKind.BARRIER)].ravel()] = True
-    has_fracture[mesh.facets[mesh.facets_of_kind(FacetKind.FRACTURE)].ravel()] = True
+    has_barrier[mesh.facets[bar_rows].ravel()] = True
+    has_fracture[mesh.facets[fr_rows].ravel()] = True
 
     crossing = has_barrier & has_fracture
     if policy == "fracture_penetrates" and crossing.any():
@@ -129,11 +151,9 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
         rows.append(order[:-1][link_next])
         cols.append(order[1:][link_next])
 
-    graph = coo_matrix((np.ones(sum(map(len, rows)), dtype=np.int8),
-                        (np.concatenate(rows), np.concatenate(cols))), shape=(n_nodes, n_nodes))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    n_comp, labels = components(n_nodes, rows, cols)
     del rows, cols
-    n_comp, labels = connected_components(graph, directed=False)
-    del graph
 
     first = np.full(n_comp, n_nodes, dtype=np.int64)
     np.minimum.at(first, labels, np.arange(n_nodes, dtype=np.int64))
@@ -145,10 +165,9 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
     # the DofMap holds int64 ids; the mesh's cells come at their index width
     dof_vertex = vertex_of_label[order].astype(np.int64)
 
+    # 0 at a vertex in no cell, so > 1 flags only the split fans
     vertex_ndofs = np.bincount(dof_vertex, minlength=nv)
-    in_use = np.zeros(nv, dtype=bool)
-    in_use[cells.ravel()] = True
-    bad = in_use & ~has_barrier & (vertex_ndofs != 1)
+    bad = ~has_barrier & (vertex_ndofs > 1)
     if np.any(bad):
         v = int(np.nonzero(bad)[0][0])
         raise DofMapError(
@@ -161,10 +180,8 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
     vclass[has_barrier & (vertex_ndofs > 1)] = int(VertexClass.BARRIER_INTERIOR)
     vclass[crossing] = int(VertexClass.INTERSECTION)
 
-    bar_rows = mesh.facets_of_kind(FacetKind.BARRIER)
-    bar_cells = mesh.ufacet_cells[mesh.facet_to_ufacet[bar_rows]]
-    minus = cell_dofs.ravel()[_corner_nodes(cells, bar_cells[:, 0], mesh.facets[bar_rows])]
-    plus = cell_dofs.ravel()[_corner_nodes(cells, bar_cells[:, 1], mesh.facets[bar_rows])]
+    minus = facet_dofs(mesh, cell_dofs, bar_rows)[0]
+    plus = facet_dofs(mesh, cell_dofs, bar_rows, side=1)[0]
     dead = np.all(minus == plus, axis=1)
     if np.any(dead):
         i = int(np.nonzero(dead)[0][0])
@@ -174,13 +191,8 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
             "merged by the intersection policy at every vertex)"
         )
 
-    fr_rows = mesh.facets_of_kind(FacetKind.FRACTURE)
-    fr_cells = mesh.ufacet_cells[mesh.facet_to_ufacet[fr_rows]]
-    fdofs = cell_dofs.ravel()[_corner_nodes(cells, fr_cells[:, 0], mesh.facets[fr_rows])]
-    other = cell_dofs.ravel()[_corner_nodes(cells, fr_cells[:, 1], mesh.facets[fr_rows])]
-    if not np.array_equal(fdofs, other):
-        raise DofMapError("fracture facet resolves to different dofs from its two sides")
-
+    # a fracture facet is interior and no barrier, so it links its two
+    # sides: either one resolves its dofs
     return DofMap(
         policy=policy,
         n_dofs=int(n_comp),
@@ -192,29 +204,8 @@ def build_dof_map(mesh: Mesh, policy: str) -> DofMap:
         barrier_minus=minus,
         barrier_plus=plus,
         fracture_facet_rows=fr_rows,
-        fracture_dofs=fdofs,
+        fracture_dofs=facet_dofs(mesh, cell_dofs, fr_rows)[0],
     )
-
-
-def facet_vertex_dofs(mesh: Mesh, dofmap: DofMap, facet_rows: np.ndarray):
-    """Dofs of each facet vertex, resolved through the first adjacent cell.
-
-    Returns (dofs, cells): dofs has shape (len(rows), dim); cells is the
-    resolving cell per facet (used for region-dependent boundary values).
-    """
-    c = mesh.ufacet_cells[mesh.facet_to_ufacet[facet_rows], 0]
-    return dofmap.cell_dofs.ravel()[_corner_nodes(mesh.cells, c, mesh.facets[facet_rows])], c
-
-
-def boundary_dofs(mesh: Mesh, dofmap: DofMap, kind: FacetKind) -> np.ndarray:
-    """Unique dofs sitting on tagged facets of the given boundary kind.
-
-    A barrier terminating at such a facet contributes all of the endpoint
-    vertex's dofs that belong to cells touching the facet.
-    """
-    rows = mesh.facets_of_kind(kind)
-    dofs, _ = facet_vertex_dofs(mesh, dofmap, rows)
-    return np.unique(dofs.ravel())
 
 
 def write_vertex_report(mesh: Mesh, dofmap: DofMap, path) -> None:

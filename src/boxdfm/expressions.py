@@ -2,10 +2,12 @@
 
 Grammar: numeric literals, the coordinates x, y, z, the functions sin and
 cos, +, -, *, /, unary minus, parentheses. Compiled through the ast module
-with a strict whitelist; anything else is rejected. Compiled expressions
-evaluate vectorized over (n, dim) point arrays. Literals are numpy doubles,
-so 1/0 gives inf as x/0 does, without a numpy warning; every consumer
-of the values rejects non-finite ones (errors.finite_values).
+with a strict whitelist, the ufunc tables _UNARY, _BINARY and _FUNCS, whose
+entries all compile through one _apply; anything else is rejected with a
+message that names the source. Compiled expressions evaluate vectorized
+over (n, dim) point arrays. Literals are numpy doubles, so 1/0 gives inf as
+x/0 does, without a numpy warning; every consumer of the values rejects
+non-finite ones (errors.finite_values).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .errors import ValidationError
 
 __all__ = ["compile_expression"]
 
+_UNARY = {ast.USub: np.negative, ast.UAdd: np.positive}
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide}
 _FUNCS = {"sin": np.sin, "cos": np.cos}
 
 
@@ -26,6 +30,11 @@ def _double(value, src) -> np.float64:
         return np.float64(value)
     except OverflowError:
         raise ValidationError(f"numeric constant out of range in expression {src!r}") from None
+
+
+def _apply(op, *args):
+    """The compiled node op(args...) of compiled argument nodes."""
+    return lambda env: op(*(arg(env) for arg in args))
 
 
 def compile_expression(src, dim: int):
@@ -42,8 +51,6 @@ def compile_expression(src, dim: int):
         raise ValidationError(f"cannot parse expression {src!r}: {e.msg}") from None
 
     def build(node):
-        if isinstance(node, ast.Expression):
-            return build(node.body)
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
                 v = _double(node.value, src)
@@ -57,36 +64,18 @@ def compile_expression(src, dim: int):
                 )
             i = names.index(node.id)
             return lambda env: env[i]
-        if isinstance(node, ast.UnaryOp):
-            arg = build(node.operand)
-            if isinstance(node.op, ast.USub):
-                return lambda env: -arg(env)
-            if isinstance(node.op, ast.UAdd):
-                return arg
-            raise ValidationError(f"unsupported unary operator in {src!r}")
-        if isinstance(node, ast.BinOp):
-            lhs = build(node.left)
-            rhs = build(node.right)
-            if isinstance(node.op, ast.Add):
-                return lambda env: lhs(env) + rhs(env)
-            if isinstance(node.op, ast.Sub):
-                return lambda env: lhs(env) - rhs(env)
-            if isinstance(node.op, ast.Mult):
-                return lambda env: lhs(env) * rhs(env)
-            if isinstance(node.op, ast.Div):
-                return lambda env: lhs(env) / rhs(env)
-            raise ValidationError(f"unsupported operator in expression {src!r}")
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
-                raise ValidationError(f"unsupported function call in expression {src!r}")
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            return _apply(_UNARY[type(node.op)], build(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _apply(_BINARY[type(node.op)], build(node.left), build(node.right))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCS):
             if len(node.args) != 1 or node.keywords:
                 raise ValidationError(f"{node.func.id} takes exactly one argument in {src!r}")
-            f = _FUNCS[node.func.id]
-            arg = build(node.args[0])
-            return lambda env: f(arg(env))
-        raise ValidationError(f"unsupported syntax in expression {src!r}")
+            return _apply(_FUNCS[node.func.id], build(node.args[0]))
+        raise ValidationError(f"unsupported syntax {ast.unparse(node)!r} in expression {src!r}")
 
-    fn = build(tree)
+    fn = build(tree.body)
 
     def evaluate(pts):
         pts = np.asarray(pts, dtype=np.float64)

@@ -10,6 +10,9 @@ The unstructured generator is not a general constrained Delaunay code: it
 places points so that the plain Delaunay triangulation contains every
 feature sub-edge (cleared corridor, locally uniform spacing) and raises if
 recovery fails. Meshes for geometries beyond its reach come from MSH files.
+Its corners, side divisions and feature points merge in one vectorized
+pass: each point is snapped onto the sides, and the first of equal keys
+rint(p / tol) keeps its id.
 
 Every generator ends in one finishing step, _box_mesh: it takes the hull
 facets from the packed-key unique-facet table of :mod:`.mesh` (in 2D the
@@ -252,47 +255,25 @@ def delaunay_rect_mesh(domain, h, segments=(), seed=0, boundary_div=None,
     chains = split_segments_at_intersections(segments)
     chain_pts = [_chain_points(ch, h) for ch in chains]
 
-    def snap(p):
-        q = p.copy()
-        for axis in range(2):
-            if abs(q[axis] - lo[axis]) < tol:
-                q[axis] = lo[axis]
-            if abs(q[axis] - hi[axis]) < tol:
-                q[axis] = hi[axis]
-        return q
-
-    points: list[np.ndarray] = []
-    index: dict = {}
-
-    def add(p) -> int:
-        p = snap(np.asarray(p, float))
-        key = (round(p[0] / tol), round(p[1] / tol))
-        if key in index:
-            return index[key]
-        index[key] = len(points)
-        points.append(p)
-        return index[key]
-
-    for c in (lo, (hi[0], lo[1]), hi, (lo[0], hi[1])):
-        add(np.asarray(c, float))
     if boundary_div is None:
         boundary_div = tuple(max(1, int(round(s / h))) for s in
                              (size[1], size[1], size[0], size[0]))
-    sides = [
-        (np.array([lo[0], lo[1]]), np.array([lo[0], hi[1]]), boundary_div[0]),
-        (np.array([hi[0], lo[1]]), np.array([hi[0], hi[1]]), boundary_div[1]),
-        (np.array([lo[0], lo[1]]), np.array([hi[0], lo[1]]), boundary_div[2]),
-        (np.array([lo[0], hi[1]]), np.array([hi[0], hi[1]]), boundary_div[3]),
-    ]
-    for a, b, ndiv in sides:
-        for k in range(1, ndiv):
-            add(a + (b - a) * (k / ndiv))
-
-    chain_ids = []
-    for cp in chain_pts:
-        chain_ids.append([add(p) for p in cp])
-    n_fixed = len(points)
-    fixed = np.array(points)
+    # corners, side divisions (left, right, bottom, top), then chain points
+    c = np.array([lo, (hi[0], lo[1]), hi, (lo[0], hi[1])])
+    pts = list(c) + [c[i] + (c[j] - c[i]) * (k / ndiv)
+                     for (i, j), ndiv in zip(((0, 3), (1, 2), (0, 1), (3, 2)), boundary_div)
+                     for k in range(1, ndiv)]
+    n_sides = len(pts)
+    pts = np.array(pts + [q for cp in chain_pts for q in cp], dtype=float)
+    pts = np.where(np.abs(pts - lo) < tol, lo, pts)
+    pts = np.where(np.abs(pts - hi) < tol, hi, pts)
+    keys = np.rint(pts / tol).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    ids = np.argsort(by_first)[inverse.reshape(-1)]
+    ends = np.cumsum([len(cp) for cp in chain_pts], dtype=np.int64)
+    chain_ids = np.split(ids[n_sides:], ends[:-1])
+    fixed = pts[first[by_first]]
 
     # jittered lattice fill, cleared around features and sides
     clear = 0.75 * h

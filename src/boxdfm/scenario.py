@@ -419,17 +419,19 @@ def scenario_from_dict(raw: dict, base_dir: Path | None = None,
 
 
 def validate_against_mesh(scenario: Scenario, mesh: Mesh) -> None:
-    """Every tagged facet in the mesh must have matching data.
+    """Every cell region and tagged facet in the mesh must have matching data.
 
-    Fracture and barrier tags need material laws; Dirichlet and Neumann
-    tags need boundary expressions. Unused extra entries are fine for
-    materials but boundary entries must match facets (checked during
-    assembly).
+    Cell regions need matrix permeabilities, fracture and barrier tags
+    material laws, Dirichlet and Neumann tags boundary expressions. Unused
+    extra entries are fine for materials but boundary entries must match
+    facets (checked during assembly).
     """
     if mesh.dim != scenario.dim:
         raise ValidationError(f"scenario {scenario.name!r} is {scenario.dim}d, "
                               f"its mesh {mesh.dim}d")
-    problems = []
+    lawless = ~np.isin(mesh.cell_region, list(scenario.materials.matrix))
+    problems = [f"no matrix permeability for region {r}"
+                for r in np.unique(mesh.cell_region[lawless]).tolist()]
     for kind, table, what in (
         (FacetKind.FRACTURE, scenario.materials.fractures, "fracture law"),
         (FacetKind.BARRIER, scenario.materials.barriers, "barrier law"),

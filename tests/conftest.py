@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxdfm.generators import crossed_square_mesh
+from boxdfm.generators import crossed_square_mesh, kuhn_cube_mesh
 
 # one line per acceptance criterion, echoed after the test run so the
 # verdicts are visible in plain `pytest -v` output
@@ -170,3 +170,13 @@ def barrier_square(n=4, jitter=0.0, seed=0, tag_map=None):
 @pytest.fixture
 def barrier_square_mesh():
     return barrier_square()
+
+
+def barrier_fracture_cube():
+    """3d: a barrier plane x = 0.5 (tag 40) crossed by a fracture plane
+    y = 0.5 (tag 41), Dirichlet on the x sides, Neumann on the others."""
+    tags = {1: "dirichlet", 2: "dirichlet", 40: "barrier", 41: "fracture"}
+    tags.update({t: "neumann" for t in range(3, 7)})
+    return kuhn_cube_mesh(4, planes=[(0, 0.5, (0.0, 0.0), (1.0, 1.0), 40),
+                                     (1, 0.5, (0.0, 0.0), (1.0, 1.0), 41)],
+                          tag_map=tags)

@@ -11,7 +11,7 @@ from boxdfm.assembly import (apply_dirichlet, assemble_operator, assemble_rhs,
                              local_barrier_coupling, local_cell_matrices,
                              local_fracture_matrices)
 from boxdfm.benchmarks import analytic_barrier_scenario, get_scenario
-from boxdfm.dofspace import build_dof_map, facet_vertex_dofs
+from boxdfm.dofspace import build_dof_map, facet_dofs
 from boxdfm.driver import run_scenario
 from boxdfm.dual import dual_geometry
 from boxdfm.errors import ValidationError
@@ -355,7 +355,7 @@ def reference_collect_dirichlet(mesh, dofmap, dirichlet):
     for tag, g in dirichlet.items():
         rows = np.nonzero((mesh.facet_tags == int(tag))
                           & (mesh.facet_kinds == int(FacetKind.DIRICHLET)))[0]
-        dofs, cells_r = facet_vertex_dofs(mesh, dofmap, rows)
+        dofs, cells_r = facet_dofs(mesh, dofmap.cell_dofs, rows)
         pts = mesh.vertices[mesh.facets[rows]].reshape(-1, mesh.dim)
         regs = np.repeat(mesh.cell_region[cells_r], mesh.dim)
         g_vals = np.asarray(g(pts, regs), dtype=np.float64).ravel()

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from boxdfm.benchmarks import get_scenario
-from boxdfm.dofspace import (DofMap, _corner_nodes, build_dof_map, boundary_dofs,
-                             facet_vertex_dofs, write_vertex_report)
+from boxdfm.dofspace import (POLICIES, DofMap, _corner_nodes, build_dof_map, facet_dofs,
+                             write_vertex_report)
 from boxdfm.errors import DofMapError, ValidationError
 from boxdfm.generators import crossed_square_mesh
 from boxdfm.mesh import FacetKind, build_mesh
-from conftest import TAGS_BARRIER, array_bytes, barrier_square, traced_peak
+from conftest import (TAGS_BARRIER, array_bytes, barrier_fracture_cube, barrier_square,
+                      traced_peak)
 
 
 def fan_components(mesh, vertex):
@@ -152,7 +153,7 @@ def test_facet_vertex_dofs_resolves_boundary(barrier_square_mesh):
     mesh = barrier_square_mesh
     dm = build_dof_map(mesh, "barrier_cuts")
     rows = mesh.facets_of_kind(FacetKind.DIRICHLET)
-    fd, cells = facet_vertex_dofs(mesh, dm, rows)
+    fd, cells = facet_dofs(mesh, dm.cell_dofs, rows)
     assert fd.shape == (len(rows), 2)
     assert np.array_equal(dm.dof_vertex[fd], mesh.facets[rows])
     # the resolving cell contains the facet's vertices
@@ -162,6 +163,26 @@ def test_facet_vertex_dofs_resolves_boundary(barrier_square_mesh):
     stranger = np.setdiff1d(np.arange(mesh.n_vertices), mesh.cells[cells[0]])[0]
     with pytest.raises(DofMapError, match="not found"):
         _corner_nodes(mesh.cells, cells[:1], np.array([[mesh.facets[rows[0], 0], stranger]]))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", ["ex54a", "ex54b", "cube-3d"])
+def test_fracture_facets_link_their_sides_and_barrier_facets_split(name, policy):
+    if name == "cube-3d":
+        mesh = barrier_fracture_cube()
+    else:
+        sc = get_scenario(name)
+        mesh = sc.mesh_factory(sc.default_refine)
+    dm = build_dof_map(mesh, policy)
+    fr = mesh.facets_of_kind(FacetKind.FRACTURE)
+    br = mesh.facets_of_kind(FacetKind.BARRIER)
+    assert len(fr) and len(br)
+    # a fracture facet is interior and no barrier, so either side gives its dofs
+    assert np.array_equal(facet_dofs(mesh, dm.cell_dofs, fr, side=1)[0],
+                          facet_dofs(mesh, dm.cell_dofs, fr)[0])
+    minus, plus = (facet_dofs(mesh, dm.cell_dofs, br, side=s)[0] for s in (0, 1))
+    assert np.array_equal(minus, dm.barrier_minus) and np.array_equal(plus, dm.barrier_plus)
+    assert np.all(np.any(minus != plus, axis=1))
 
 
 def reference_corner_nodes(cells, cell_ids, facet_verts):
@@ -195,8 +216,8 @@ def test_corner_nodes_match_broadcast_search(name):
 def test_boundary_dofs_kinds(barrier_square_mesh):
     mesh = barrier_square_mesh
     dm = build_dof_map(mesh, "barrier_cuts")
-    d = boundary_dofs(mesh, dm, FacetKind.DIRICHLET)
-    n = boundary_dofs(mesh, dm, FacetKind.NEUMANN)
+    d, n = (np.unique(facet_dofs(mesh, dm.cell_dofs, mesh.facets_of_kind(kind))[0])
+            for kind in (FacetKind.DIRICHLET, FacetKind.NEUMANN))
     # left/right sides are Dirichlet (5 vertices each), but the barrier
     # meets top and bottom, so the split endpoints add Neumann dofs
     assert len(d) == 10

@@ -1,5 +1,7 @@
 """Whitelisted expression compiler for scenario data."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -56,8 +58,17 @@ def test_z_only_in_three_dimensions():
     "lambda: 1",
 ])
 def test_disallowed_constructs_rejected(src):
-    with pytest.raises(ValidationError):
+    # every message names the rejected source
+    with pytest.raises(ValidationError, match=re.escape(repr(src))):
         compile_expression(src, dim=2)
+
+
+@pytest.mark.parametrize("src, dim, allowed", [("q + 1", 2, "x, y"), ("x + z", 2, "x, y"),
+                                               ("sin(w)", 3, "x, y, z")])
+def test_unknown_name_lists_the_coordinates(src, dim, allowed):
+    with pytest.raises(ValidationError, match=re.escape(f"in expression {src!r}; "
+                                                        f"allowed coordinates: {allowed}")):
+        compile_expression(src, dim=dim)
 
 
 def test_malformed_source_rejected():

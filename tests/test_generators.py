@@ -92,3 +92,21 @@ def test_shipped_ex52_meshes_regenerate(name):
     assert np.array_equal(conn[2], mesh.cells)
     assert np.array_equal(conn[1], mesh.facets)
     assert np.array_equal(phys[1], mesh.facet_tags)
+
+
+def test_delaunay_merges_chain_ends_into_side_and_corner_points():
+    # a segment from the second division point of the left side (off by
+    # 1e-12) to the corner (1, 1): both ends merge into the points already
+    # there, so no vertex is duplicated and the chain starts and ends on them
+    tags = {1: "dirichlet", 2: "dirichlet", 3: "neumann", 4: "neumann", 10: "barrier"}
+    mesh = delaunay_rect_mesh(((0.0, 0.0), (1.0, 1.0)), 0.2, boundary_div=(5, 5, 5, 5),
+                              segments=[((1e-12, 0.4 + 1e-12), (1.0, 1.0), 10)],
+                              tag_map=tags)
+    v = mesh.vertices
+    assert len(np.unique(np.round(v, 6), axis=0)) == mesh.n_vertices
+    # corners first, then the side divisions from the left side's first
+    corner, side = 2, 4 + 1
+    assert v[corner].tolist() == [1.0, 1.0] and v[side].tolist() == [0.0, 0.4]
+    chain = mesh.facets[mesh.facet_tags == 10]
+    ends, counts = np.unique(chain, return_counts=True)
+    assert sorted(ends[counts == 1].tolist()) == [corner, side]

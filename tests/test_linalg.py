@@ -9,11 +9,10 @@ from boxdfm.assembly import assemble_system
 from boxdfm.benchmarks import get_scenario
 from boxdfm.dofspace import build_dof_map
 from boxdfm.errors import NotPositiveDefiniteError, ValidationError
-from boxdfm.generators import kuhn_cube_mesh
 from boxdfm.linalg import (cg_solve, check_symmetric, dense_spd_check,
                            make_preconditioner)
 from boxdfm.materials import BarrierLaw, FractureLaw, MaterialModel
-from conftest import barrier_square
+from conftest import barrier_fracture_cube, barrier_square
 
 
 def assembled_system(n=6, beta_scale=1e-3):
@@ -189,12 +188,8 @@ def scenario_system(name, policy):
 
 
 def cube_system(policy):
-    """3d: a barrier plane x = 0.5 crossed by a fracture plane y = 0.5."""
-    tags = {1: "dirichlet", 2: "dirichlet", 40: "barrier", 41: "fracture"}
-    tags.update({t: "neumann" for t in range(3, 7)})
-    mesh = kuhn_cube_mesh(4, planes=[(0, 0.5, (0.0, 0.0), (1.0, 1.0), 40),
-                                     (1, 0.5, (0.0, 0.0), (1.0, 1.0), 41)],
-                          tag_map=tags)
+    """3d: the barrier plane and the fracture plane of barrier_fracture_cube."""
+    mesh = barrier_fracture_cube()
     mats = MaterialModel(matrix={1: 1.0}, fractures={41: FractureLaw(1e-2, 1e3)},
                          barriers={40: BarrierLaw(1e-3, 1e-4)}, dim=3)
     zero = lambda p, *r: np.zeros(len(p))  # noqa: E731

@@ -12,7 +12,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import connected_components
 
 import boxdfm
 import boxdfm.assembly as assembly_module
@@ -21,7 +20,7 @@ from boxdfm.assembly import collect_dirichlet
 from boxdfm.benchmarks import (SCENARIO_DIR, builtin_scenarios, ex52_scenario,
                                ex57_equidim_scenario, get_scenario, scenario_names)
 from boxdfm.cli import build_parser, main
-from boxdfm.dofspace import POLICIES, build_dof_map
+from boxdfm.dofspace import POLICIES, build_dof_map, components
 from boxdfm.driver import (_narrowed, load_solution, run_convergence, run_scenario,
                            scenario_warnings)
 from boxdfm.errors import MissingDataError, ValidationError
@@ -966,14 +965,30 @@ def test_cli_pure_neumann_with_a_supply_fails(tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+def test_region_without_matrix_law_fails_before_the_dof_map(tmp_path, monkeypatch, capsys):
+    spec = {**TINY, "materials": {**TINY["materials"], "matrix": {"1": 1.0}}}
+    sc = scenario_from_dict(spec)
+    with pytest.raises(ValidationError, match=r"^no matrix permeability for region 2$"):
+        validate_against_mesh(sc, sc.mesh_factory(0))
+    calls = []
+    monkeypatch.setattr(driver_module, "build_dof_map", lambda *args: calls.append(args))
+    path = tmp_path / "no_law.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "no matrix permeability for region 2" in err and "Traceback" not in err
+    assert calls == []
+
+
 def test_run_builds_the_compartment_graph_once(tmp_path, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return connected_components(*args, **kwargs)
+        return components(*args, **kwargs)
 
-    monkeypatch.setattr(assembly_module, "connected_components", counted)
+    monkeypatch.setattr(assembly_module, "components", counted)
     path = tmp_path / "sealed.json"
     path.write_text(json.dumps({**SEALED, "source": "0"}))
     assert len(run_scenario(load_scenario_file(path)).report["warnings"]) == 1
